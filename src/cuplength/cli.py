@@ -22,6 +22,7 @@ never as a numeric sentinel.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -116,6 +117,8 @@ def load_filtered_complex(path: str) -> FilteredComplex:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
             if len(set(verts)) != len(verts):
                 raise ParseError(f"{path}:{lineno}: repeated vertex in {verts}")
+            if min(verts) < 0:
+                raise ParseError(f"{path}:{lineno}: negative vertex id in {verts}")
             entries.append((verts, grade))
     if not entries:
         raise ParseError(f"{path}: no simplices")
@@ -147,6 +150,21 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
 
+def _json_input(parse):
+    """Report malformed JSON text or content as a ParseError."""
+
+    @functools.wraps(parse)
+    def wrapped(text: str):
+        try:
+            return parse(text)
+        except KeyError as exc:
+            raise ParseError(f"JSON input lacks key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed JSON input: {exc}") from None
+
+    return wrapped
+
+
 def diagram_to_json(d: CupDiagram) -> str:
     pts = []
     for interval, value in d.sorted_points():
@@ -164,6 +182,7 @@ def diagram_to_json(d: CupDiagram) -> str:
     return _dumps({"points": pts})
 
 
+@_json_input
 def parse_diagram(text: str) -> CupDiagram:
     data = json.loads(text)
     points: dict[Interval, int] = {}
@@ -202,6 +221,7 @@ def function_to_json(f: CupFunction) -> str:
     return _dumps({"generators": gens})
 
 
+@_json_input
 def parse_function(text: str) -> CupFunction:
     data = json.loads(text)
     gens = []
@@ -231,6 +251,7 @@ def barcode_to_json(bars: list[Bar]) -> str:
     return _dumps({"bars": out})
 
 
+@_json_input
 def parse_barcode(text: str) -> list[Bar]:
     data = json.loads(text)
     bars = []
@@ -240,6 +261,19 @@ def parse_barcode(text: str) -> list[Bar]:
         rep = Cochain(int(item["dim"]), summands) if summands else Cochain.zero(int(item["dim"]))
         bars.append(Bar(int(item["dim"]), float(item["birth"]), death, rep))
     return bars
+
+
+@_json_input
+def _render_artifact_svg(text: str) -> str:
+    """SVG of a diagram, function or barcode JSON artifact."""
+    data = json.loads(text)
+    if "points" in data:
+        return plots.render_diagram_svg(parse_diagram(text))
+    if "generators" in data:
+        return plots.render_function_svg(parse_function(text))
+    if "bars" in data:
+        return plots.render_barcode_svg(parse_barcode(text))
+    raise ParseError("unrecognized artifact")
 
 
 # ---------------------------------------------------------------- commands
@@ -291,16 +325,7 @@ def run(config: JobConfig) -> int:
     if cmd == "plot":
         with open(config.inputs[0], "r", encoding="utf-8") as fh:
             text = fh.read()
-        data = json.loads(text)
-        if "points" in data:
-            svg = plots.render_diagram_svg(parse_diagram(text))
-        elif "generators" in data:
-            svg = plots.render_function_svg(parse_function(text))
-        elif "bars" in data:
-            svg = plots.render_barcode_svg(parse_barcode(text))
-        else:
-            raise ParseError(f"{config.inputs[0]}: unrecognized artifact")
-        _emit(config, svg)
+        _emit(config, _render_artifact_svg(text))
         return 0
 
     c = _load_complex_input(config, config.inputs[0])
@@ -309,7 +334,7 @@ def run(config: JobConfig) -> int:
 
     if cmd == "barcode":
         barcode = compute_barcode(ct, k)
-        bars = connected_component_bars(ct) + list(barcode.bars)
+        bars = connected_component_bars(barcode) + list(barcode.bars)
         if config.fmt == "svg":
             _emit(config, plots.render_barcode_svg(bars))
         elif config.fmt == "csv":
@@ -340,8 +365,9 @@ def run(config: JobConfig) -> int:
         return 0
 
     if cmd == "oracle-check":
-        diagram, _, _ = compute_cup_diagram(c, k, config.trim)
-        f = reconstruct(diagram)
+        # keep only the diagram, so the barcode's reduction is freed before
+        # the oracle runs
+        f = reconstruct(compute_cup_diagram(c, k, config.trim)[0])
         g = oracle.oracle_cup_function(ct, k)
         cvs = ct.critical_values
         mismatches = []
@@ -367,7 +393,7 @@ def run(config: JobConfig) -> int:
         os.makedirs(config.output, exist_ok=True)
         diagram, _, barcode = compute_cup_diagram(c, k, config.trim)
         f = reconstruct(diagram)
-        bars = connected_component_bars(ct) + list(barcode.bars)
+        bars = connected_component_bars(barcode) + list(barcode.bars)
         artifacts = {
             "barcode.json": barcode_to_json(bars) + "\n",
             "diagram.json": diagram_to_json(diagram) + "\n",

@@ -118,10 +118,16 @@ def _bar_sort_key(bar: Bar):
 
 @dataclass
 class AnnotatedBarcode:
-    """Positive-dimensional bars, sorted by death then birth."""
+    """Positive-dimensional bars, sorted by death then birth.
+
+    ``reduction`` is the reduced coboundary matrix the bars were read
+    from; the cup products, the dimension-0 bars and the family check
+    reuse it instead of reducing the complex again.
+    """
 
     bars: list[Bar]
     dim_bound: int
+    reduction: z2.ReducedCoboundary = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.bars = sorted(self.bars, key=_bar_sort_key)
@@ -133,16 +139,15 @@ class AnnotatedBarcode:
         return len(self.bars)
 
 
-def _harvest(c: FilteredComplex, max_bar_dim: int) -> list[Bar]:
-    rc = z2.reduce_coboundary(c, include_dim0=True)
+def _harvest(rc: z2.ReducedCoboundary, min_dim: int, max_dim: int) -> list[Bar]:
     m = rc.R.n_rows
-    simplices = c.simplices
-    grades = c.grades
+    simplices = rc.complex.simplices
+    grades = rc.complex.grades
     bars = []
     for col in range(m):
         i = m - 1 - col
         dim = len(simplices[i]) - 1
-        if dim > max_bar_dim:
+        if not min_dim <= dim <= max_dim:
             continue
         pivot = rc.R.pivot(col)
         if pivot is not None:
@@ -151,7 +156,7 @@ def _harvest(c: FilteredComplex, max_bar_dim: int) -> list[Bar]:
                 continue
             rep = _column_cochain(rc.V, col, simplices, m, dim)
             bars.append(Bar(dim, grades[i], death, rep))
-        elif col not in rc.pivots:
+        elif col not in rc.pivot_to_col:
             rep = _column_cochain(rc.V, col, simplices, m, dim)
             bars.append(Bar(dim, grades[i], INF, rep))
     return bars
@@ -170,13 +175,13 @@ def compute_barcode(c: FilteredComplex, k: int) -> AnnotatedBarcode:
         raise ValueError("k must be at least 1")
     if c.dim > k + 1:
         raise ValueError(f"complex has dimension {c.dim}; truncate to {k + 1} first")
-    bars = [b for b in _harvest(c, k) if b.dim >= 1]
-    return AnnotatedBarcode(bars, dim_bound=k)
+    rc = z2.reduce_coboundary(c)
+    return AnnotatedBarcode(_harvest(rc, 1, k), dim_bound=k, reduction=rc)
 
 
-def connected_component_bars(c: FilteredComplex) -> list[Bar]:
+def connected_component_bars(b: AnnotatedBarcode) -> list[Bar]:
     """Dimension-0 bars (component merge events), for reporting."""
-    return sorted((b for b in _harvest(c, 0)), key=_bar_sort_key)
+    return sorted(_harvest(b.reduction, 0, 0), key=_bar_sort_key)
 
 
 @dataclass
@@ -207,7 +212,7 @@ def validate_family(b: AnnotatedBarcode, c: FilteredComplex) -> FamilyReport:
         report.ok = False
         report.failures.append((t, p, reason))
 
-    rc = z2.reduce_coboundary(c, include_dim0=False)
+    rc = b.reduction
     rng = random.Random(0)
     for t in c.critical_values:
         basis = oracle.cohomology_basis(c, t, b.dim_bound)
@@ -239,7 +244,7 @@ def validate_family(b: AnnotatedBarcode, c: FilteredComplex) -> FamilyReport:
                     low = mm & -mm
                     acc ^= restricted[low.bit_length() - 1]
                     mm ^= low
-                if z2.is_coboundary(acc, t, rc, c):
+                if z2.is_coboundary(acc, t, rc):
                     fail(t, p, f"combination {mask:b} of restrictions is exact at {t}")
                     break
     return report

@@ -15,9 +15,7 @@ left-to-right descent.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import z2
@@ -130,16 +128,10 @@ def support(
         if inter is None:
             return None
     d_grid = _grid_right_end(inter, c)
+    mask = rc.cochain_mask(sigma_prod)
 
     def exact_at(t: float) -> bool:
         counter.n += 1
-        mask = 0
-        position_of = rc.position_of
-        grades = c.grades
-        index = c.index_of
-        for v in sigma_prod.summands:
-            if grades[index[v]] <= t:
-                mask |= 1 << position_of[v]
         return z2.in_reduced_column_space(mask, t, rc)
 
     if exact_at(d_grid):
@@ -173,11 +165,9 @@ def cup_diagram(
     products against the bar set contribute the interval of each
     non-empty support at the fold count, merged by maximum.  Products
     whose total dimension would exceed k are skipped, matching the
-    truncation's trustworthy range.
-
-    Results are independent of evaluation order; set CUPLENGTH_THREADS to
-    evaluate the product pairs in a thread pool (the output is identical
-    to the serial run by construction).
+    truncation's trustworthy range.  Exactness tests reuse the reduction
+    ``b`` was read from.  The result does not depend on the order of
+    ``b.bars``.
     """
     if trim_eps < 0:
         raise ValueError("trim_eps must be non-negative")
@@ -202,12 +192,11 @@ def cup_diagram(
     if not base or k < 2:
         return CupDiagram(points), stats
 
-    rc = z2.reduce_coboundary(c, include_dim0=False)
+    rc = b.reduction
     birth_grid = sorted({e.interval.left for e in base})
-    threads = max(1, int(os.environ.get("CUPLENGTH_THREADS", "1")))
+    counter = _TestCounter()
 
-    def one_pair(pair: tuple[_Entry, _Entry], counter: _TestCounter):
-        e1, e2 = pair
+    def one_pair(e1: _Entry, e2: _Entry) -> _Entry | None:
         sigma = cup_product(e1.cochain, e2.cochain, c)
         if sigma.is_zero():
             return None
@@ -229,23 +218,7 @@ def cup_diagram(
             and e1.interval.intersect(e2.interval) is not None
         ]
         stats.product_count += len(pairs)
-        if threads > 1 and len(pairs) > 1:
-            chunks = [pairs[i::threads] for i in range(threads)]
-            counters = [_TestCounter() for _ in chunks]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                produced = list(
-                    pool.map(
-                        lambda cc: [one_pair(p, cc[1]) for p in cc[0]],
-                        zip(chunks, counters),
-                    )
-                )
-            results = [e for chunk in produced for e in chunk if e is not None]
-            for cnt in counters:
-                stats.coboundary_test_count += cnt.n
-        else:
-            counter = _TestCounter()
-            results = [r for r in (one_pair(p, counter) for p in pairs) if r is not None]
-            stats.coboundary_test_count += counter.n
+        results = [r for r in (one_pair(e1, e2) for e1, e2 in pairs) if r is not None]
         fresh: dict[tuple[Interval, frozenset[Verts]], _Entry] = {}
         for e in results:
             fresh.setdefault((e.interval, e.cochain.summands), e)
@@ -255,6 +228,7 @@ def cup_diagram(
         ell += 1
         stats.q_ell[ell] = len(nxt)
         current = nxt
+    stats.coboundary_test_count = counter.n
     return CupDiagram(points), stats
 
 

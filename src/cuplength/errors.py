@@ -17,6 +17,10 @@ class NonMonotoneGrades(CupLengthError):
     pass
 
 
+class NonFiniteGrade(CupLengthError):
+    pass
+
+
 class UnknownSimplex(CupLengthError):
     pass
 

@@ -19,6 +19,7 @@ from .errors import (
     DuplicateSimplex,
     MissingFace,
     NegativeDistance,
+    NonFiniteGrade,
     NonMonotoneGrades,
     UnknownSimplex,
 )
@@ -117,8 +118,8 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
     """Build a validated complex from (vertex list, grade) pairs.
 
     Vertex lists are treated as sets and sorted; duplicate simplices,
-    missing faces and non-monotone grades are rejected rather than fixed
-    up silently.
+    missing faces, non-finite and non-monotone grades are rejected rather
+    than fixed up silently.
     """
     graded: dict[Verts, float] = {}
     for raw, grade in entries:
@@ -128,7 +129,10 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
         Simplex(verts)
         if verts in graded:
             raise DuplicateSimplex(f"simplex {verts} listed twice")
-        graded[verts] = float(grade)
+        grade = float(grade)
+        if not math.isfinite(grade):
+            raise NonFiniteGrade(f"simplex {verts} has non-finite grade {grade}")
+        graded[verts] = grade
     if not graded:
         raise MissingFace("empty simplex list")
 

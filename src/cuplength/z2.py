@@ -6,20 +6,19 @@ A bitmask is exactly a sorted set of row indices, just packed.
 
 The cosimplex basis runs anti-parallel to the filtration: the matrix
 position of the i-th simplex (in filtration order, m simplices total) is
-m - 1 - i.  With this ordering the coboundary matrix, its column
-reduction and the row reduction matrix are all strictly or weakly upper
-triangular, which is what makes restriction to a filtration stage a
-simple trailing principal submatrix.
+m - 1 - i.  With this ordering the coboundary matrix and its column
+reduction are strictly upper triangular and the reduction matrix V is
+upper unitriangular, which is what makes restriction to a filtration
+stage a simple trailing principal submatrix.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import SimplexNotAlive
-from .simplicial import FilteredComplex, Verts, faces
+from .simplicial import FilteredComplex, faces
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cohomology import Cochain
@@ -53,9 +52,6 @@ class SparseZ2Matrix:
     def col_mask(self, j: int) -> int:
         return self._cols[j]
 
-    def entry(self, i: int, j: int) -> int:
-        return (self._cols[j] >> i) & 1
-
     def pivot(self, j: int) -> int | None:
         """Largest row index with a one in column j, or None."""
         m = self._cols[j]
@@ -66,14 +62,6 @@ class SparseZ2Matrix:
 
     def nnz(self) -> int:
         return sum(c.bit_count() for c in self._cols)
-
-    def row_masks(self) -> list[int]:
-        """Transposed view: per-row bitmask of column indices."""
-        rows = [0] * self.n_rows
-        for j, cm in enumerate(self._cols):
-            for i in _bits(cm):
-                rows[i] |= 1 << j
-        return rows
 
     def multiply(self, other: "SparseZ2Matrix") -> "SparseZ2Matrix":
         if self.n_cols != other.n_rows:
@@ -115,88 +103,30 @@ def _bits(mask: int):
         mask ^= low
 
 
-def coboundary_matrix(c: FilteredComplex, include_dim0: bool = False) -> SparseZ2Matrix:
+def coboundary_matrix(c: FilteredComplex) -> SparseZ2Matrix:
     """Square coboundary matrix over the anti-filtration cosimplex basis.
 
-    Row/column position of the i-th included simplex is m - 1 - i, so the
-    matrix is strictly upper triangular.  By default only simplices of
-    positive dimension are indexed; ``include_dim0`` adds the vertex block
-    (used by the barcode computation, which needs the full pairing).
+    Row/column position of the i-th simplex is m - 1 - i, so the matrix
+    is strictly upper triangular.  Every simplex is indexed, vertices
+    included, so the one matrix sees coboundaries of every dimension.
     """
-    included = [v for v in c.simplices if include_dim0 or len(v) > 1]
-    m = len(included)
-    pos = {v: m - 1 - i for i, v in enumerate(included)}
+    m = len(c.simplices)
+    index = c.index_of
     cols = [0] * m
-    for v in included:
+    for i, v in enumerate(c.simplices):
         if len(v) == 1:
             continue
-        r = pos[v]
-        bit = 1 << r
+        bit = 1 << (m - 1 - i)
         for f in faces(v):
-            j = pos.get(f)
-            if j is not None:
-                cols[j] |= bit
+            cols[m - 1 - index[f]] |= bit
     return SparseZ2Matrix(m, m, cols)
 
 
-@dataclass
-class ReducedCoboundary:
-    """Result of reducing a coboundary matrix: R = A V over Z2.
+def column_reduce(A: SparseZ2Matrix) -> tuple[SparseZ2Matrix, SparseZ2Matrix, dict[int, int]]:
+    """Left-to-right column reduction R = A V with unique column pivots.
 
-    ``pivots`` maps each pivot row to the unique column owning it.  When
-    built by :func:`reduce_coboundary` the object also knows the complex,
-    the matrix position of every included simplex, and per critical value
-    the count of included simplices alive there (``stage_sizes``), which
-    is what the trailing-submatrix restriction trick needs.
-
-    The row reduction matrix U (bottom-to-top elimination of R) is
-    computed lazily on first access.
+    Returns R, V and the map from each pivot row to the column owning it.
     """
-
-    A: SparseZ2Matrix
-    R: SparseZ2Matrix
-    V: SparseZ2Matrix
-    pivots: frozenset[int]
-    pivot_to_col: dict[int, int] = field(repr=False)
-    complex: FilteredComplex | None = None
-    includes_dim0: bool = False
-    position_of: dict[Verts, int] | None = field(default=None, repr=False)
-    stage_sizes: dict[float, int] | None = None
-    _included_grades: list[float] | None = field(default=None, repr=False)
-    _U: SparseZ2Matrix | None = field(default=None, repr=False)
-    _U_rows: list[int] | None = field(default=None, repr=False)
-
-    @property
-    def U(self) -> SparseZ2Matrix:
-        if self._U is None:
-            self._U = row_reduce(self.R)
-        return self._U
-
-    def u_row_masks(self) -> list[int]:
-        if self._U_rows is None:
-            self._U_rows = self.U.row_masks()
-        return self._U_rows
-
-    def alive_count(self, t: float) -> int:
-        assert self._included_grades is not None
-        return bisect.bisect_right(self._included_grades, t)
-
-    def trail_mask(self, t: float) -> int:
-        """Mask of the matrix positions of simplices alive at t."""
-        s = self.alive_count(t)
-        m = self.R.n_rows
-        return ((1 << m) - 1) ^ ((1 << (m - s)) - 1)
-
-    def cochain_mask(self, sigma: "Cochain") -> int:
-        assert self.position_of is not None
-        y = 0
-        for v in sigma.summands:
-            y |= 1 << self.position_of[v]
-        return y
-
-
-def column_reduce(A: SparseZ2Matrix) -> ReducedCoboundary:
-    """Left-to-right column reduction R = A V with unique column pivots."""
     if A.n_rows != A.n_cols:
         raise ValueError("column_reduce expects a square matrix")
     n = A.n_cols
@@ -214,106 +144,66 @@ def column_reduce(A: SparseZ2Matrix) -> ReducedCoboundary:
             col ^= R[owner]
             V[j] ^= V[owner]
         R[j] = col
-    return ReducedCoboundary(
-        A=A,
-        R=SparseZ2Matrix(n, n, R),
-        V=SparseZ2Matrix(n, n, V),
-        pivots=frozenset(pivot_to_col),
-        pivot_to_col=pivot_to_col,
-    )
+    return SparseZ2Matrix(n, n, R), SparseZ2Matrix(n, n, V), pivot_to_col
 
 
-def reduce_coboundary(c: FilteredComplex, include_dim0: bool = False) -> ReducedCoboundary:
-    """Build and column-reduce the coboundary matrix of a complex."""
-    rc = column_reduce(coboundary_matrix(c, include_dim0=include_dim0))
-    included = [v for v in c.simplices if include_dim0 or len(v) > 1]
-    m = len(included)
-    rc.complex = c
-    rc.includes_dim0 = include_dim0
-    rc.position_of = {v: m - 1 - i for i, v in enumerate(included)}
-    rc._included_grades = [c.grades[c.index_of[v]] for v in included]
-    rc.stage_sizes = {t: rc.alive_count(t) for t in c.critical_values}
-    return rc
+@dataclass(frozen=True)
+class ReducedCoboundary:
+    """The reduced coboundary matrix R = A V of a complex over Z2.
 
-
-def row_reduce(R: SparseZ2Matrix) -> SparseZ2Matrix:
-    """Bottom-to-top row reduction of a column-reduced matrix.
-
-    Walking the columns left to right, every entry above a column's pivot
-    is cleared by adding the pivot row to it.  Because pivots are unique,
-    earlier (already cleared) columns are never disturbed, and additions
-    only ever target rows above the pivot, so U stays upper triangular
-    with unit diagonal.  Returns U with U R having at most one non-zero
-    entry per row and per column in the pivot rows.
+    ``pivot_to_col`` maps each pivot row of R to the unique column owning
+    it.  One reduction serves the barcode pairing, the representative
+    cocycles (columns of V) and every exactness test.
     """
-    m, n = R.n_rows, R.n_cols
-    cols = list(R._cols)
-    rows = R.row_masks()
-    u_rows = [1 << i for i in range(m)]
-    for j in range(n):
-        col = cols[j]
-        if not col:
-            continue
-        p = col.bit_length() - 1
-        rest = col ^ (1 << p)
-        if not rest:
-            continue
-        rp = rows[p]
-        up = u_rows[p]
-        for i in _bits(rest):
-            rows[i] ^= rp
-            u_rows[i] ^= up
-            for jj in _bits(rp):
-                cols[jj] ^= 1 << i
-    u_cols = [0] * m
-    for i, rm in enumerate(u_rows):
-        for j in _bits(rm):
-            u_cols[j] |= 1 << i
-    return SparseZ2Matrix(m, m, u_cols)
+
+    complex: FilteredComplex = field(repr=False)
+    A: SparseZ2Matrix
+    R: SparseZ2Matrix
+    V: SparseZ2Matrix
+    pivot_to_col: dict[int, int] = field(repr=False)
+
+    def trail_mask(self, t: float) -> int:
+        """Mask of the matrix positions of simplices alive at t."""
+        s = self.complex.stage_count(t)
+        m = self.R.n_rows
+        return ((1 << m) - 1) ^ ((1 << (m - s)) - 1)
+
+    def cochain_mask(self, sigma: "Cochain") -> int:
+        last = self.R.n_rows - 1
+        index = self.complex.index_of
+        y = 0
+        for v in sigma.summands:
+            y |= 1 << (last - index[v])
+        return y
 
 
-def is_coboundary(
-    sigma: "Cochain", t: float, rc: ReducedCoboundary, c: FilteredComplex
-) -> bool:
+def reduce_coboundary(c: FilteredComplex) -> ReducedCoboundary:
+    """Build and column-reduce the full coboundary matrix of a complex."""
+    A = coboundary_matrix(c)
+    R, V, pivot_to_col = column_reduce(A)
+    return ReducedCoboundary(c, A, R, V, pivot_to_col)
+
+
+def is_coboundary(sigma: "Cochain", t: float, rc: ReducedCoboundary) -> bool:
     """Whether the restriction of sigma to the stage-t subcomplex is exact there.
 
-    Every summand of sigma must already be alive at t.  For dimensions two
-    and up the test takes the trailing block of the row reduction matrix U
-    and of the coefficient vector y and checks that all non-zero rows of
-    the product are pivot rows of R; the block trick is valid because A, V
-    and U are all upper triangular.  Dimension-1 cochains are exact iff
-    they are a vertex-set cut of the stage-t graph, which the positive-
-    dimensional matrix cannot see, so that case runs a direct two-coloring
-    unless rc was built with the vertex block included.
+    Every summand of sigma must already be alive at t.
     """
+    grade_of = rc.complex.grade_of
     for v in sigma.summands:
-        if c.grade_of(v) > t:
+        if grade_of(v) > t:
             raise SimplexNotAlive(f"summand {v} enters after t={t}")
-    if sigma.p == 0:
-        return not sigma.summands
-    if sigma.p == 1 and not rc.includes_dim0:
-        return _is_cut_cochain(sigma, t, c)
-
-    y = rc.cochain_mask(sigma)
-    m = rc.R.n_rows
-    lo = m - rc.alive_count(t)
-    u_rows = rc.u_row_masks()
-    pivots = rc.pivots
-    for i in range(m - 1, lo - 1, -1):
-        if i in pivots:
-            continue
-        if (u_rows[i] & y).bit_count() & 1:
-            return False
-    return True
+    return in_reduced_column_space(rc.cochain_mask(sigma), t, rc)
 
 
 def in_reduced_column_space(mask: int, t: float, rc: ReducedCoboundary) -> bool:
-    """Fast equivalent of :func:`is_coboundary` for an alive coefficient mask.
+    """Exactness at stage t of the cochain with coefficient mask ``mask``.
 
     Reduces the vector against the stage-restricted pivot columns of R;
-    membership in their span is exactness.  Same predicate as the U-block
-    test, exercised against it in the test suite, but cheaper inside the
-    support-descent hot loop.
+    membership in their span is exactness.  Since A is strictly upper
+    triangular and V upper unitriangular, the trailing block of R over
+    the simplices alive at t is the reduced coboundary matrix of that
+    stage.  Positions outside the block are ignored.
     """
     trail = rc.trail_mask(t)
     y = mask & trail
@@ -325,40 +215,4 @@ def in_reduced_column_space(mask: int, t: float, rc: ReducedCoboundary) -> bool:
         if j is None:
             return False
         y ^= cols[j] & trail
-    return True
-
-
-def _is_cut_cochain(sigma: "Cochain", t: float, c: FilteredComplex) -> bool:
-    """Exactness of a 1-cochain: is it delta of a vertex indicator at stage t?"""
-    parent: dict[int, int] = {}
-    parity: dict[int, int] = {}
-
-    def find(v: int) -> tuple[int, int]:
-        path = []
-        while parent.get(v, v) != v:
-            path.append(v)
-            v = parent[v]
-        acc = 0
-        for u in reversed(path):
-            acc ^= parity[u]
-            parent[u] = v
-            parity[u] = acc
-        return v, acc
-
-    summands = sigma.summands
-    for verts, grade in zip(c.simplices, c.grades):
-        if grade > t:
-            break
-        if len(verts) != 2:
-            continue
-        u, w = verts
-        bit = 1 if verts in summands else 0
-        ru, pu = find(u)
-        rw, pw = find(w)
-        if ru == rw:
-            if pu ^ pw != bit:
-                return False
-        else:
-            parent[ru] = rw
-            parity[ru] = pu ^ pw ^ bit
     return True

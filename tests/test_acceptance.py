@@ -17,7 +17,7 @@ from cuplength.cohomology import (
     compute_barcode,
     validate_family,
 )
-from cuplength.cup import CupDiagram, compute_cup_diagram
+from cuplength.cup import CupDiagram, compute_cup_diagram, cup_diagram
 from cuplength.functions import (
     CupFunction,
     Interval,
@@ -194,7 +194,9 @@ def test_criterion_6_family_validation_and_mutations():
             bars[0] = Bar(
                 bars[0].dim, bars[0].birth, bars[0].death, Cochain.zero(bars[0].dim)
             )
-            assert not validate_family(AnnotatedBarcode(bars, barcode.dim_bound), ct).ok
+            assert not validate_family(
+                AnnotatedBarcode(bars, barcode.dim_bound, barcode.reduction), ct
+            ).ok
             mutated += 1
         twins = [
             (i, j)
@@ -207,7 +209,9 @@ def test_criterion_6_family_validation_and_mutations():
             i, j = twins[0]
             bars = list(barcode.bars)
             bars[j] = Bar(bars[j].dim, bars[j].birth, bars[j].death, bars[i].representative)
-            assert not validate_family(AnnotatedBarcode(bars, barcode.dim_bound), ct).ok
+            assert not validate_family(
+                AnnotatedBarcode(bars, barcode.dim_bound, barcode.reduction), ct
+            ).ok
             mutated += 1
     assert mutated >= 20
     _report(6, f"family property on corpus, {mutated} mutations rejected")
@@ -267,17 +271,15 @@ def test_criterion_8_performance_smoke():
 
 
 def test_criterion_9_determinism_serial_vs_parallel():
-    prev = os.environ.get("CUPLENGTH_THREADS")
-    try:
-        for name, c in fixture_complexes() + [("klein", spaces.staged_klein())]:
-            os.environ["CUPLENGTH_THREADS"] = "1"
-            serial, _, _ = compute_cup_diagram(c, 2)
-            os.environ["CUPLENGTH_THREADS"] = "5"
-            parallel, _, _ = compute_cup_diagram(c, 2)
-            assert cli.diagram_to_json(serial) == cli.diagram_to_json(parallel), name
-    finally:
-        if prev is None:
-            os.environ.pop("CUPLENGTH_THREADS", None)
-        else:
-            os.environ["CUPLENGTH_THREADS"] = prev
-    _report(9, "byte-identical serial and parallel diagrams")
+    # the product loop runs once over the sorted bars and once over the
+    # bars reversed in place; both orders must give the same bytes
+    for name, c in fixture_complexes() + [("klein", spaces.staged_klein())]:
+        ct = truncate(c, 3)
+        barcode = compute_barcode(ct, 2)
+        forward, s1 = cup_diagram(barcode, ct, 2)
+        barcode.bars.reverse()
+        backward, s2 = cup_diagram(barcode, ct, 2)
+        assert cli.diagram_to_json(forward) == cli.diagram_to_json(backward), name
+        assert s1.product_count == s2.product_count, name
+        assert s1.coboundary_test_count == s2.coboundary_test_count, name
+    _report(9, "byte-identical diagrams for sorted and reversed bar order")

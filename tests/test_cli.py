@@ -196,3 +196,47 @@ def test_invalid_config_exit_code():
     assert proc.returncode == 2
     proc = run_cli("cup-diagram", fixture("hollow_triangle.txt"), "--trim", "-1")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("command", ["barcode", "cup-diagram", "cup-function", "oracle-check", "report"])
+def test_each_command_reduces_the_complex_once(command, monkeypatch, tmp_path):
+    from cuplength import z2
+
+    calls = []
+    reduce_coboundary = z2.reduce_coboundary
+
+    def counting(c):
+        calls.append(c)
+        return reduce_coboundary(c)
+
+    monkeypatch.setattr("cuplength.z2.reduce_coboundary", counting)
+    argv = [command, fixture("klein_staged.txt")]
+    if command == "report":
+        argv += ["--output", str(tmp_path / "rep")]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+
+
+MALFORMED = {
+    "nan-grade": ("c.txt", "0 0\n0 1\nnan 0 1\n", ["cup-diagram"]),
+    "inf-grade": ("c.txt", "0 0\n0 1\ninf 0 1\n", ["cup-diagram"]),
+    "negative-vertex": ("c.txt", "0 -1\n", ["cup-diagram"]),
+    "function-without-right": (
+        "f.json",
+        '{"generators":[{"left":0,"inf":false,"value":1}]}',
+        ["erosion", "circle"],
+    ),
+    "plot-non-json": ("d.json", "not json\n", ["plot"]),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(MALFORMED))
+def test_malformed_input_is_a_one_line_error(probe, tmp_path):
+    name, text, command = MALFORMED[probe]
+    path = tmp_path / name
+    path.write_text(text)
+    proc = run_cli(command[0], str(path), *command[1:])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("cuplength: error: ")
+    assert proc.stderr.count("\n") == 1

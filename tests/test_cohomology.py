@@ -41,7 +41,7 @@ def test_hollow_triangle_barcode():
 def test_two_disks_barcode():
     b = compute_barcode(spaces.two_disks(), 1)
     assert [(bar.birth, bar.death) for bar in b.bars] == [(0.0, 2.0), (1.0, 3.0)]
-    zero = connected_component_bars(spaces.two_disks())
+    zero = connected_component_bars(b)
     assert [(bar.birth, bar.death) for bar in zero] == [(0.0, math.inf), (1.0, math.inf)]
 
 
@@ -88,7 +88,8 @@ def test_zero_dim_bars_match_union_find():
     rng = random.Random(8)
     for _ in range(25):
         c = random_filtration(rng)
-        got = [(bar.birth, bar.death) for bar in connected_component_bars(c)]
+        b = compute_barcode(truncate(c, 2), 1)
+        got = [(bar.birth, bar.death) for bar in connected_component_bars(b)]
         assert got == sorted(_union_find_bars(c), key=lambda t: (t[1], t[0]))
 
 
@@ -154,7 +155,7 @@ def test_validate_family_detects_zeroed_representative():
         Bar(bar.dim, bar.birth, bar.death, Cochain.zero(1)) if bar.birth == 0.0 else bar
         for bar in b.bars
     ]
-    report = validate_family(AnnotatedBarcode(broken, dim_bound=1), c)
+    report = validate_family(AnnotatedBarcode(broken, 1, b.reduction), c)
     assert not report.ok
     assert report.first_failure == (0.0, 1)
 
@@ -164,7 +165,7 @@ def test_validate_family_detects_duplicate_representative():
     b = compute_barcode(c, 1)
     rep = next(bar for bar in b.bars if bar.birth == 0.0).representative
     broken = [Bar(bar.dim, bar.birth, bar.death, rep) for bar in b.bars]
-    report = validate_family(AnnotatedBarcode(broken, dim_bound=1), c)
+    report = validate_family(AnnotatedBarcode(broken, 1, b.reduction), c)
     assert not report.ok
     assert report.first_failure == (1.0, 1)
 

@@ -1,10 +1,9 @@
 import math
-import os
 import random
 
 import pytest
 
-from cuplength import oracle, spaces
+from cuplength import cli, oracle, spaces
 from cuplength.cohomology import Cochain, compute_barcode
 from cuplength.cup import compute_cup_diagram, cup_diagram, cup_product, support
 from cuplength.functions import Interval, evaluate, reconstruct
@@ -201,23 +200,17 @@ def test_diagram_matches_oracle_on_random_instances():
 
 
 def test_parallel_equals_serial():
-    prev = os.environ.get("CUPLENGTH_THREADS")
-    try:
-        rng = random.Random(25)
-        for i in range(6):
-            c = regrade(rng, [spaces.csaszar_torus(), spaces.staged_klein()][i % 2])
-            os.environ["CUPLENGTH_THREADS"] = "1"
-            serial, s1, _ = compute_cup_diagram(c, 2)
-            os.environ["CUPLENGTH_THREADS"] = "4"
-            parallel, s2, _ = compute_cup_diagram(c, 2)
-            assert serial == parallel
-            assert s1.product_count == s2.product_count
-            assert s1.coboundary_test_count == s2.coboundary_test_count
-    finally:
-        if prev is None:
-            os.environ.pop("CUPLENGTH_THREADS", None)
-        else:
-            os.environ["CUPLENGTH_THREADS"] = prev
+    # two product evaluation orders: the sorted bars, then the bars reversed
+    rng = random.Random(25)
+    for i in range(6):
+        c = truncate(regrade(rng, [spaces.csaszar_torus(), spaces.staged_klein()][i % 2]), 3)
+        b = compute_barcode(c, 2)
+        forward, s1 = cup_diagram(b, c, 2)
+        b.bars.reverse()
+        backward, s2 = cup_diagram(b, c, 2)
+        assert cli.diagram_to_json(forward) == cli.diagram_to_json(backward)
+        assert s1.product_count == s2.product_count
+        assert s1.coboundary_test_count == s2.coboundary_test_count
 
 
 def test_cup_diagram_rejects_negative_trim():

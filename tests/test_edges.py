@@ -19,15 +19,16 @@ def test_single_vertex_complex():
     assert validate_family(b, c).ok
     diagram, stats, _ = compute_cup_diagram(c, 2)
     assert diagram.points == {} and stats.m_k == 0 and stats.q_1 == 0
-    assert [bar.birth for bar in connected_component_bars(c)] == [0.0]
+    assert [bar.birth for bar in connected_component_bars(b)] == [0.0]
     f = oracle.oracle_cup_function(c, 2)
     assert f.generators == ()
 
 
 def test_disconnected_vertices_only():
     c = from_simplex_list([([0], 0.0), ([1], 1.0), ([2], 2.0)])
-    assert compute_barcode(c, 2).bars == []
-    zero = connected_component_bars(c)
+    b = compute_barcode(c, 2)
+    assert b.bars == []
+    zero = connected_component_bars(b)
     assert [(bar.birth, bar.death) for bar in zero] == [
         (0.0, math.inf),
         (1.0, math.inf),
