@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from . import oracle, plots
 from .cohomology import Bar, Cochain, compute_barcode, connected_component_bars
 from .cup import CupDiagram, compute_cup_diagram
-from .errors import AsymmetricMatrix, CupLengthError, ParseError
+from .errors import AsymmetricMatrix, CupLengthError, NonFiniteDistance, ParseError
 from .functions import (
     CupFunction,
     Interval,
@@ -89,6 +89,10 @@ def load_distance_csv(path: str) -> list[list[float]]:
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ParseError(f"{path}: expected a non-empty square matrix")
+    for i, row in enumerate(rows):
+        for j, d in enumerate(row):
+            if not math.isfinite(d):
+                raise NonFiniteDistance(f"{path}: non-finite distance {d} at ({i},{j})")
     for i in range(n):
         if rows[i][i] != 0:
             raise AsymmetricMatrix(f"{path}: non-zero diagonal at row {i}")

@@ -21,8 +21,16 @@ class NonFiniteGrade(CupLengthError):
     pass
 
 
+class NonFiniteDistance(NonFiniteGrade):
+    """A distance matrix cell is nan or infinite; Vietoris-Rips grades are distances."""
+
+
 class UnknownSimplex(CupLengthError):
     pass
+
+
+class InvalidSimplex(CupLengthError, ValueError):
+    """A vertex tuple that is empty, has a negative id or is not strictly increasing."""
 
 
 class AsymmetricMatrix(CupLengthError):

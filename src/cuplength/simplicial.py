@@ -17,8 +17,10 @@ from typing import Iterable, Sequence
 from .errors import (
     AsymmetricMatrix,
     DuplicateSimplex,
+    InvalidSimplex,
     MissingFace,
     NegativeDistance,
+    NonFiniteDistance,
     NonFiniteGrade,
     NonMonotoneGrades,
     UnknownSimplex,
@@ -37,11 +39,11 @@ class Simplex:
         v = tuple(self.vertices)
         object.__setattr__(self, "vertices", v)
         if not v:
-            raise ValueError("simplex needs at least one vertex")
+            raise InvalidSimplex("simplex needs at least one vertex")
         if any(x < 0 for x in v):
-            raise ValueError(f"negative vertex id in {v}")
+            raise InvalidSimplex(f"negative vertex id in {v}")
         if any(a >= b for a, b in zip(v, v[1:])):
-            raise ValueError(f"vertices must be strictly increasing: {v}")
+            raise InvalidSimplex(f"vertices must be strictly increasing: {v}")
 
     @property
     def dim(self) -> int:
@@ -171,6 +173,10 @@ def build_vietoris_rips(
     for i in range(n):
         if len(D[i]) != n:
             raise AsymmetricMatrix("distance matrix is not square")
+        for j, d in enumerate(D[i]):
+            if not math.isfinite(d):
+                raise NonFiniteDistance(f"non-finite distance {d} at ({i},{j})")
+    for i in range(n):
         if D[i][i] != 0:
             raise AsymmetricMatrix(f"non-zero diagonal entry at {i}")
         for j in range(n):

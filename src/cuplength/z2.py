@@ -2,7 +2,12 @@
 
 Columns are stored as Python integers used as bitmasks of row indices, so
 column addition is XOR and the pivot of a column is its highest set bit.
-A bitmask is exactly a sorted set of row indices, just packed.
+A bitmask is exactly a sorted set of row indices, just packed.  The
+coboundary matrix A and its reduction R keep one bitmask per column.  The
+reduction matrix V keeps its unit diagonal implicit and stores only the
+part above the diagonal of the columns that received an addition: a
+bitmask costs as many bits as its highest row index, so a stored identity
+alone would cost O(m^2) bits, while few columns ever change.
 
 The cosimplex basis runs anti-parallel to the filtration: the matrix
 position of the i-th simplex (in filtration order, m simplices total) is
@@ -43,22 +48,23 @@ class SparseZ2Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "SparseZ2Matrix":
-        return cls(n, n, [1 << i for i in range(n)])
+        """The n x n identity; it stores no columns."""
+        return UnitUpperZ2Matrix(n)
 
     def column(self, j: int) -> tuple[int, ...]:
         """Row indices of the ones in column j, strictly sorted."""
-        return tuple(_bits(self._cols[j]))
+        return tuple(_bits(self.col_mask(j)))
 
     def col_mask(self, j: int) -> int:
         return self._cols[j]
 
     def pivot(self, j: int) -> int | None:
         """Largest row index with a one in column j, or None."""
-        m = self._cols[j]
+        m = self.col_mask(j)
         return m.bit_length() - 1 if m else None
 
     def is_zero(self) -> bool:
-        return not any(self._cols)
+        return not any(self.col_mask(j) for j in range(self.n_cols))
 
     def nnz(self) -> int:
         return sum(c.bit_count() for c in self._cols)
@@ -69,31 +75,52 @@ class SparseZ2Matrix:
         cols = []
         for j in range(other.n_cols):
             acc = 0
-            for i in _bits(other._cols[j]):
-                acc ^= self._cols[i]
+            for i in _bits(other.col_mask(j)):
+                acc ^= self.col_mask(i)
             cols.append(acc)
         return SparseZ2Matrix(self.n_rows, other.n_cols, cols)
 
     def is_upper_triangular(self, unit_diagonal: bool = False) -> bool:
-        for j, cm in enumerate(self._cols):
+        for j in range(self.n_cols):
+            cm = self.col_mask(j)
             if cm >> (j + 1):
                 return False
             if unit_diagonal and not (cm >> j) & 1:
                 return False
         return True
 
-    def copy(self) -> "SparseZ2Matrix":
-        return SparseZ2Matrix(self.n_rows, self.n_cols, list(self._cols))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparseZ2Matrix)
             and self.n_rows == other.n_rows
-            and self._cols == other._cols
+            and self.n_cols == other.n_cols
+            and all(self.col_mask(j) == other.col_mask(j) for j in range(self.n_cols))
         )
 
     def __repr__(self) -> str:
-        return f"SparseZ2Matrix({self.n_rows}x{self.n_cols}, nnz={self.nnz()})"
+        return f"{type(self).__name__}({self.n_rows}x{self.n_cols}, nnz={self.nnz()})"
+
+
+class UnitUpperZ2Matrix(SparseZ2Matrix):
+    """A square upper unitriangular matrix over Z2 with its diagonal implicit.
+
+    ``_cols`` maps a column index to the bitmask of that column's entries
+    above the diagonal; a column absent from it is a unit vector.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, n: int, upper: dict[int, int] | None = None):
+        self.n_rows = self.n_cols = n
+        self._cols = {} if upper is None else upper
+
+    def col_mask(self, j: int) -> int:
+        if not 0 <= j < self.n_cols:
+            raise IndexError(f"column {j} out of range")
+        return self._cols.get(j, 0) | 1 << j
+
+    def nnz(self) -> int:
+        return self.n_cols + sum(c.bit_count() for c in self._cols.values())
 
 
 def _bits(mask: int):
@@ -101,6 +128,18 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _mask_of_rows(rows: list[int]) -> int:
+    """Bitmask of a non-empty row list whose first entry is its largest.
+
+    Sets the bits in a buffer and converts once, instead of growing an int
+    by ``|=``, which copies the whole int on every row.
+    """
+    buf = bytearray((rows[0] >> 3) + 1)
+    for r in rows:
+        buf[r >> 3] |= 1 << (r & 7)
+    return int.from_bytes(buf, "little")
 
 
 def coboundary_matrix(c: FilteredComplex) -> SparseZ2Matrix:
@@ -111,30 +150,34 @@ def coboundary_matrix(c: FilteredComplex) -> SparseZ2Matrix:
     included, so the one matrix sees coboundaries of every dimension.
     """
     m = len(c.simplices)
+    last = m - 1
     index = c.index_of
-    cols = [0] * m
+    rows: list[list[int]] = [[] for _ in range(m)]
     for i, v in enumerate(c.simplices):
         if len(v) == 1:
             continue
-        bit = 1 << (m - 1 - i)
+        # cofacets arrive in filtration order, so each row list descends
         for f in faces(v):
-            cols[m - 1 - index[f]] |= bit
-    return SparseZ2Matrix(m, m, cols)
+            rows[last - index[f]].append(last - i)
+    return SparseZ2Matrix(m, m, [_mask_of_rows(r) if r else 0 for r in rows])
 
 
-def column_reduce(A: SparseZ2Matrix) -> tuple[SparseZ2Matrix, SparseZ2Matrix, dict[int, int]]:
+def column_reduce(A: SparseZ2Matrix) -> tuple[SparseZ2Matrix, UnitUpperZ2Matrix, dict[int, int]]:
     """Left-to-right column reduction R = A V with unique column pivots.
 
     Returns R, V and the map from each pivot row to the column owning it.
+    V is upper unitriangular and stores only the columns that received an
+    addition.
     """
     if A.n_rows != A.n_cols:
         raise ValueError("column_reduce expects a square matrix")
     n = A.n_cols
-    R = list(A._cols)
-    V = [1 << j for j in range(n)]
+    R = [A.col_mask(j) for j in range(n)]
+    V: dict[int, int] = {}
     pivot_to_col: dict[int, int] = {}
     for j in range(n):
         col = R[j]
+        added = 0
         while col:
             p = col.bit_length() - 1
             owner = pivot_to_col.get(p)
@@ -142,9 +185,12 @@ def column_reduce(A: SparseZ2Matrix) -> tuple[SparseZ2Matrix, SparseZ2Matrix, di
                 pivot_to_col[p] = j
                 break
             col ^= R[owner]
-            V[j] ^= V[owner]
+            # owner < j, so all of its V column lies above row j
+            added ^= V.get(owner, 0) | 1 << owner
         R[j] = col
-    return SparseZ2Matrix(n, n, R), SparseZ2Matrix(n, n, V), pivot_to_col
+        if added:
+            V[j] = added
+    return SparseZ2Matrix(n, n, R), UnitUpperZ2Matrix(n, V), pivot_to_col
 
 
 @dataclass(frozen=True)

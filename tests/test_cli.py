@@ -218,25 +218,29 @@ def test_each_command_reduces_the_complex_once(command, monkeypatch, tmp_path):
 
 
 MALFORMED = {
-    "nan-grade": ("c.txt", "0 0\n0 1\nnan 0 1\n", ["cup-diagram"]),
-    "inf-grade": ("c.txt", "0 0\n0 1\ninf 0 1\n", ["cup-diagram"]),
-    "negative-vertex": ("c.txt", "0 -1\n", ["cup-diagram"]),
+    "nan-grade": ("c.txt", "0 0\n0 1\nnan 0 1\n", ["cup-diagram"], "non-finite grade nan"),
+    "inf-grade": ("c.txt", "0 0\n0 1\ninf 0 1\n", ["cup-diagram"], "non-finite grade inf"),
+    "nan-distance": ("d.csv", "0,nan\nnan,0\n", ["cup-diagram"], "non-finite distance nan at (0,1)"),
+    "inf-distance": ("d.csv", "0,1,inf\n1,0,1\ninf,1,0\n", ["cup-diagram"], "non-finite distance inf at (0,2)"),
+    "negative-vertex": ("c.txt", "0 -1\n", ["cup-diagram"], "negative vertex id"),
     "function-without-right": (
         "f.json",
         '{"generators":[{"left":0,"inf":false,"value":1}]}',
         ["erosion", "circle"],
+        "lacks key 'right'",
     ),
-    "plot-non-json": ("d.json", "not json\n", ["plot"]),
+    "plot-non-json": ("d.json", "not json\n", ["plot"], "malformed JSON"),
 }
 
 
 @pytest.mark.parametrize("probe", sorted(MALFORMED))
 def test_malformed_input_is_a_one_line_error(probe, tmp_path):
-    name, text, command = MALFORMED[probe]
+    name, text, command, says = MALFORMED[probe]
     path = tmp_path / name
     path.write_text(text)
     proc = run_cli(command[0], str(path), *command[1:])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("cuplength: error: ")
+    assert says in proc.stderr
     assert proc.stderr.count("\n") == 1

@@ -6,9 +6,12 @@ import pytest
 from cuplength import spaces
 from cuplength.errors import (
     AsymmetricMatrix,
+    CupLengthError,
     DuplicateSimplex,
+    InvalidSimplex,
     MissingFace,
     NegativeDistance,
+    NonFiniteGrade,
     NonMonotoneGrades,
     UnknownSimplex,
 )
@@ -26,13 +29,16 @@ R2 = math.sqrt(2.0)
 
 def test_simplex_validation():
     assert Simplex((0, 3, 5)).dim == 2
-    with pytest.raises(ValueError):
+    # a package error that callers catching ValueError still catch
+    assert issubclass(InvalidSimplex, CupLengthError)
+    assert issubclass(InvalidSimplex, ValueError)
+    with pytest.raises(InvalidSimplex, match="at least one vertex"):
         Simplex(())
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSimplex, match="strictly increasing"):
         Simplex((2, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSimplex, match="strictly increasing"):
         Simplex((1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSimplex, match="negative vertex"):
         Simplex((-1, 2))
 
 
@@ -97,6 +103,15 @@ def test_vr_rejects_bad_matrices():
         build_vietoris_rips([[1, 1], [1, 0]], 1, 5.0)
     with pytest.raises(NegativeDistance):
         build_vietoris_rips([[0, -1], [-1, 0]], 1, 5.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_vr_rejects_non_finite_distances(bad):
+    # symmetric, so only the finiteness check can catch it
+    with pytest.raises(NonFiniteGrade, match=r"non-finite distance .* at \(0,2\)"):
+        build_vietoris_rips([[0, 1, bad], [1, 0, 1], [bad, 1, 0]], 2, math.inf)
+    with pytest.raises(NonFiniteGrade, match=r"at \(1,1\)"):
+        build_vietoris_rips([[0, 1], [1, bad]], 1, 5.0)
 
 
 def test_truncate_tetrahedron():

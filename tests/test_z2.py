@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuplength import spaces
 from cuplength.cohomology import Cochain, cochain_coboundary
 from cuplength.errors import SimplexNotAlive
-from cuplength.simplicial import from_simplex_list
+from cuplength.simplicial import build_vietoris_rips, distances_from_points, from_simplex_list
 from cuplength.z2 import (
     SparseZ2Matrix,
     coboundary_matrix,
@@ -98,6 +101,75 @@ def test_reduction_identities_on_complex_matrices():
         assert rc.A.n_cols == len(c)
         assert rc.A.multiply(rc.V) == rc.R
         assert rc.V.is_upper_triangular(unit_diagonal=True)
+
+
+def _dense_column_reduce(cols):
+    """Reference reduction with V stored densely, identity columns included.
+
+    Returns R and V as lists of column bitmasks, the pivot map, and the
+    columns that received at least one addition.
+    """
+    n = len(cols)
+    R = list(cols)
+    V = [1 << j for j in range(n)]
+    pivot_to_col = {}
+    added = set()
+    for j in range(n):
+        col = R[j]
+        while col:
+            p = col.bit_length() - 1
+            owner = pivot_to_col.get(p)
+            if owner is None:
+                pivot_to_col[p] = j
+                break
+            col ^= R[owner]
+            V[j] ^= V[owner]
+            added.add(j)
+        R[j] = col
+    return R, V, pivot_to_col, added
+
+
+def _assert_matches_dense(A):
+    R, V, pivot_to_col = column_reduce(A)
+    n = A.n_cols
+    dense_R, dense_V, dense_pivots, added = _dense_column_reduce([A.col_mask(j) for j in range(n)])
+    assert [R.col_mask(j) for j in range(n)] == dense_R
+    assert pivot_to_col == dense_pivots
+    dense = SparseZ2Matrix(n, n, dense_V)
+    assert [V.column(j) for j in range(n)] == [dense.column(j) for j in range(n)]
+    assert V == dense
+    # V stores exactly the columns that received an addition, and its nnz
+    # still counts the implicit diagonal
+    assert set(V._cols) == added
+    assert V.nnz() == dense.nnz()
+    return added
+
+
+@st.composite
+def _strictly_upper(draw):
+    n = draw(st.integers(0, 14))
+    return SparseZ2Matrix(n, n, [draw(st.integers(0, (1 << j) - 1)) for j in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_strictly_upper())
+def test_reduction_matches_dense_reference_on_random_matrices(A):
+    _assert_matches_dense(A)
+
+
+def test_reduction_matches_dense_reference_on_complexes():
+    rng = random.Random(29)
+    for _ in range(25):
+        _assert_matches_dense(reduce_coboundary(random_filtration(rng)).A)
+
+
+def test_reduction_matches_dense_reference_on_vr_complex():
+    rng = random.Random(31)
+    points = [(rng.random(), rng.random()) for _ in range(12)]
+    c = build_vietoris_rips(distances_from_points(points), 3, math.inf)
+    added = _assert_matches_dense(coboundary_matrix(c))
+    # most columns are never touched, so most of V is left implicit
+    assert 0 < len(added) < len(c) // 4
 
 
 def test_is_coboundary_hollow_triangle():
