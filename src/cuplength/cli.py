@@ -163,7 +163,7 @@ def _json_input(parse):
             return parse(text)
         except KeyError as exc:
             raise ParseError(f"JSON input lacks key {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed JSON input: {exc}") from None
 
     return wrapped
@@ -299,7 +299,13 @@ def _function_source(source: str) -> CupFunction:
         if source == name:
             return builder(8)
         if source.startswith(name + ":"):
-            return builder(int(source.split(":", 1)[1]))
+            try:
+                L = int(source.split(":", 1)[1])
+            except ValueError:
+                L = 0
+            if L < 1:
+                raise ParseError(f"function preset {source!r} needs {name}:L with an integer L >= 1")
+            return builder(L)
     if os.path.exists(source):
         with open(source, "r", encoding="utf-8") as fh:
             return parse_function(fh.read())
@@ -459,8 +465,11 @@ def main(argv: list[str] | None = None) -> int:
     except CupLengthError as exc:
         print(f"cuplength: error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"cuplength: error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"cuplength: error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
 
 

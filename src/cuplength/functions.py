@@ -7,12 +7,14 @@ function monotone by construction (shrinking the query can only grow the
 containing set) and makes reconstruction from a diagram the identity on
 the point data.
 
-Erosion distance is computed exactly: the eroded predicate is monotone in
-epsilon, and as epsilon grows the combinatorial configuration only changes
-when a shrunk generator endpoint crosses another endpoint or a generator
-collapses to a point.  All such breakpoints are differences or half
-differences of finite generator endpoints, so probing the predicate
-between consecutive candidates pins the infimum to a candidate.
+Erosion distance is computed exactly: as epsilon grows the combinatorial
+configuration only changes when a shrunk generator endpoint crosses another
+endpoint or a generator collapses to a point.  All such breakpoints are
+differences or half differences of finite generator endpoints, so the
+infimum is the first sorted candidate whose gap to the next one passes the
+eroded predicate.  The predicate is monotone in epsilon and the gap
+midpoints increase with the index, so bisection over the candidates finds
+that gap with logarithmically many probes.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ class Interval:
             raise ValueError("left endpoint must be finite")
         if math.isinf(self.right) and self.right_closed:
             object.__setattr__(self, "right_closed", False)
-        if self.left > self.right:
-            raise ValueError(f"empty interval ({self.left}, {self.right})")
+        if not self.left <= self.right:  # also rejects a nan at either end
+            raise ValueError(f"interval needs left <= right, got left={self.left}, right={self.right}")
         if self.left == self.right and not (self.left_closed and self.right_closed):
             raise ValueError("a degenerate interval must be closed at both ends")
 
@@ -241,17 +243,25 @@ def erosion_distance(f: CupFunction, g: CupFunction) -> float:
     """Infimum over eps such that each function dominates the other after
     expanding closed query intervals by eps; inf if no eps suffices.
 
-    The predicate is monotone in eps and piecewise constant between the
-    endpoint-difference candidates, so it is probed at midpoints of
-    consecutive candidates and the left candidate of the first passing
-    gap is the infimum.
+    The predicate is piecewise constant between the endpoint-difference
+    candidates, so the infimum is the left candidate of the first gap whose
+    midpoint passes; the last gap reaches to its candidate plus one.  A
+    larger eps shrinks every query the predicate must cover, so it is
+    non-decreasing in eps; the midpoints grow with the gap index, so the
+    passing gaps form a suffix.  Bisection finds the first of them, the gap
+    a scan in order would stop at, with ceil(log2(n + 1)) probes.
     """
     cands = _erosion_candidates(f, g)
-    for i, c in enumerate(cands):
-        upper = cands[i + 1] if i + 1 < len(cands) else c + 1.0
-        if _eroded(f, g, (c + upper) / 2.0):
-            return c
-    return INF
+    n = len(cands)
+    lo, hi = 0, n  # the first passing gap lies in [lo, hi]; n means none
+    while lo < hi:
+        mid = (lo + hi) // 2
+        upper = cands[mid + 1] if mid + 1 < n else cands[mid] + 1.0
+        if _eroded(f, g, (cands[mid] + upper) / 2.0):
+            hi = mid
+        else:
+            lo = mid + 1
+    return cands[lo] if lo < n else INF
 
 
 def analytic_vr_circle(L: int) -> CupFunction:

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cuplength import cli, spaces
 from cuplength.cup import CupDiagram, compute_cup_diagram
@@ -230,17 +235,123 @@ MALFORMED = {
         "lacks key 'right'",
     ),
     "plot-non-json": ("d.json", "not json\n", ["plot"], "malformed JSON"),
+    "function-nan-left": (
+        "f.json",
+        '{"generators":[{"left":NaN,"right":1,"inf":false,"value":1}]}',
+        ["erosion", "circle"],
+        "left=nan, right=1.0",
+    ),
+    "function-nan-right": (
+        "f.json",
+        '{"generators":[{"left":0,"right":NaN,"inf":false,"value":1}]}',
+        ["plot"],
+        "left=0.0, right=nan",
+    ),
+    "diagram-nan-death": (
+        "d.json",
+        '{"points":[{"birth":0,"death":NaN,"inf":false,"value":1}]}',
+        ["plot"],
+        "left=0.0, right=nan",
+    ),
+    "function-infinite-value": (
+        "f.json",
+        '{"generators":[{"left":0,"right":1,"inf":false,"value":1e999}]}',
+        ["erosion", "circle"],
+        "cannot convert float infinity to integer",
+    ),
+    "preset-zero": ("f.json", '{"generators":[]}', ["erosion", "circle:0"], "preset 'circle:0'"),
+    "preset-not-a-number": ("f.json", '{"generators":[]}', ["erosion", "circle:x"], "preset 'circle:x'"),
+    "directory-input": ("in.txt", None, ["barcode"], "Is a directory"),
+    "directory-function": ("f.json", None, ["erosion", "circle"], "Is a directory"),
+    "non-utf8-complex": ("c.txt", b"\xff\xfe0 0\n", ["barcode"], "not UTF-8"),
 }
 
 
 @pytest.mark.parametrize("probe", sorted(MALFORMED))
 def test_malformed_input_is_a_one_line_error(probe, tmp_path):
-    name, text, command, says = MALFORMED[probe]
+    name, content, command, says = MALFORMED[probe]
     path = tmp_path / name
-    path.write_text(text)
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
     proc = run_cli(command[0], str(path), *command[1:])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("cuplength: error: ")
     assert says in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+SUBCOMMANDS = {
+    "vr": ([".csv"], []),
+    "barcode": ([".txt", ".csv"], []),
+    "cup-diagram": ([".txt", ".csv"], []),
+    "cup-function": ([".txt", ".csv"], []),
+    "erosion": ([".json"], ["circle"]),
+    "oracle-check": ([".txt", ".csv"], []),
+    "plot": ([".json"], []),
+    "report": ([".txt"], ["--output"]),
+}
+
+
+def _main_exit_code(argv, workdir):
+    """cli.main's exit code, with its output captured and report output kept in workdir."""
+    if argv[-1] == "--output":
+        argv = argv + [os.path.join(workdir, "report")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    if code == 2:
+        assert err.getvalue().startswith("cuplength: error: ")
+        assert err.getvalue().count("\n") == 1
+    return code
+
+
+def _assert_every_subcommand_exits_with(content, codes):
+    """Run every subcommand on one input file (a directory when content is None)."""
+    with tempfile.TemporaryDirectory() as workdir:
+        for command, (suffixes, extra) in SUBCOMMANDS.items():
+            for suffix in suffixes:
+                path = os.path.join(workdir, "input" + suffix)
+                if content is None:
+                    os.mkdir(path)
+                else:
+                    with open(path, "wb") as fh:
+                        fh.write(content)
+                assert _main_exit_code([command, path, *extra], workdir) in codes, (command, suffix)
+                if content is None:
+                    os.rmdir(path)
+
+
+_TEXTY = st.text(alphabet="0123456789 .,-+#eEinfaNI\n{}[]:\"", max_size=40).map(str.encode)
+
+
+@st.composite
+def _artifacts(draw):
+    """JSON text shaped like a diagram, function or barcode, with arbitrary fields."""
+    key = draw(st.sampled_from(["points", "generators", "bars"]))
+    field_value = st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=2),
+        st.lists(st.lists(st.integers(-1, 3), max_size=3), max_size=2),
+    )
+    item = st.dictionaries(
+        st.sampled_from(
+            ["birth", "death", "left", "right", "inf", "value", "left_closed", "right_closed", "dim", "representative"]
+        ),
+        field_value,
+        max_size=7,
+    )
+    return json.dumps({key: draw(st.lists(item, max_size=3))}).encode()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(st.binary(max_size=48), _TEXTY, _artifacts()))
+def test_fuzzed_inputs_exit_zero_or_two(content):
+    _assert_every_subcommand_exits_with(content, (0, 2))
+
+
+@pytest.mark.parametrize("content", [None, b""], ids=["directory", "empty-file"])
+def test_directory_and_empty_inputs_exit_two(content):
+    _assert_every_subcommand_exits_with(content, (2,))

@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cuplength import functions
 from cuplength.cup import CupDiagram
 from cuplength.functions import (
     CupFunction,
@@ -34,6 +37,10 @@ def klein_diagram():
 def test_interval_validation():
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
+    with pytest.raises(ValueError, match="left=nan, right=1.0"):
+        Interval(math.nan, 1.0)
+    with pytest.raises(ValueError, match="left=0.0, right=nan"):
+        Interval(0.0, math.nan)
     with pytest.raises(ValueError):
         Interval(1.0, 1.0, True, False)
     assert Interval.point(1.0).length == 0.0
@@ -161,6 +168,9 @@ def test_erosion_infimum_not_attained():
     assert erosion_distance(f, CupFunction.zero()) == 2.0
     g = CupFunction.from_pairs([(Interval.open(0.0, 4.0), 1)])
     assert erosion_distance(g, CupFunction.zero()) == 2.0
+    # 0 is the only candidate and the point query survives eps = 0 itself
+    point = CupFunction.from_pairs([(Interval.point(1.0), 1)])
+    assert erosion_distance(point, CupFunction.zero()) == 0.0
 
 
 def test_erosion_closure_sensitivity():
@@ -199,6 +209,85 @@ def test_erosion_symmetry_and_triangle():
         dgh = erosion_distance(g, h)
         dfh = erosion_distance(f, h)
         assert dfh <= dfg + dgh + 1e-12
+
+
+def _scan_erosion_distance(f, g):
+    """Reference erosion distance: probe every candidate gap in order."""
+    cands = functions._erosion_candidates(f, g)
+    for i, c in enumerate(cands):
+        upper = cands[i + 1] if i + 1 < len(cands) else c + 1.0
+        if functions._eroded(f, g, (c + upper) / 2.0):
+            return c
+    return math.inf
+
+
+def _with_unbounded_top(f, value):
+    """f plus an unbounded generator of the given value."""
+    left = min(gen.left for gen, _ in f.generators)
+    return CupFunction.from_pairs(list(f.generators) + [(Interval(left, math.inf), value)])
+
+
+@st.composite
+def _function_pairs(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    f, g = random_cup_function(rng, max_gens=6), random_cup_function(rng, max_gens=6)
+    if draw(st.booleans()):
+        # a point generator can make the largest candidate the distance
+        point = Interval.point(draw(st.integers(0, 16)) / 2.0)
+        g = CupFunction.from_pairs(list(g.generators) + [(point, draw(st.integers(1, 3)))])
+    if draw(st.booleans()):
+        # values of random_cup_function stay below 4, so g never reaches
+        # this top on long queries and the distance is inf
+        f = _with_unbounded_top(f, 4)
+    return f, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(_function_pairs())
+def test_erosion_bisection_matches_scan(pair):
+    f, g = pair
+    assert erosion_distance(f, g) == _scan_erosion_distance(f, g)
+
+
+def test_erosion_bisection_matches_scan_on_finite_and_inf_pairs():
+    rng = random.Random(21)
+    seen = set()
+    for _ in range(80):
+        f, g = random_cup_function(rng), random_cup_function(rng)
+        if rng.random() < 0.3:
+            f = _with_unbounded_top(f, 4)
+        d = erosion_distance(f, g)
+        assert d == _scan_erosion_distance(f, g)
+        seen.add(math.isinf(d))
+    assert seen == {False, True}
+    torus, wedge = analytic_vr_torus(8), analytic_vr_wedge_lower()
+    assert erosion_distance(torus, wedge) == _scan_erosion_distance(torus, wedge)
+
+
+def test_erosion_probes_logarithmically_many_gaps(monkeypatch):
+    eroded = functions._eroded
+    probes = []
+
+    def counting(f, g, eps):
+        probes.append(eps)
+        return eroded(f, g, eps)
+
+    rng = random.Random(34)
+    pairs = [
+        (analytic_vr_torus(8), analytic_vr_wedge_lower()),
+        (analytic_vr_torus(8), analytic_vr_circle(8)),
+        (pointwise_max(analytic_vr_torus(40), CupFunction.from_pairs([(Interval(10.0, math.inf), 3)])), analytic_vr_circle(40)),
+    ] + [(random_cup_function(rng, max_gens=8), random_cup_function(rng, max_gens=8)) for _ in range(20)]
+    monkeypatch.setattr(functions, "_eroded", counting)
+    sizes = []
+    for f, g in pairs:
+        n = len(functions._erosion_candidates(f, g))
+        probes.clear()
+        erosion_distance(f, g)
+        assert len(probes) <= math.ceil(math.log2(n + 1)) + 1
+        sizes.append(n)
+    # the third pair is at distance inf, where a scan probes all its gaps
+    assert math.isinf(erosion_distance(*pairs[2])) and sizes[2] > 1000
 
 
 def test_analytic_functions():
