@@ -67,8 +67,10 @@ class JobConfig:
     def __post_init__(self) -> None:
         if self.max_dim < 1:
             raise ParseError("--max-dim must be at least 1")
-        if self.trim < 0:
-            raise ParseError("--trim must be non-negative")
+        if not self.trim >= 0:  # also rejects nan
+            raise ParseError(f"--trim must be non-negative, got {self.trim}")
+        if math.isnan(self.max_scale):
+            raise ParseError("--max-scale must be a number, got nan")
 
 
 # ---------------------------------------------------------------- loading
@@ -347,14 +349,12 @@ def run(config: JobConfig) -> int:
         bars = connected_component_bars(barcode) + list(barcode.bars)
         if config.fmt == "svg":
             _emit(config, plots.render_barcode_svg(bars))
-        elif config.fmt == "csv":
-            raise ParseError("csv output is available for cup-diagram only")
         else:
             _emit(config, barcode_to_json(bars) + "\n")
         return 0
 
     if cmd == "cup-diagram":
-        diagram, stats, _ = compute_cup_diagram(c, k, config.trim)
+        diagram, _, _ = compute_cup_diagram(ct, k, config.trim)
         if config.fmt == "svg":
             _emit(config, plots.render_diagram_svg(diagram))
         elif config.fmt == "csv":
@@ -364,12 +364,10 @@ def run(config: JobConfig) -> int:
         return 0
 
     if cmd == "cup-function":
-        diagram, _, _ = compute_cup_diagram(c, k, config.trim)
+        diagram, _, _ = compute_cup_diagram(ct, k, config.trim)
         f = reconstruct(diagram)
         if config.fmt == "svg":
             _emit(config, plots.render_function_svg(f))
-        elif config.fmt == "csv":
-            raise ParseError("csv output is available for cup-diagram only")
         else:
             _emit(config, function_to_json(f) + "\n")
         return 0
@@ -377,7 +375,7 @@ def run(config: JobConfig) -> int:
     if cmd == "oracle-check":
         # keep only the diagram, so the barcode's reduction is freed before
         # the oracle runs
-        f = reconstruct(compute_cup_diagram(c, k, config.trim)[0])
+        f = reconstruct(compute_cup_diagram(ct, k, config.trim)[0])
         g = oracle.oracle_cup_function(ct, k)
         cvs = ct.critical_values
         mismatches = []
@@ -388,20 +386,19 @@ def run(config: JobConfig) -> int:
                 q = Interval.closed(t, s)
                 a, b = evaluate(f, q), evaluate(g, q)
                 if a != b:
-                    mismatches.append(f"[{t:g}, {s:g}]: pipeline {a} vs oracle {b}")
+                    mismatches.append(f"MISMATCH [{t:g}, {s:g}]: pipeline {a} vs oracle {b}\n")
         if mismatches:
-            for line in mismatches:
-                print(f"MISMATCH {line}")
-            print(f"oracle-check: FAIL ({len(mismatches)}/{checked} grid intervals differ)")
+            summary = f"oracle-check: FAIL ({len(mismatches)}/{checked} grid intervals differ)\n"
+            _emit(config, "".join(mismatches) + summary)
             return 1
-        print(f"oracle-check: OK ({checked} grid intervals)")
+        _emit(config, f"oracle-check: OK ({checked} grid intervals)\n")
         return 0
 
     if cmd == "report":
         if not config.output:
             raise ParseError("report needs --output DIRECTORY")
         os.makedirs(config.output, exist_ok=True)
-        diagram, _, barcode = compute_cup_diagram(c, k, config.trim)
+        diagram, _, barcode = compute_cup_diagram(ct, k, config.trim)
         f = reconstruct(diagram)
         bars = connected_component_bars(barcode) + list(barcode.bars)
         artifacts = {
@@ -429,38 +426,34 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, n_inputs: int, scale: bool = False):
+    def command(name: str, summary: str, n_inputs=1, complex_input=True, trim=False, formats=()):
+        """A subcommand that takes exactly the flags its job reads."""
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("inputs", nargs=n_inputs, metavar="INPUT")
-        sp.add_argument("--max-dim", dest="max_dim", type=int, default=2, metavar="K")
-        sp.add_argument("--trim", type=float, default=0.0, metavar="EPS")
-        sp.add_argument("--format", dest="fmt", choices=["json", "csv", "svg"], default="json")
-        sp.add_argument("--output", default=None, metavar="PATH")
-        if scale:
+        if complex_input:
+            sp.add_argument("--max-dim", dest="max_dim", type=int, default=2, metavar="K")
             sp.add_argument("--max-scale", dest="max_scale", type=float, default=INF, metavar="R")
+        if trim:
+            sp.add_argument("--trim", type=float, default=0.0, metavar="EPS")
+        if formats:
+            sp.add_argument("--format", dest="fmt", choices=["json", *formats], default="json")
+        sp.add_argument("--output", default=None, metavar="PATH")
 
-    common(sub.add_parser("vr", help="build a Vietoris-Rips filtration"), 1, scale=True)
-    common(sub.add_parser("barcode", help="annotated barcode"), 1, scale=True)
-    common(sub.add_parser("cup-diagram", help="persistent cup-length diagram"), 1, scale=True)
-    common(sub.add_parser("cup-function", help="persistent cup-length function"), 1, scale=True)
-    common(sub.add_parser("erosion", help="erosion distance of two functions"), 2)
-    common(sub.add_parser("oracle-check", help="pipeline vs oracle equivalence"), 1, scale=True)
-    common(sub.add_parser("plot", help="render a JSON artifact to SVG"), 1)
-    common(sub.add_parser("report", help="emit all artifacts into a directory"), 1, scale=True)
+    command("vr", "build a Vietoris-Rips filtration")
+    command("barcode", "annotated barcode", formats=["svg"])
+    command("cup-diagram", "persistent cup-length diagram", trim=True, formats=["csv", "svg"])
+    command("cup-function", "persistent cup-length function", trim=True, formats=["svg"])
+    command("erosion", "erosion distance of two functions", n_inputs=2, complex_input=False)
+    command("oracle-check", "pipeline vs oracle equivalence", trim=True)
+    command("plot", "render a JSON artifact to SVG", complex_input=False)
+    command("report", "emit all artifacts into a directory", trim=True)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = JobConfig(
-            command=args.command,
-            inputs=list(args.inputs),
-            max_dim=args.max_dim,
-            max_scale=getattr(args, "max_scale", INF),
-            trim=args.trim,
-            fmt=args.fmt,
-            output=args.output,
-        )
+        config = JobConfig(**vars(args))
         return run(config)
     except CupLengthError as exc:
         print(f"cuplength: error: {exc}", file=sys.stderr)

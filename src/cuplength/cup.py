@@ -57,14 +57,6 @@ class _Entry:
     interval: Interval
     cochain: Cochain
 
-    def sort_key(self):
-        return (
-            self.interval.left,
-            self.interval.right,
-            self.cochain.p,
-            self.cochain.sorted_summands(),
-        )
-
 
 @dataclass
 class CupDiagram:
@@ -169,8 +161,8 @@ def cup_diagram(
     ``b`` was read from.  The result does not depend on the order of
     ``b.bars``.
     """
-    if trim_eps < 0:
-        raise ValueError("trim_eps must be non-negative")
+    if not trim_eps >= 0:  # also rejects nan
+        raise ValueError(f"trim_eps must be non-negative, got {trim_eps}")
     if any(bar.dim > k for bar in b.bars):
         raise ValueError("barcode contains dimensions above k")
     bars = [bar for bar in b.bars if bar.length >= trim_eps]
@@ -215,14 +207,14 @@ def cup_diagram(
             for e1 in base
             for e2 in current
             if e1.cochain.p + e2.cochain.p <= min(k, c.dim)
-            and e1.interval.intersect(e2.interval) is not None
+            and e1.interval.overlaps(e2.interval)
         ]
         stats.product_count += len(pairs)
         results = [r for r in (one_pair(e1, e2) for e1, e2 in pairs) if r is not None]
         fresh: dict[tuple[Interval, frozenset[Verts]], _Entry] = {}
         for e in results:
             fresh.setdefault((e.interval, e.cochain.summands), e)
-        nxt = sorted(fresh.values(), key=_Entry.sort_key)
+        nxt = list(fresh.values())
         for e in nxt:
             record(e.interval, ell + 1)
         ell += 1

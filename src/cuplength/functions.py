@@ -7,6 +7,12 @@ function monotone by construction (shrinking the query can only grow the
 containing set) and makes reconstruction from a diagram the identity on
 the point data.
 
+Closures are compared in one endpoint order: an interval stores its ends
+as ``lo = (left, not left_closed)``, an open left end sorting just after its
+value, and ``hi = (right, right_closed)``, a closed right end sorting just
+after its value.  It is non-empty iff ``lo < hi``, and containment,
+overlap and intersection compare these keys as tuples.
+
 Erosion distance is computed exactly: as epsilon grows the combinatorial
 configuration only changes when a shrunk generator endpoint crosses another
 endpoint or a generator collapses to a point.  All such breakpoints are
@@ -20,7 +26,7 @@ that gap with logarithmically many probes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,6 +43,8 @@ class Interval:
     right: float
     left_closed: bool = True
     right_closed: bool = False
+    lo: tuple[float, bool] = field(init=False, repr=False, compare=False)
+    hi: tuple[float, bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if math.isinf(self.left):
@@ -47,10 +55,12 @@ class Interval:
             raise ValueError(f"interval needs left <= right, got left={self.left}, right={self.right}")
         if self.left == self.right and not (self.left_closed and self.right_closed):
             raise ValueError("a degenerate interval must be closed at both ends")
+        object.__setattr__(self, "lo", (self.left, not self.left_closed))
+        object.__setattr__(self, "hi", (self.right, self.right_closed))
 
     @classmethod
     def closed(cls, a: float, b: float) -> "Interval":
-        return cls(a, b, True, True) if not math.isinf(b) else cls(a, b, True, False)
+        return cls(a, b, True, True)
 
     @classmethod
     def closed_open(cls, a: float, b: float) -> "Interval":
@@ -73,38 +83,15 @@ class Interval:
         return self.right - self.left
 
     def contains(self, other: "Interval") -> bool:
-        """Set containment, honoring closures: a closed query endpoint may
-        not sit on an open generator endpoint."""
-        if self.left > other.left:
-            return False
-        if self.left == other.left and other.left_closed and not self.left_closed:
-            return False
-        if self.right < other.right:
-            return False
-        if self.right == other.right and other.right_closed and not self.right_closed:
-            return False
-        return True
+        """Set containment, honoring closures."""
+        return self.lo <= other.lo and other.hi <= self.hi
+
+    def overlaps(self, other: "Interval") -> bool:
+        return self.lo < other.hi and other.lo < self.hi
 
     def intersect(self, other: "Interval") -> "Interval | None":
-        if self.left > other.left or (self.left == other.left and not self.left_closed):
-            left, lc = self.left, self.left_closed
-            if other.left == left:
-                lc = lc and other.left_closed
-        else:
-            left, lc = other.left, other.left_closed
-            if self.left == left:
-                lc = lc and self.left_closed
-        if self.right < other.right or (self.right == other.right and not self.right_closed):
-            right, rc = self.right, self.right_closed
-            if other.right == right:
-                rc = rc and other.right_closed
-        else:
-            right, rc = other.right, other.right_closed
-            if self.right == right:
-                rc = rc and self.right_closed
-        if left > right or (left == right and not (lc and rc)):
-            return None
-        return Interval(left, right, lc, rc)
+        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        return Interval(lo[0], hi[0], not lo[1], hi[1]) if lo < hi else None
 
     def __str__(self) -> str:
         lb = "[" if self.left_closed else "("
@@ -197,46 +184,16 @@ def _erosion_candidates(f: CupFunction, g: CupFunction) -> list[float]:
 def _covers_shrunk(f: CupFunction, outer: Interval, value: int, eps: float) -> bool:
     """Does some generator of f with value >= ``value`` contain every closed
     query [a, b] whose eps-expansion lies inside ``outer``?"""
-    lo = outer.left + eps
-    left_attained = outer.left_closed
-    if outer.unbounded:
-        hi = INF
-        right_attained = False
-    else:
-        hi = outer.right - eps
-        right_attained = outer.right_closed
-        if lo > hi:
-            return True
-        if lo == hi and not (left_attained and right_attained):
-            return True
-    for gen, v in f.generators:
-        if v < value:
-            continue
-        if gen.left > lo:
-            continue
-        if gen.left == lo and left_attained and not gen.left_closed:
-            continue
-        if outer.unbounded:
-            if not gen.unbounded:
-                continue
-        else:
-            if gen.right < hi:
-                continue
-            if gen.right == hi and right_attained and not gen.right_closed:
-                continue
-        return True
-    return False
+    lo = (outer.left + eps, not outer.left_closed)
+    hi = (outer.right - eps, outer.right_closed)  # (inf, False) for unbounded outer
+    return not lo < hi or any(v >= value and gen.lo <= lo and hi <= gen.hi for gen, v in f.generators)
 
 
 def _eroded(f: CupFunction, g: CupFunction, eps: float) -> bool:
     """The eroded predicate for closed query intervals at a given eps."""
-    for outer, value in g.generators:
-        if not _covers_shrunk(f, outer, value, eps):
-            return False
-    for outer, value in f.generators:
-        if not _covers_shrunk(g, outer, value, eps):
-            return False
-    return True
+    return all(_covers_shrunk(f, outer, value, eps) for outer, value in g.generators) and all(
+        _covers_shrunk(g, outer, value, eps) for outer, value in f.generators
+    )
 
 
 def erosion_distance(f: CupFunction, g: CupFunction) -> float:

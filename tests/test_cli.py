@@ -196,6 +196,36 @@ def test_missing_file_exit_code():
     assert "error" in proc.stderr
 
 
+IGNORED_FLAGS = [
+    ("erosion", "--max-dim", "3"),
+    ("erosion", "--trim", "1"),
+    ("erosion", "--format", "svg"),
+    ("plot", "--max-dim", "3"),
+    ("plot", "--trim", "1"),
+    ("plot", "--format", "svg"),
+    ("vr", "--trim", "1"),
+    ("vr", "--format", "json"),
+    ("barcode", "--trim", "1"),
+    ("oracle-check", "--format", "json"),
+    ("report", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", IGNORED_FLAGS, ids=[f"{c}{f}" for c, f, _ in IGNORED_FLAGS])
+def test_subcommands_reject_flags_they_do_not_read(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "input", *(["circle"] if command == "erosion" else []), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_oracle_check_output_file(tmp_path):
+    out = tmp_path / "check.txt"
+    proc = run_cli("oracle-check", fixture("hollow_triangle.txt"), "--output", str(out))
+    assert proc.returncode == 0 and proc.stdout == ""
+    assert out.read_text() == run_cli("oracle-check", fixture("hollow_triangle.txt")).stdout
+
+
 def test_invalid_config_exit_code():
     proc = run_cli("cup-diagram", fixture("hollow_triangle.txt"), "--max-dim", "0")
     assert proc.returncode == 2
@@ -264,6 +294,8 @@ MALFORMED = {
     "directory-input": ("in.txt", None, ["barcode"], "Is a directory"),
     "directory-function": ("f.json", None, ["erosion", "circle"], "Is a directory"),
     "non-utf8-complex": ("c.txt", b"\xff\xfe0 0\n", ["barcode"], "not UTF-8"),
+    "trim-nan": ("c.txt", "0 0\n0 1\n1 0 1\n", ["cup-diagram", "--trim", "nan"], "--trim must be non-negative, got nan"),
+    "max-scale-nan": ("d.csv", "0,1\n1,0\n", ["cup-diagram", "--max-scale", "nan"], "--max-scale must be a number"),
 }
 
 

@@ -216,5 +216,6 @@ def test_parallel_equals_serial():
 def test_cup_diagram_rejects_negative_trim():
     c = spaces.hollow_triangle()
     b = compute_barcode(c, 2)
-    with pytest.raises(ValueError):
-        cup_diagram(b, c, 2, trim_eps=-1.0)
+    for eps in (-1.0, math.nan):
+        with pytest.raises(ValueError, match=f"got {eps}"):
+            cup_diagram(b, c, 2, trim_eps=eps)

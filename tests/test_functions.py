@@ -290,6 +290,125 @@ def test_erosion_probes_logarithmically_many_gaps(monkeypatch):
     assert math.isinf(erosion_distance(*pairs[2])) and sizes[2] > 1000
 
 
+def _case_contains(gen, q):
+    """Reference containment: closure rules spelled out case by case."""
+    if gen.left > q.left:
+        return False
+    if gen.left == q.left and q.left_closed and not gen.left_closed:
+        return False
+    if gen.right < q.right:
+        return False
+    if gen.right == q.right and q.right_closed and not gen.right_closed:
+        return False
+    return True
+
+
+def _case_intersect(a, b):
+    """Reference intersection: closure rules spelled out case by case."""
+    if a.left > b.left or (a.left == b.left and not a.left_closed):
+        left, lc = a.left, a.left_closed
+        if b.left == left:
+            lc = lc and b.left_closed
+    else:
+        left, lc = b.left, b.left_closed
+        if a.left == left:
+            lc = lc and a.left_closed
+    if a.right < b.right or (a.right == b.right and not a.right_closed):
+        right, rc = a.right, a.right_closed
+        if b.right == right:
+            rc = rc and b.right_closed
+    else:
+        right, rc = b.right, b.right_closed
+        if a.right == right:
+            rc = rc and a.right_closed
+    if left > right or (left == right and not (lc and rc)):
+        return None
+    return Interval(left, right, lc, rc)
+
+
+def _case_covers_shrunk(f, outer, value, eps):
+    """Reference for functions._covers_shrunk: closure rules case by case."""
+    lo = outer.left + eps
+    left_attained = outer.left_closed
+    if outer.unbounded:
+        hi = math.inf
+        right_attained = False
+    else:
+        hi = outer.right - eps
+        right_attained = outer.right_closed
+        if lo > hi:
+            return True
+        if lo == hi and not (left_attained and right_attained):
+            return True
+    for gen, v in f.generators:
+        if v < value:
+            continue
+        if gen.left > lo:
+            continue
+        if gen.left == lo and left_attained and not gen.left_closed:
+            continue
+        if outer.unbounded:
+            if not gen.unbounded:
+                continue
+        else:
+            if gen.right < hi:
+                continue
+            if gen.right == hi and right_attained and not gen.right_closed:
+                continue
+        return True
+    return False
+
+
+@st.composite
+def _intervals(draw):
+    """Intervals on a coarse grid, so shared endpoints and points are common."""
+    left = draw(st.integers(0, 8)) / 2.0
+    right = draw(st.one_of(st.integers(int(2 * left), 8).map(lambda i: i / 2.0), st.just(math.inf)))
+    if left == right:
+        return Interval.point(left)
+    # a closed infinite right end is normalized to open
+    return Interval(left, right, draw(st.booleans()), draw(st.booleans()))
+
+
+def _fields(interval):
+    return None if interval is None else (interval.left, interval.right, interval.left_closed, interval.right_closed)
+
+
+@settings(max_examples=800, deadline=None)
+@given(_intervals(), _intervals())
+def test_endpoint_order_matches_case_analysis(a, b):
+    assert a.contains(b) == _case_contains(a, b)
+    assert _fields(a.intersect(b)) == _fields(_case_intersect(a, b))
+    assert repr(a.intersect(b)) == repr(_case_intersect(a, b))
+    assert a.overlaps(b) == (a.intersect(b) is not None) == b.overlaps(a)
+
+
+@st.composite
+def _shrink_cases(draw):
+    gens = draw(st.lists(st.tuples(_intervals(), st.integers(1, 3)), max_size=5))
+    outer = draw(_intervals())
+    # half the length shrinks a bounded query to a single point
+    eps = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.5, outer.length / 2 if not outer.unbounded else 0.75]))
+    return CupFunction.from_pairs(gens), outer, draw(st.integers(1, 3)), eps
+
+
+@settings(max_examples=500, deadline=None)
+@given(_shrink_cases())
+def test_covers_shrunk_matches_case_analysis(case):
+    f, outer, value, eps = case
+    assert functions._covers_shrunk(f, outer, value, eps) == _case_covers_shrunk(f, outer, value, eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_function_pairs())
+def test_erosion_matches_case_analysis(pair):
+    f, g = pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functions, "_covers_shrunk", _case_covers_shrunk)
+        expected = erosion_distance(f, g)
+    assert repr(erosion_distance(f, g)) == repr(expected)
+
+
 def test_analytic_functions():
     torus1 = analytic_vr_torus(1)
     gen, value = torus1.generators[0]
