@@ -69,8 +69,8 @@ class JobConfig:
             raise ParseError("--max-dim must be at least 1")
         if not self.trim >= 0:  # also rejects nan
             raise ParseError(f"--trim must be non-negative, got {self.trim}")
-        if math.isnan(self.max_scale):
-            raise ParseError("--max-scale must be a number, got nan")
+        if not self.max_scale >= 0:  # also rejects nan
+            raise ParseError(f"--max-scale must be a number >= 0, got {self.max_scale}")
 
 
 # ---------------------------------------------------------------- loading
@@ -131,11 +131,18 @@ def load_filtered_complex(path: str) -> FilteredComplex:
     return from_simplex_list(entries)
 
 
+def _vietoris_rips(config: JobConfig, path: str) -> FilteredComplex:
+    """VR filtration of a distance CSV, capped at --max-scale (default: the diameter)."""
+    d = load_distance_csv(path)
+    scale = config.max_scale if not math.isinf(config.max_scale) else diameter(d)
+    return build_vietoris_rips(d, config.max_dim + 1, scale)
+
+
 def _load_complex_input(config: JobConfig, path: str) -> FilteredComplex:
     if path.endswith(".csv"):
-        d = load_distance_csv(path)
-        scale = config.max_scale if not math.isinf(config.max_scale) else diameter(d)
-        return build_vietoris_rips(d, config.max_dim + 1, scale)
+        return _vietoris_rips(config, path)
+    if not math.isinf(config.max_scale):
+        raise ParseError("--max-scale applies to a distance CSV input only")
     return load_filtered_complex(path)
 
 
@@ -321,10 +328,7 @@ def run(config: JobConfig) -> int:
     """Execute one job; returns the process exit code."""
     cmd = config.command
     if cmd == "vr":
-        d = load_distance_csv(config.inputs[0])
-        scale = config.max_scale if not math.isinf(config.max_scale) else diameter(d)
-        c = build_vietoris_rips(d, config.max_dim + 1, scale)
-        _emit(config, complex_to_text(c))
+        _emit(config, complex_to_text(_vietoris_rips(config, config.inputs[0])))
         return 0
 
     if cmd == "erosion":
@@ -419,8 +423,15 @@ def run(config: JobConfig) -> int:
     raise ParseError(f"unknown command {cmd!r}")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors end in one line and exit 2; subparsers inherit this class."""
+
+    def error(self, message: str):
+        self.exit(2, f"cuplength: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="cuplength",
         description="Persistent cup-length diagrams, functions and erosion distances over Z2.",
     )
@@ -455,10 +466,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = JobConfig(**vars(args))
         return run(config)
-    except CupLengthError as exc:
-        print(f"cuplength: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CupLengthError, OSError) as exc:
         print(f"cuplength: error: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:

@@ -132,9 +132,6 @@ class AnnotatedBarcode:
     def __post_init__(self) -> None:
         self.bars = sorted(self.bars, key=_bar_sort_key)
 
-    def in_dim(self, p: int) -> list[Bar]:
-        return [b for b in self.bars if b.dim == p]
-
     def __len__(self) -> int:
         return len(self.bars)
 

@@ -6,10 +6,11 @@ associativity and symmetry of the product reaches every multi-fold
 product.  Each non-trivial product is located on the critical grid: its
 right end is inherited from the intersection of the factor intervals and
 its left end is the smallest barcode birth at which the restricted
-product cochain is still not a coboundary.  Zero-ness of the restricted
-class is monotone along the filtration, so that left end is found by
-bisection over the birth grid; the result is identical to a linear
-left-to-right descent.
+product cochain is still not a coboundary.  Exactness is monotone
+downward along the filtration, so one test at the last birth inside the
+intersection decides whether the product survives, and bisection over
+the birth grid finds the left end, as a linear descent would.  Each fold
+multiplies its pairs as it visits them.
 """
 
 from __future__ import annotations
@@ -107,11 +108,11 @@ def support(
 ) -> Interval | None:
     """Parameter interval on which a product of representatives is non-zero.
 
-    Returns None when the factor intervals do not intersect or the product
-    class is already exact at the right end of their intersection.
-    Otherwise the right end is that of the intersection and the left end
-    is the smallest birth value whose stage still carries a non-zero
-    restriction.
+    Returns None when the factor intervals do not intersect, or when the
+    product is exact at the last birth value in their intersection (or no
+    birth lies there).  Otherwise the right end is that of the
+    intersection and the left end is the smallest birth value whose stage
+    still carries a non-zero restriction.
     """
     counter = _counter if _counter is not None else _TestCounter()
     inter: Interval | None = factor_intervals[0]
@@ -126,17 +127,12 @@ def support(
         counter.n += 1
         return z2.in_reduced_column_space(mask, t, rc)
 
-    if exact_at(d_grid):
-        return None
     lo = bisect_left(birth_grid, inter.left)
     hi = bisect_right(birth_grid, d_grid) - 1
-    if hi < lo:
+    # exactness is monotone downward, so this also drops a product exact at d_grid
+    if hi < lo or exact_at(birth_grid[hi]):
         return None
-    # With trimming the grid may be coarser than the true support, so the
-    # topmost candidate can already be exact; then no candidate is usable.
-    if birth_grid[hi] != d_grid and exact_at(birth_grid[hi]):
-        return None
-    # invariant: non-exact at birth_grid[hi]; exactness is monotone downward
+    # invariant: non-exact at birth_grid[hi]
     while lo < hi:
         mid = (lo + hi) // 2
         if exact_at(birth_grid[mid]):
@@ -188,32 +184,22 @@ def cup_diagram(
     birth_grid = sorted({e.interval.left for e in base})
     counter = _TestCounter()
 
-    def one_pair(e1: _Entry, e2: _Entry) -> _Entry | None:
-        sigma = cup_product(e1.cochain, e2.cochain, c)
-        if sigma.is_zero():
-            return None
-        supp = support(
-            sigma, [e1.interval, e2.interval], rc, c, birth_grid, _counter=counter
-        )
-        if supp is None:
-            return None
-        return _Entry(supp, sigma)
-
+    p_max = min(k, c.dim)
     current = base
     ell = 1
     while current and ell <= k - 1:
-        pairs = [
-            (e1, e2)
-            for e1 in base
-            for e2 in current
-            if e1.cochain.p + e2.cochain.p <= min(k, c.dim)
-            and e1.interval.overlaps(e2.interval)
-        ]
-        stats.product_count += len(pairs)
-        results = [r for r in (one_pair(e1, e2) for e1, e2 in pairs) if r is not None]
         fresh: dict[tuple[Interval, frozenset[Verts]], _Entry] = {}
-        for e in results:
-            fresh.setdefault((e.interval, e.cochain.summands), e)
+        for e1 in base:
+            for e2 in current:
+                if e1.cochain.p + e2.cochain.p > p_max or not e1.interval.overlaps(e2.interval):
+                    continue
+                stats.product_count += 1
+                sigma = cup_product(e1.cochain, e2.cochain, c)
+                if sigma.is_zero():
+                    continue
+                supp = support(sigma, [e1.interval, e2.interval], rc, c, birth_grid, _counter=counter)
+                if supp is not None:
+                    fresh.setdefault((supp, sigma.summands), _Entry(supp, sigma))
         nxt = list(fresh.values())
         for e in nxt:
             record(e.interval, ell + 1)

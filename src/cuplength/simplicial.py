@@ -55,25 +55,28 @@ def faces(verts: Verts) -> list[Verts]:
     return [verts[:i] + verts[i + 1 :] for i in range(len(verts))]
 
 
-def _order_key(verts: Verts, grade: float) -> tuple[float, int, Verts]:
-    return (grade, len(verts), verts)
-
-
 @dataclass
 class FilteredComplex:
     """A face-closed simplicial complex with a grade per simplex.
 
     ``simplices[i]`` is the vertex tuple at order position ``i`` and
     ``grades[i]`` its filtration value; positions follow the canonical
-    (grade, dimension, lexicographic) order.  Instances are treated as
-    immutable after construction and are safe to share between threads.
+    (grade, dimension, lexicographic) order.  ``index_of``,
+    ``critical_values`` and ``dim`` are derived from these two at
+    construction.  Instances are treated as immutable after construction
+    and are safe to share between threads.
     """
 
     simplices: list[Verts]
     grades: list[float]
-    index_of: dict[Verts, int] = field(repr=False)
-    critical_values: list[float]
-    dim: int
+    index_of: dict[Verts, int] = field(init=False, repr=False)
+    critical_values: list[float] = field(init=False)
+    dim: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.index_of = {v: i for i, v in enumerate(self.simplices)}
+        self.critical_values = sorted(set(self.grades))
+        self.dim = max(len(v) for v in self.simplices) - 1
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -97,9 +100,6 @@ class FilteredComplex:
         """Number of simplices with grade <= t (a prefix of the order)."""
         return bisect.bisect_right(self.grades, t)
 
-    def positive_dim_positions(self) -> list[int]:
-        return [i for i, v in enumerate(self.simplices) if len(v) > 1]
-
     def final_value(self) -> float:
         return self.critical_values[-1]
 
@@ -110,10 +110,11 @@ class FilteredComplex:
             raise ValueError(f"no critical value below {t}")
         return self.critical_values[i - 1]
 
-    def next_critical(self, t: float) -> float:
-        """Smallest critical value strictly above t, or +inf."""
-        i = bisect.bisect_right(self.critical_values, t)
-        return self.critical_values[i] if i < len(self.critical_values) else math.inf
+
+def _ordered_complex(entries: list[tuple[Verts, float]]) -> FilteredComplex:
+    """The complex of (vertex tuple, grade) entries, sorted into the canonical order."""
+    entries.sort(key=lambda e: (e[1], len(e[0]), e[0]))
+    return FilteredComplex([v for v, _ in entries], [g for _, g in entries])
 
 
 def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> FilteredComplex:
@@ -149,16 +150,7 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
                     f"face {face} at {graded[face]} enters after {verts} at {grade}"
                 )
 
-    ordered = sorted(graded.items(), key=lambda it: _order_key(it[0], it[1]))
-    simplices = [v for v, _ in ordered]
-    grades = [g for _, g in ordered]
-    return FilteredComplex(
-        simplices=simplices,
-        grades=grades,
-        index_of={v: i for i, v in enumerate(simplices)},
-        critical_values=sorted(set(grades)),
-        dim=max(len(v) for v in simplices) - 1,
-    )
+    return _ordered_complex(list(graded.items()))
 
 
 def build_vietoris_rips(
@@ -208,18 +200,7 @@ def build_vietoris_rips(
         entries.extend(grown)
         frontier = grown
 
-    simplices = [v for v, _ in entries]
-    grades = [g for _, g in entries]
-    order = sorted(range(len(entries)), key=lambda i: _order_key(simplices[i], grades[i]))
-    ordered = [simplices[i] for i in order]
-    ordered_grades = [grades[i] for i in order]
-    return FilteredComplex(
-        simplices=ordered,
-        grades=ordered_grades,
-        index_of={v: i for i, v in enumerate(ordered)},
-        critical_values=sorted(set(ordered_grades)),
-        dim=max(len(v) for v in ordered) - 1,
-    )
+    return _ordered_complex(entries)
 
 
 def truncate(c: FilteredComplex, dim_cap: int) -> FilteredComplex:
@@ -231,19 +212,8 @@ def truncate(c: FilteredComplex, dim_cap: int) -> FilteredComplex:
         raise ValueError("dim_cap must be non-negative")
     if c.dim <= dim_cap:
         return c
-    simplices = [v for v in c.simplices if len(v) - 1 <= dim_cap]
-    grades = [c.grades[c.index_of[v]] for v in simplices]
-    return FilteredComplex(
-        simplices=simplices,
-        grades=grades,
-        index_of={v: i for i, v in enumerate(simplices)},
-        critical_values=sorted(set(grades)),
-        dim=max(len(v) for v in simplices) - 1,
-    )
-
-
-def alive_at(c: FilteredComplex, s, t: float) -> bool:
-    return c.alive_at(s, t)
+    keep = [i for i, v in enumerate(c.simplices) if len(v) - 1 <= dim_cap]
+    return FilteredComplex([c.simplices[i] for i in keep], [c.grades[i] for i in keep])
 
 
 def diameter(D: Sequence[Sequence[float]]) -> float:

@@ -20,7 +20,7 @@ stage a simple trailing principal submatrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .errors import SimplexNotAlive
 from .simplicial import FilteredComplex, faces
@@ -41,16 +41,6 @@ class SparseZ2Matrix:
         if len(self._cols) != n_cols:
             raise ValueError("column count mismatch")
 
-    @classmethod
-    def from_columns(cls, n_rows: int, columns: Iterable[Iterable[int]]) -> "SparseZ2Matrix":
-        cols = [sum(1 << r for r in set(col)) for col in columns]
-        return cls(n_rows, len(cols), cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseZ2Matrix":
-        """The n x n identity; it stores no columns."""
-        return UnitUpperZ2Matrix(n)
-
     def column(self, j: int) -> tuple[int, ...]:
         """Row indices of the ones in column j, strictly sorted."""
         return tuple(_bits(self.col_mask(j)))
@@ -63,39 +53,8 @@ class SparseZ2Matrix:
         m = self.col_mask(j)
         return m.bit_length() - 1 if m else None
 
-    def is_zero(self) -> bool:
-        return not any(self.col_mask(j) for j in range(self.n_cols))
-
     def nnz(self) -> int:
         return sum(c.bit_count() for c in self._cols)
-
-    def multiply(self, other: "SparseZ2Matrix") -> "SparseZ2Matrix":
-        if self.n_cols != other.n_rows:
-            raise ValueError("shape mismatch")
-        cols = []
-        for j in range(other.n_cols):
-            acc = 0
-            for i in _bits(other.col_mask(j)):
-                acc ^= self.col_mask(i)
-            cols.append(acc)
-        return SparseZ2Matrix(self.n_rows, other.n_cols, cols)
-
-    def is_upper_triangular(self, unit_diagonal: bool = False) -> bool:
-        for j in range(self.n_cols):
-            cm = self.col_mask(j)
-            if cm >> (j + 1):
-                return False
-            if unit_diagonal and not (cm >> j) & 1:
-                return False
-        return True
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseZ2Matrix)
-            and self.n_rows == other.n_rows
-            and self.n_cols == other.n_cols
-            and all(self.col_mask(j) == other.col_mask(j) for j in range(self.n_cols))
-        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.n_rows}x{self.n_cols}, nnz={self.nnz()})"
@@ -110,9 +69,9 @@ class UnitUpperZ2Matrix(SparseZ2Matrix):
 
     __slots__ = ()
 
-    def __init__(self, n: int, upper: dict[int, int] | None = None):
+    def __init__(self, n: int, upper: dict[int, int]):
         self.n_rows = self.n_cols = n
-        self._cols = {} if upper is None else upper
+        self._cols = upper
 
     def col_mask(self, j: int) -> int:
         if not 0 <= j < self.n_cols:

@@ -219,6 +219,23 @@ def test_subcommands_reject_flags_they_do_not_read(command, flag, value, capsys)
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
+USAGE_ERRORS = {
+    "unknown-flag": ["erosion", "circle", "wedge", "--trim", "1"],
+    "missing-input": ["cup-diagram"],
+    "bad-format": ["barcode", "input.txt", "--format", "csv"],
+    "non-integer-max-dim": ["barcode", "input.txt", "--max-dim", "x"],
+}
+
+
+@pytest.mark.parametrize("probe", sorted(USAGE_ERRORS))
+def test_usage_errors_are_one_line(probe, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(USAGE_ERRORS[probe])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cuplength: error: ") and err.count("\n") == 1
+
+
 def test_oracle_check_output_file(tmp_path):
     out = tmp_path / "check.txt"
     proc = run_cli("oracle-check", fixture("hollow_triangle.txt"), "--output", str(out))
@@ -296,6 +313,8 @@ MALFORMED = {
     "non-utf8-complex": ("c.txt", b"\xff\xfe0 0\n", ["barcode"], "not UTF-8"),
     "trim-nan": ("c.txt", "0 0\n0 1\n1 0 1\n", ["cup-diagram", "--trim", "nan"], "--trim must be non-negative, got nan"),
     "max-scale-nan": ("d.csv", "0,1\n1,0\n", ["cup-diagram", "--max-scale", "nan"], "--max-scale must be a number"),
+    "max-scale-negative": ("d.csv", "0,1\n1,0\n", ["vr", "--max-scale", "-1"], "got -1.0"),
+    "max-scale-on-complex": ("c.txt", "0 0\n0 1\n1 0 1\n", ["cup-diagram", "--max-scale", "5"], "distance CSV input only"),
 }
 
 

@@ -8,7 +8,7 @@ from cuplength.cohomology import Cochain, compute_barcode
 from cuplength.cup import compute_cup_diagram, cup_diagram, cup_product, support
 from cuplength.functions import Interval, evaluate, reconstruct
 from cuplength.simplicial import from_simplex_list, truncate
-from cuplength.z2 import reduce_coboundary
+from cuplength.z2 import in_reduced_column_space, reduce_coboundary
 from conftest import random_filtration, regrade
 
 
@@ -181,6 +181,27 @@ def test_support_ends_come_from_the_bar_grid():
             if value >= 2:
                 assert interval.left in births
                 assert interval.right in right_ends
+
+
+def test_exactness_holds_on_a_prefix_of_the_critical_values():
+    # support gates on one test at its topmost candidate and then bisects;
+    # both need, for any mask, exactness at t to imply it at every earlier t
+    rng = random.Random(43)
+    switches = 0
+    for _ in range(40):
+        c = random_filtration(rng)
+        rc = reduce_coboundary(c)
+        m = len(c)
+        for _ in range(10):
+            mask = 0
+            for j in rng.sample(range(m), rng.randint(0, min(4, m))):
+                mask ^= rc.R.col_mask(j)
+            if rng.random() < 0.5:
+                mask ^= 1 << rng.randrange(m)
+            exact = [in_reduced_column_space(mask, t, rc) for t in c.critical_values]
+            assert exact == sorted(exact, reverse=True)
+            switches += exact[0] and not exact[-1]
+    assert switches > 50
 
 
 def test_diagram_matches_oracle_on_random_instances():

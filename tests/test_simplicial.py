@@ -16,6 +16,7 @@ from cuplength.errors import (
     UnknownSimplex,
 )
 from cuplength.simplicial import (
+    FilteredComplex,
     Simplex,
     build_vietoris_rips,
     faces,
@@ -122,12 +123,18 @@ def test_truncate_tetrahedron():
     assert len(t) == 14 and t.dim == 2
 
 
+def _rebuilt(c):
+    # the two stored lists determine the rest of the complex
+    return FilteredComplex(c.simplices, c.grades) == c
+
+
 def test_truncate_noop_and_composition():
     c = spaces.hollow_triangle()
     assert truncate(c, 2) is c
     sq = build_vietoris_rips(spaces.unit_square_distances(), 2, 2.0)
     t1 = truncate(sq, 1)
     assert len(t1) == 10
+    assert _rebuilt(c) and _rebuilt(sq) and _rebuilt(t1)
     rng = random.Random(1)
     for _ in range(10):
         r = random_filtration(rng)
@@ -135,6 +142,7 @@ def test_truncate_noop_and_composition():
         lhs = truncate(truncate(r, a), b)
         rhs = truncate(r, min(a, b))
         assert lhs.simplices == rhs.simplices and lhs.grades == rhs.grades
+        assert _rebuilt(r) and _rebuilt(lhs)
 
 
 def test_alive_at():
