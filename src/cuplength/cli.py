@@ -346,10 +346,9 @@ def run(config: JobConfig) -> int:
 
     c = _load_complex_input(config, config.inputs[0])
     k = config.max_dim
-    ct = truncate(c, k + 1)
 
     if cmd == "barcode":
-        barcode = compute_barcode(ct, k)
+        barcode = compute_barcode(c, k)
         bars = connected_component_bars(barcode) + list(barcode.bars)
         if config.fmt == "svg":
             _emit(config, plots.render_barcode_svg(bars))
@@ -358,7 +357,7 @@ def run(config: JobConfig) -> int:
         return 0
 
     if cmd == "cup-diagram":
-        diagram, _, _ = compute_cup_diagram(ct, k, config.trim)
+        diagram, _, _ = compute_cup_diagram(c, k, config.trim)
         if config.fmt == "svg":
             _emit(config, plots.render_diagram_svg(diagram))
         elif config.fmt == "csv":
@@ -368,7 +367,7 @@ def run(config: JobConfig) -> int:
         return 0
 
     if cmd == "cup-function":
-        diagram, _, _ = compute_cup_diagram(ct, k, config.trim)
+        diagram, _, _ = compute_cup_diagram(c, k, config.trim)
         f = reconstruct(diagram)
         if config.fmt == "svg":
             _emit(config, plots.render_function_svg(f))
@@ -379,7 +378,8 @@ def run(config: JobConfig) -> int:
     if cmd == "oracle-check":
         # keep only the diagram, so the barcode's reduction is freed before
         # the oracle runs
-        f = reconstruct(compute_cup_diagram(ct, k, config.trim)[0])
+        f = reconstruct(compute_cup_diagram(c, k, config.trim)[0])
+        ct = truncate(c, k + 1)
         g = oracle.oracle_cup_function(ct, k)
         cvs = ct.critical_values
         mismatches = []
@@ -402,7 +402,7 @@ def run(config: JobConfig) -> int:
         if not config.output:
             raise ParseError("report needs --output DIRECTORY")
         os.makedirs(config.output, exist_ok=True)
-        diagram, _, barcode = compute_cup_diagram(ct, k, config.trim)
+        diagram, _, barcode = compute_cup_diagram(c, k, config.trim)
         f = reconstruct(diagram)
         bars = connected_component_bars(barcode) + list(barcode.bars)
         artifacts = {

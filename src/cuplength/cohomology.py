@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import z2
 from .functions import Interval
-from .simplicial import FilteredComplex, Verts, faces
+from .simplicial import FilteredComplex, Verts, faces, truncate
 
 INF = math.inf
 
@@ -118,11 +118,13 @@ def _bar_sort_key(bar: Bar):
 
 @dataclass
 class AnnotatedBarcode:
-    """Positive-dimensional bars, sorted by death then birth.
+    """Bars of dimensions 1..dim_bound, sorted by death then birth.
 
     ``reduction`` is the reduced coboundary matrix the bars were read
-    from; the cup products, the dimension-0 bars and the family check
-    reuse it instead of reducing the complex again.
+    from, and ``reduction.complex`` their complex, truncated to dimension
+    ``dim_bound + 1``.  The cup products, the dimension-0 bars and the
+    family check read the complex, the bound and the reduction from here
+    instead of taking them again.
     """
 
     bars: list[Bar]
@@ -130,6 +132,8 @@ class AnnotatedBarcode:
     reduction: z2.ReducedCoboundary = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if any(bar.dim > self.dim_bound for bar in self.bars):
+            raise ValueError(f"barcode contains dimensions above {self.dim_bound}")
         self.bars = sorted(self.bars, key=_bar_sort_key)
 
     def __len__(self) -> int:
@@ -166,13 +170,12 @@ def _column_cochain(V: z2.SparseZ2Matrix, col: int, simplices: list[Verts], m: i
 def compute_barcode(c: FilteredComplex, k: int) -> AnnotatedBarcode:
     """Barcode of dimensions 1..k with a family of representative cocycles.
 
-    The complex must already be truncated to dimension k+1.
+    Reduces c truncated to dimension k+1, which preserves cohomology up to
+    dimension k; the barcode carries that reduction and so that complex.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if c.dim > k + 1:
-        raise ValueError(f"complex has dimension {c.dim}; truncate to {k + 1} first")
-    rc = z2.reduce_coboundary(c)
+    rc = z2.reduce_coboundary(truncate(c, k + 1))
     return AnnotatedBarcode(_harvest(rc, 1, k), dim_bound=k, reduction=rc)
 
 
@@ -190,14 +193,15 @@ class FamilyReport:
     failures: list[tuple[float, int, str]] = field(default_factory=list)
 
 
-def validate_family(b: AnnotatedBarcode, c: FilteredComplex) -> FamilyReport:
+def validate_family(b: AnnotatedBarcode) -> FamilyReport:
     """Check that the bar representatives restrict to a basis at every stage.
 
-    At each critical value t and dimension p, the representatives of the
-    bars containing t must restrict to cocycles whose classes are linearly
-    independent modulo coboundaries and as numerous as the oracle's
-    dim H^p.  Independence is checked through exactness tests of all 2^n-1
-    non-trivial combinations (random combinations past 12 alive bars).
+    At each critical value t of the complex ``b`` was reduced from and each
+    dimension p, the representatives of the bars containing t must restrict
+    to cocycles whose classes are linearly independent modulo coboundaries
+    and as numerous as the oracle's dim H^p.  Independence is checked
+    through exactness tests of all 2^n-1 non-trivial combinations (random
+    combinations past 12 alive bars).
     """
     from . import oracle
 
@@ -210,6 +214,7 @@ def validate_family(b: AnnotatedBarcode, c: FilteredComplex) -> FamilyReport:
         report.failures.append((t, p, reason))
 
     rc = b.reduction
+    c = rc.complex
     rng = random.Random(0)
     for t in c.critical_values:
         basis = oracle.cohomology_basis(c, t, b.dim_bound)

@@ -1,30 +1,29 @@
 """Cup products of Z2 cochains and the persistent cup-length diagram.
 
-The diagram algorithm multiplies bar representatives pairwise: new
-factors always come from the barcode itself, which together with
-associativity and symmetry of the product reaches every multi-fold
-product.  Each non-trivial product is located on the critical grid: its
-right end is inherited from the intersection of the factor intervals and
-its left end is the smallest barcode birth at which the restricted
-product cochain is still not a coboundary.  Exactness is monotone
-downward along the filtration, so one test at the last birth inside the
-intersection decides whether the product survives, and bisection over
-the birth grid finds the left end, as a linear descent would.  Each fold
-multiplies its pairs as it visits them.
+The annotated barcode is the diagram's only input: it carries the
+representative cocycles, the dimension bound and the reduction of the
+complex they were read from.  The diagram algorithm multiplies bar
+representatives pairwise: new factors always come from the barcode
+itself, which together with associativity and symmetry of the product
+reaches every multi-fold product.  Each non-trivial product is located on
+the grid of bar births: its right end is inherited from the intersection
+of the factor intervals and its left end is the smallest birth at which
+the restricted product cochain is still not a coboundary.  Exactness is
+monotone downward along the filtration, so one test at the last birth
+strictly below the intersection's right end decides whether the product
+survives, and bisection over the birth grid finds the left end, as a
+linear descent would.  Each fold multiplies its pairs as it visits them.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from . import z2
 from .cohomology import AnnotatedBarcode, Cochain, compute_barcode
 from .functions import Interval
-from .simplicial import FilteredComplex, Verts, truncate
-
-INF = math.inf
+from .simplicial import FilteredComplex, Verts
 
 
 def cup_product(sigma1: Cochain, sigma2: Cochain, c: FilteredComplex) -> Cochain:
@@ -51,14 +50,6 @@ def cup_product(sigma1: Cochain, sigma2: Cochain, c: FilteredComplex) -> Cochain
     return Cochain(p, frozenset(out))
 
 
-@dataclass(frozen=True)
-class _Entry:
-    """A product interval with the cochain that realizes it."""
-
-    interval: Interval
-    cochain: Cochain
-
-
 @dataclass
 class CupDiagram:
     """Finite map from intervals to the maximal product fold realizing them."""
@@ -71,9 +62,6 @@ class CupDiagram:
             key=lambda kv: (kv[0].left, kv[0].unbounded, kv[0].right, kv[1]),
         )
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CupDiagram) and self.points == other.points
-
 
 @dataclass
 class RunStats:
@@ -84,93 +72,74 @@ class RunStats:
     coboundary_test_count: int = 0
 
 
-class _TestCounter:
-    __slots__ = ("n",)
-
-    def __init__(self) -> None:
-        self.n = 0
-
-
-def _grid_right_end(interval: Interval, c: FilteredComplex) -> float:
-    """Last critical value at which the (closed-open) interval is alive."""
-    if interval.unbounded:
-        return c.final_value()
-    return c.previous_critical(interval.right)
-
-
 def support(
     sigma_prod: Cochain,
-    factor_intervals: list[Interval],
+    inter: Interval,
     rc: z2.ReducedCoboundary,
-    c: FilteredComplex,
     birth_grid: list[float],
-    _counter: _TestCounter | None = None,
+    stats: RunStats | None = None,
 ) -> Interval | None:
     """Parameter interval on which a product of representatives is non-zero.
 
-    Returns None when the factor intervals do not intersect, or when the
-    product is exact at the last birth value in their intersection (or no
-    birth lies there).  Otherwise the right end is that of the
-    intersection and the left end is the smallest birth value whose stage
-    still carries a non-zero restriction.
+    ``inter`` is the (non-empty) intersection of the factor intervals and
+    ``birth_grid`` the sorted bar births.  The topmost candidate is the
+    last birth strictly below ``inter.right``: births are critical values,
+    so that is the last stage of the grid inside ``inter``.  Returns None
+    when no birth lies in ``inter`` or the product is exact at the topmost
+    candidate.  Otherwise the right end is that of ``inter`` and the left
+    end is the smallest birth whose stage still carries a non-zero
+    restriction.  Exactness tests are counted into
+    ``stats.coboundary_test_count``.
     """
-    counter = _counter if _counter is not None else _TestCounter()
-    inter: Interval | None = factor_intervals[0]
-    for other in factor_intervals[1:]:
-        inter = inter.intersect(other)
-        if inter is None:
-            return None
-    d_grid = _grid_right_end(inter, c)
     mask = rc.cochain_mask(sigma_prod)
 
-    def exact_at(t: float) -> bool:
-        counter.n += 1
-        return z2.in_reduced_column_space(mask, t, rc)
+    def exact_at(i: int) -> bool:
+        if stats is not None:
+            stats.coboundary_test_count += 1
+        return z2.in_reduced_column_space(mask, birth_grid[i], rc)
 
     lo = bisect_left(birth_grid, inter.left)
-    hi = bisect_right(birth_grid, d_grid) - 1
-    # exactness is monotone downward, so this also drops a product exact at d_grid
-    if hi < lo or exact_at(birth_grid[hi]):
+    hi = bisect_left(birth_grid, inter.right) - 1
+    # exactness is monotone downward, so this also drops a product exact at the top
+    if hi < lo or exact_at(hi):
         return None
     # invariant: non-exact at birth_grid[hi]
     while lo < hi:
         mid = (lo + hi) // 2
-        if exact_at(birth_grid[mid]):
+        if exact_at(mid):
             lo = mid + 1
         else:
             hi = mid
-    b_left = birth_grid[hi]
-    return Interval(b_left, inter.right, left_closed=True, right_closed=inter.right_closed)
+    return Interval(birth_grid[hi], inter.right, left_closed=True, right_closed=inter.right_closed)
 
 
-def cup_diagram(
-    b: AnnotatedBarcode, c: FilteredComplex, k: int, trim_eps: float = 0.0
-) -> tuple[CupDiagram, RunStats]:
-    """Persistent cup-length diagram of a (k+1)-truncated filtration.
+def cup_diagram(b: AnnotatedBarcode, trim_eps: float = 0.0) -> tuple[CupDiagram, RunStats]:
+    """Persistent cup-length diagram of an annotated barcode.
 
-    Bars of length below ``trim_eps`` are discarded first.  Every
-    surviving bar contributes its own interval at value 1; repeated
-    products against the bar set contribute the interval of each
-    non-empty support at the fold count, merged by maximum.  Products
-    whose total dimension would exceed k are skipped, matching the
-    truncation's trustworthy range.  Exactness tests reuse the reduction
-    ``b`` was read from.  The result does not depend on the order of
-    ``b.bars``.
+    The complex is the one ``b`` was reduced from, already truncated to
+    dimension ``b.dim_bound + 1``.  Bars of length below ``trim_eps`` are
+    discarded first.  Every surviving bar contributes its own interval at
+    value 1; repeated products against the bar set contribute the interval
+    of each non-empty support at the fold count, merged by maximum.
+    Products whose total dimension would exceed ``b.dim_bound`` are
+    skipped, matching the truncation's trustworthy range.  Exactness tests
+    reuse the reduction ``b`` was read from.  The result does not depend on
+    the order of ``b.bars``.
     """
     if not trim_eps >= 0:  # also rejects nan
         raise ValueError(f"trim_eps must be non-negative, got {trim_eps}")
-    if any(bar.dim > k for bar in b.bars):
-        raise ValueError("barcode contains dimensions above k")
-    bars = [bar for bar in b.bars if bar.length >= trim_eps]
+    rc = b.reduction
+    c = rc.complex
+    k = b.dim_bound
+    base = [(bar.interval(), bar.representative) for bar in b.bars if bar.length >= trim_eps]
     points: dict[Interval, int] = {}
 
     def record(interval: Interval, value: int) -> None:
         if points.get(interval, 0) < value:
             points[interval] = value
 
-    base = [_Entry(bar.interval(), bar.representative) for bar in bars]
-    for e in base:
-        record(e.interval, 1)
+    for interval, _ in base:
+        record(interval, 1)
 
     stats = RunStats(
         m_k=sum(1 for v in c.simplices if len(v) > 1),
@@ -180,41 +149,36 @@ def cup_diagram(
     if not base or k < 2:
         return CupDiagram(points), stats
 
-    rc = b.reduction
-    birth_grid = sorted({e.interval.left for e in base})
-    counter = _TestCounter()
-
+    birth_grid = sorted({interval.left for interval, _ in base})
     p_max = min(k, c.dim)
     current = base
     ell = 1
     while current and ell <= k - 1:
-        fresh: dict[tuple[Interval, frozenset[Verts]], _Entry] = {}
-        for e1 in base:
-            for e2 in current:
-                if e1.cochain.p + e2.cochain.p > p_max or not e1.interval.overlaps(e2.interval):
+        # an insertion-ordered set of (support, product) pairs
+        fresh: dict[tuple[Interval, Cochain], None] = {}
+        for i1, s1 in base:
+            for i2, s2 in current:
+                if s1.p + s2.p > p_max or not i1.overlaps(i2):
                     continue
                 stats.product_count += 1
-                sigma = cup_product(e1.cochain, e2.cochain, c)
+                sigma = cup_product(s1, s2, c)
                 if sigma.is_zero():
                     continue
-                supp = support(sigma, [e1.interval, e2.interval], rc, c, birth_grid, _counter=counter)
+                supp = support(sigma, i1.intersect(i2), rc, birth_grid, stats)
                 if supp is not None:
-                    fresh.setdefault((supp, sigma.summands), _Entry(supp, sigma))
-        nxt = list(fresh.values())
-        for e in nxt:
-            record(e.interval, ell + 1)
+                    fresh[supp, sigma] = None
         ell += 1
-        stats.q_ell[ell] = len(nxt)
-        current = nxt
-    stats.coboundary_test_count = counter.n
+        current = list(fresh)
+        for interval, _ in current:
+            record(interval, ell)
+        stats.q_ell[ell] = len(current)
     return CupDiagram(points), stats
 
 
 def compute_cup_diagram(
     c: FilteredComplex, k: int, trim_eps: float = 0.0
 ) -> tuple[CupDiagram, RunStats, AnnotatedBarcode]:
-    """Truncate, compute the annotated barcode, and build the diagram."""
-    ct = truncate(c, k + 1)
-    barcode = compute_barcode(ct, k)
-    diagram, stats = cup_diagram(barcode, ct, k, trim_eps)
+    """Compute the annotated barcode of c up to dimension k, then its diagram."""
+    barcode = compute_barcode(c, k)
+    diagram, stats = cup_diagram(barcode, trim_eps)
     return diagram, stats, barcode

@@ -100,16 +100,6 @@ class FilteredComplex:
         """Number of simplices with grade <= t (a prefix of the order)."""
         return bisect.bisect_right(self.grades, t)
 
-    def final_value(self) -> float:
-        return self.critical_values[-1]
-
-    def previous_critical(self, t: float) -> float:
-        """Largest critical value strictly below t."""
-        i = bisect.bisect_left(self.critical_values, t)
-        if i == 0:
-            raise ValueError(f"no critical value below {t}")
-        return self.critical_values[i - 1]
-
 
 def _ordered_complex(entries: list[tuple[Verts, float]]) -> FilteredComplex:
     """The complex of (vertex tuple, grade) entries, sorted into the canonical order."""

@@ -167,12 +167,6 @@ class ReducedCoboundary:
     V: SparseZ2Matrix
     pivot_to_col: dict[int, int] = field(repr=False)
 
-    def trail_mask(self, t: float) -> int:
-        """Mask of the matrix positions of simplices alive at t."""
-        s = self.complex.stage_count(t)
-        m = self.R.n_rows
-        return ((1 << m) - 1) ^ ((1 << (m - s)) - 1)
-
     def cochain_mask(self, sigma: "Cochain") -> int:
         last = self.R.n_rows - 1
         index = self.complex.index_of
@@ -208,16 +202,21 @@ def in_reduced_column_space(mask: int, t: float, rc: ReducedCoboundary) -> bool:
     membership in their span is exactness.  Since A is strictly upper
     triangular and V upper unitriangular, the trailing block of R over
     the simplices alive at t is the reduced coboundary matrix of that
-    stage.  Positions outside the block are ignored.
+    stage: the positions at or above the stage cut ``m - stage_count(t)``.
+    Positions below the cut are ignored.  An XOR with a pivot column never
+    sets a bit above its pivot, so the bits at or above the cut evolve as
+    if everything below it were masked off, and the reduction can stop as
+    soon as the top bit falls below the cut.
     """
-    trail = rc.trail_mask(t)
-    y = mask & trail
+    cut = rc.R.n_rows - rc.complex.stage_count(t)
     cols = rc.R._cols
     pivot_to_col = rc.pivot_to_col
-    while y:
-        p = y.bit_length() - 1
+    while mask:
+        p = mask.bit_length() - 1
+        if p < cut:
+            return True
         j = pivot_to_col.get(p)
         if j is None:
             return False
-        y ^= cols[j] & trail
+        mask ^= cols[j]
     return True

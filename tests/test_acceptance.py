@@ -136,7 +136,7 @@ def test_criterion_3_klein_fixture_exact():
         Interval.closed_open(2.0, 3.0): 2,
         Interval(2.0, math.inf): 2,
     }
-    assert validate_family(barcode, c).ok
+    assert validate_family(barcode).ok
     betti = {
         t: tuple(oracle.cohomology_basis(c, t, 2).dim(p) for p in (0, 1, 2))
         for t in c.critical_values
@@ -186,7 +186,7 @@ def test_criterion_5_erosion_metric_properties():
 
 def test_criterion_6_family_validation_and_mutations():
     for name, ct, _, barcode in corpus():
-        assert validate_family(barcode, ct).ok, name
+        assert validate_family(barcode).ok, name
     mutated = 0
     for name, ct, _, barcode in corpus():
         if len(barcode.bars) >= 1:
@@ -195,7 +195,7 @@ def test_criterion_6_family_validation_and_mutations():
                 bars[0].dim, bars[0].birth, bars[0].death, Cochain.zero(bars[0].dim)
             )
             assert not validate_family(
-                AnnotatedBarcode(bars, barcode.dim_bound, barcode.reduction), ct
+                AnnotatedBarcode(bars, barcode.dim_bound, barcode.reduction)
             ).ok
             mutated += 1
         twins = [
@@ -210,7 +210,7 @@ def test_criterion_6_family_validation_and_mutations():
             bars = list(barcode.bars)
             bars[j] = Bar(bars[j].dim, bars[j].birth, bars[j].death, bars[i].representative)
             assert not validate_family(
-                AnnotatedBarcode(bars, barcode.dim_bound, barcode.reduction), ct
+                AnnotatedBarcode(bars, barcode.dim_bound, barcode.reduction)
             ).ok
             mutated += 1
     assert mutated >= 20
@@ -274,11 +274,10 @@ def test_criterion_9_determinism_serial_vs_parallel():
     # the product loop runs once over the sorted bars and once over the
     # bars reversed in place; both orders must give the same bytes
     for name, c in fixture_complexes() + [("klein", spaces.staged_klein())]:
-        ct = truncate(c, 3)
-        barcode = compute_barcode(ct, 2)
-        forward, s1 = cup_diagram(barcode, ct, 2)
+        barcode = compute_barcode(c, 2)
+        forward, s1 = cup_diagram(barcode)
         barcode.bars.reverse()
-        backward, s2 = cup_diagram(barcode, ct, 2)
+        backward, s2 = cup_diagram(barcode)
         assert cli.diagram_to_json(forward) == cli.diagram_to_json(backward), name
         assert s1.product_count == s2.product_count, name
         assert s1.coboundary_test_count == s2.coboundary_test_count, name

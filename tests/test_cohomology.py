@@ -1,5 +1,7 @@
 import math
 import random
+from bisect import bisect_left
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +15,8 @@ from cuplength.cohomology import (
     connected_component_bars,
     validate_family,
 )
-from cuplength.simplicial import build_vietoris_rips, truncate
+from cuplength.cup import cup_product
+from cuplength.simplicial import build_vietoris_rips, from_simplex_list, truncate
 from conftest import random_filtration, regrade
 
 R2 = math.sqrt(2.0)
@@ -66,7 +69,8 @@ def test_representatives_are_cocycles_before_death():
         c = truncate(random_filtration(rng), 3)
         b = compute_barcode(c, 2)
         for bar in b.bars:
-            t = c.final_value() if bar.essential else c.previous_critical(bar.death)
+            # the last critical value at which the bar is alive
+            t = c.critical_values[bisect_left(c.critical_values, bar.death) - 1]
             restricted = bar.representative.restrict(c, t)
             assert not restricted.is_zero()
             assert cochain_coboundary(c, restricted, t).is_zero()
@@ -145,7 +149,7 @@ def test_validate_family_passes_on_fixtures():
     for c in fixtures:
         ct = truncate(c, 3)
         b = compute_barcode(ct, 2)
-        assert validate_family(b, ct).ok
+        assert validate_family(b).ok
 
 
 def test_validate_family_detects_zeroed_representative():
@@ -155,7 +159,7 @@ def test_validate_family_detects_zeroed_representative():
         Bar(bar.dim, bar.birth, bar.death, Cochain.zero(1)) if bar.birth == 0.0 else bar
         for bar in b.bars
     ]
-    report = validate_family(AnnotatedBarcode(broken, 1, b.reduction), c)
+    report = validate_family(AnnotatedBarcode(broken, 1, b.reduction))
     assert not report.ok
     assert report.first_failure == (0.0, 1)
 
@@ -165,7 +169,7 @@ def test_validate_family_detects_duplicate_representative():
     b = compute_barcode(c, 1)
     rep = next(bar for bar in b.bars if bar.birth == 0.0).representative
     broken = [Bar(bar.dim, bar.birth, bar.death, rep) for bar in b.bars]
-    report = validate_family(AnnotatedBarcode(broken, 1, b.reduction), c)
+    report = validate_family(AnnotatedBarcode(broken, 1, b.reduction))
     assert not report.ok
     assert report.first_failure == (1.0, 1)
 
@@ -176,13 +180,27 @@ def test_validate_family_on_random_regraded_surfaces():
     for i in range(12):
         c = regrade(rng, bases[i % len(bases)])
         b = compute_barcode(c, 2)
-        assert validate_family(b, c).ok
+        assert validate_family(b).ok
 
 
-def test_compute_barcode_requires_truncation():
-    full = spaces.close_under_faces({(0, 1, 2, 3): 0.0})
-    from cuplength.simplicial import from_simplex_list
+def test_compute_barcode_truncates_to_k_plus_one():
+    # the full 3-simplex, graded by dimension: three 1-bars [1, 2)
+    full = [(list(v), float(len(v) - 1)) for n in range(1, 5) for v in combinations(range(4), n)]
+    c = from_simplex_list(full)
+    assert c.dim == 3
+    got = compute_barcode(c, 1)
+    want = compute_barcode(truncate(c, 2), 1)
+    assert got.reduction.complex.dim == 2
+    assert got.bars == want.bars
+    assert [(bar.dim, bar.birth, bar.death) for bar in got.bars] == [(1, 1.0, 2.0)] * 3
+    # products above the truncated complex vanish at cochain level
+    ct = got.reduction.complex
+    assert cup_product(Cochain.of((0, 1)), Cochain.of((1, 2)), ct) == Cochain.of((0, 1, 2))
+    assert cup_product(Cochain.of((0, 1, 2)), Cochain.of((2, 3)), ct) == Cochain.zero(3)
 
-    c = from_simplex_list([(list(v), g) for v, g in full.items()])
-    with pytest.raises(ValueError):
-        compute_barcode(c, 1)
+
+def test_annotated_barcode_rejects_bars_above_its_bound():
+    b = compute_barcode(spaces.staged_klein(), 2)
+    assert any(bar.dim == 2 for bar in b.bars)
+    with pytest.raises(ValueError, match="above 1"):
+        AnnotatedBarcode(b.bars, 1, b.reduction)

@@ -8,7 +8,7 @@ from cuplength.cohomology import Cochain, compute_barcode
 from cuplength.cup import compute_cup_diagram, cup_diagram, cup_product, support
 from cuplength.functions import Interval, evaluate, reconstruct
 from cuplength.simplicial import from_simplex_list, truncate
-from cuplength.z2 import in_reduced_column_space, reduce_coboundary
+from cuplength.z2 import in_reduced_column_space, is_coboundary, reduce_coboundary
 from conftest import random_filtration, regrade
 
 
@@ -54,10 +54,10 @@ def test_support_torus_pair_and_square():
     assert len(one) == 2
     s1, s2 = one[0].representative, one[1].representative
     prod = cup_product(s1, s2, c)
-    supp = support(prod, [one[0].interval(), one[1].interval()], rc, c, births)
+    supp = support(prod, one[0].interval().intersect(one[1].interval()), rc, births)
     assert supp == Interval(0.0, math.inf)
     square = cup_product(s1, s1, c)
-    assert support(square, [one[0].interval()] * 2, rc, c, births) is None
+    assert support(square, one[0].interval(), rc, births) is None
 
 
 def test_support_klein_mixed_product():
@@ -70,15 +70,15 @@ def test_support_klein_mixed_product():
     assert (finite.birth, finite.death) == (1.0, 3.0)
     assert essential.birth == 2.0
     prod = cup_product(finite.representative, essential.representative, c)
-    supp = support(prod, [finite.interval(), essential.interval()], rc, c, births)
+    supp = support(prod, finite.interval().intersect(essential.interval()), rc, births)
     sq = cup_product(essential.representative, essential.representative, c)
-    supp_sq = support(sq, [essential.interval()] * 2, rc, c, births)
+    supp_sq = support(sq, essential.interval(), rc, births)
     assert supp_sq == Interval(2.0, math.inf)
     # the harvested family has the mixed product landing exactly on [2, 3)
     # and the finite class squaring to zero
     assert supp == Interval.closed_open(2.0, 3.0)
     sq_fin = cup_product(finite.representative, finite.representative, c)
-    assert support(sq_fin, [finite.interval()] * 2, rc, c, births) is None
+    assert support(sq_fin, finite.interval(), rc, births) is None
 
 
 def test_support_symmetry():
@@ -94,9 +94,51 @@ def test_support_symmetry():
             for y in ones:
                 pxy = cup_product(x.representative, y.representative, c)
                 pyx = cup_product(y.representative, x.representative, c)
-                sxy = support(pxy, [x.interval(), y.interval()], rc, c, births)
-                syx = support(pyx, [y.interval(), x.interval()], rc, c, births)
+                sxy = syx = None
+                if x.interval().overlaps(y.interval()):
+                    sxy = support(pxy, x.interval().intersect(y.interval()), rc, births)
+                    syx = support(pyx, y.interval().intersect(x.interval()), rc, births)
                 assert sxy == syx
+
+
+def _linear_support(sigma, inter, c, rc, births):
+    """Reference for support: test exactness at every birth in
+    [inter.left, inter.right), from the top down."""
+    candidates = [t for t in births if inter.left <= t < inter.right]
+    left = None
+    for t in reversed(candidates):
+        if is_coboundary(sigma.restrict(c, t), t, rc):
+            break
+        left = t
+    if left is None:
+        return None
+    return Interval(left, inter.right, left_closed=True, right_closed=inter.right_closed)
+
+
+def test_support_matches_linear_descent():
+    # the topmost candidate is the last birth strictly below the right end;
+    # a birth at the right end itself must not be tested
+    rng = random.Random(47)
+    bases = [spaces.csaszar_torus(), spaces.staged_klein(), spaces.projective_plane()]
+    products = births_at_right_end = 0
+    for i in range(40):
+        c = random_filtration(rng) if i % 2 else regrade(rng, bases[i % 3])
+        b = compute_barcode(c, 2)
+        ct, rc = b.reduction.complex, b.reduction
+        births = sorted({bar.birth for bar in b.bars})
+        for x in b.bars:
+            for y in b.bars:
+                if x.dim + y.dim > 2 or not x.interval().overlaps(y.interval()):
+                    continue
+                sigma = cup_product(x.representative, y.representative, ct)
+                if sigma.is_zero():
+                    continue
+                inter = x.interval().intersect(y.interval())
+                assert support(sigma, inter, rc, births) == _linear_support(sigma, inter, ct, rc, births)
+                products += 1
+                births_at_right_end += inter.right in births
+    assert products > 50
+    assert births_at_right_end > 20
 
 
 def test_cup_diagram_hollow_triangle():
@@ -224,11 +266,11 @@ def test_parallel_equals_serial():
     # two product evaluation orders: the sorted bars, then the bars reversed
     rng = random.Random(25)
     for i in range(6):
-        c = truncate(regrade(rng, [spaces.csaszar_torus(), spaces.staged_klein()][i % 2]), 3)
+        c = regrade(rng, [spaces.csaszar_torus(), spaces.staged_klein()][i % 2])
         b = compute_barcode(c, 2)
-        forward, s1 = cup_diagram(b, c, 2)
+        forward, s1 = cup_diagram(b)
         b.bars.reverse()
-        backward, s2 = cup_diagram(b, c, 2)
+        backward, s2 = cup_diagram(b)
         assert cli.diagram_to_json(forward) == cli.diagram_to_json(backward)
         assert s1.product_count == s2.product_count
         assert s1.coboundary_test_count == s2.coboundary_test_count
@@ -239,4 +281,4 @@ def test_cup_diagram_rejects_negative_trim():
     b = compute_barcode(c, 2)
     for eps in (-1.0, math.nan):
         with pytest.raises(ValueError, match=f"got {eps}"):
-            cup_diagram(b, c, 2, trim_eps=eps)
+            cup_diagram(b, trim_eps=eps)

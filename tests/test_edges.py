@@ -16,7 +16,7 @@ def test_single_vertex_complex():
     c = from_simplex_list([([0], 0.0)])
     b = compute_barcode(c, 1)
     assert b.bars == []
-    assert validate_family(b, c).ok
+    assert validate_family(b).ok
     diagram, stats, _ = compute_cup_diagram(c, 2)
     assert diagram.points == {} and stats.m_k == 0 and stats.q_1 == 0
     assert [bar.birth for bar in connected_component_bars(b)] == [0.0]
