@@ -1,13 +1,14 @@
 """Persistent cohomology barcodes with representative cocycles over Z2.
 
-The barcode is harvested from a single column reduction of the full
-coboundary matrix (vertex block included) in anti-filtration cosimplex
-order.  A non-zero reduced column pairs its (birth) simplex with the
-simplex of its pivot row (death); a zero column whose own row is never a
-pivot yields an essential class.  The matching V column, read as a set of
-cosimplices, is the representative cocycle: its coboundary is supported
-on simplices entering at or after the death grade, so its restriction to
-any stage before death is a cocycle there.
+The barcode is harvested from a single reduction of the coboundary matrix
+(vertex block included) in anti-filtration cosimplex order, dimension by
+dimension with clearing (see ``z2``).  A non-zero reduced column pairs its
+(birth) simplex with the simplex of its pivot row (death).  A column
+whose own row is a pivot was cleared and starts no bar; a zero column
+whose row is never a pivot yields an essential class.  The matching V
+column, read as a set of cosimplices, is the representative cocycle: its
+coboundary is supported on simplices entering at or after the death
+grade, so its restriction to any stage before death is a cocycle there.
 """
 
 from __future__ import annotations

@@ -1,29 +1,52 @@
 """Sparse linear algebra over Z2 for coboundary matrices.
 
-Columns are stored as Python integers used as bitmasks of row indices, so
-column addition is XOR and the pivot of a column is its highest set bit.
-A bitmask is exactly a sorted set of row indices, just packed.  The
-coboundary matrix A and its reduction R keep one bitmask per column.  The
-reduction matrix V keeps its unit diagonal implicit and stores only the
-part above the diagonal of the columns that received an addition: a
-bitmask costs as many bits as its highest row index, so a stored identity
-alone would cost O(m^2) bits, while few columns ever change.
+Columns are Python integers used as bitmasks of row indices, so column
+addition is XOR and the pivot of a column is its highest set bit.  A
+bitmask is exactly a sorted set of row indices, just packed, but it costs
+as many bits as its highest row index, so a stored coboundary matrix
+would cost O(m^2) bits.  None is stored here.
 
 The cosimplex basis runs anti-parallel to the filtration: the matrix
 position of the i-th simplex (in filtration order, m simplices total) is
-m - 1 - i.  With this ordering the coboundary matrix and its column
-reduction are strictly upper triangular and the reduction matrix V is
+m - 1 - i.  With this ordering the coboundary matrix A and its column
+reduction R are strictly upper triangular and the reduction matrix V is
 upper unitriangular, which is what makes restriction to a filtration
 stage a simple trailing principal submatrix.
+
+A, R and V are views:
+
+- A stores the filtration index of each simplex's first cofacet, one int
+  per simplex; that cofacet's position is the pivot of the simplex's
+  column.  A column is built on demand from the common neighbours of the
+  simplex's vertices.
+- ``column_reduce`` visits the columns dimension by dimension, each
+  dimension left to right.  A column i whose position is already the
+  pivot row of a column j of the dimension below is cleared (the twist of
+  Chen and Kerber): R_i = 0 and V_i := R_j, which keeps A V = R because
+  A R_j = A A V_j = 0.  A column whose pivot is still free takes it
+  without being built (an apparent pair, in Bauer's Ripser).  Only a
+  column whose pivot is already owned is built, and reduced against the
+  owners it adds.
+- R stores the columns built so far: the reduced ones, the owners they
+  added and the owners that exactness tests read.  Any other column of R
+  is A's column when it owns its pivot, and zero otherwise.
+- V stores the part above the diagonal of each reduced column and, for
+  each cleared column, the column of R it equals.  Every other column is
+  a unit vector.
+
+So a run stores one int per simplex plus the few columns it reduces.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from itertools import combinations
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import SimplexNotAlive
-from .simplicial import FilteredComplex, faces
+from .simplicial import FilteredComplex, Verts
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cohomology import Cochain
@@ -56,30 +79,13 @@ class SparseZ2Matrix:
     def nnz(self) -> int:
         return sum(c.bit_count() for c in self._cols)
 
+    def blocks(self) -> Iterable[Iterable[int]]:
+        """The columns in the order ``column_reduce`` visits them, as blocks:
+        here one block, left to right."""
+        return (range(self.n_cols),)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.n_rows}x{self.n_cols}, nnz={self.nnz()})"
-
-
-class UnitUpperZ2Matrix(SparseZ2Matrix):
-    """A square upper unitriangular matrix over Z2 with its diagonal implicit.
-
-    ``_cols`` maps a column index to the bitmask of that column's entries
-    above the diagonal; a column absent from it is a unit vector.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, n: int, upper: dict[int, int]):
-        self.n_rows = self.n_cols = n
-        self._cols = upper
-
-    def col_mask(self, j: int) -> int:
-        if not 0 <= j < self.n_cols:
-            raise IndexError(f"column {j} out of range")
-        return self._cols.get(j, 0) | 1 << j
-
-    def nnz(self) -> int:
-        return self.n_cols + sum(c.bit_count() for c in self._cols.values())
 
 
 def _bits(mask: int):
@@ -90,66 +96,226 @@ def _bits(mask: int):
 
 
 def _mask_of_rows(rows: list[int]) -> int:
-    """Bitmask of a non-empty row list whose first entry is its largest.
+    """Bitmask of a non-empty list of distinct rows.
 
     Sets the bits in a buffer and converts once, instead of growing an int
     by ``|=``, which copies the whole int on every row.
     """
-    buf = bytearray((rows[0] >> 3) + 1)
+    buf = bytearray((max(rows) >> 3) + 1)
     for r in rows:
         buf[r >> 3] |= 1 << (r & 7)
     return int.from_bytes(buf, "little")
 
 
-def coboundary_matrix(c: FilteredComplex) -> SparseZ2Matrix:
+class CoboundaryMatrix(SparseZ2Matrix):
+    """The square coboundary matrix of a complex, built column by column.
+
+    Stores the filtration index of each simplex's first cofacet (or -1),
+    which gives each column's pivot, and the neighbour set of each vertex.
+    ``col_mask(j)`` joins the simplex at position j with each common
+    neighbour of its vertices and keeps the joins the complex holds.
+    """
+
+    __slots__ = ("_complex", "_first", "_neighbours")
+
+    def __init__(self, c: FilteredComplex):
+        m = len(c.simplices)
+        index = c.index_of
+        first = array("q", [-1]) * m
+        neighbours: dict[int, set[int]] = {}
+        # faces enter before their cofacets, so the first cofacet of a face
+        # is the first simplex that names it
+        for i, v in enumerate(c.simplices):
+            n = len(v)
+            if n == 1:
+                neighbours[v[0]] = set()
+                continue
+            if n == 2:
+                neighbours[v[0]].add(v[1])
+                neighbours[v[1]].add(v[0])
+            for f in combinations(v, n - 1):
+                k = index[f]
+                if first[k] < 0:
+                    first[k] = i
+        self.n_rows = self.n_cols = m
+        self._complex = c
+        self._first = first
+        self._neighbours = neighbours
+
+    def col_mask(self, j: int) -> int:
+        last = self.n_cols - 1
+        verts: Verts = self._complex.simplices[last - j]
+        index = self._complex.index_of
+        common = self._neighbours[verts[0]]
+        for v in verts[1:]:
+            common = common & self._neighbours[v]
+        rows = []
+        for w in common:
+            k = bisect(verts, w)
+            i = index.get(verts[:k] + (w,) + verts[k:])
+            if i is not None:
+                rows.append(last - i)
+        return _mask_of_rows(rows) if rows else 0
+
+    def pivot(self, j: int) -> int | None:
+        last = self.n_cols - 1
+        i = self._first[last - j]
+        return last - i if i >= 0 else None
+
+    def nnz(self) -> int:
+        # the complex is face-closed: every face of a simplex is a row of it
+        return sum(len(v) for v in self._complex.simplices if len(v) > 1)
+
+    def blocks(self) -> Iterable[Iterable[int]]:
+        """The columns dimension by dimension, from low to high, each
+        dimension left to right: the rows of a column are the simplices of
+        the next dimension, so a block owns rows only of the block after it."""
+        simplices = self._complex.simplices
+        last = self.n_cols - 1
+
+        def block(size: int):
+            return (j for j in range(self.n_cols) if len(simplices[last - j]) == size)
+
+        return [block(size) for size in range(1, self._complex.dim + 2)]
+
+
+def coboundary_matrix(c: FilteredComplex) -> CoboundaryMatrix:
     """Square coboundary matrix over the anti-filtration cosimplex basis.
 
     Row/column position of the i-th simplex is m - 1 - i, so the matrix
     is strictly upper triangular.  Every simplex is indexed, vertices
     included, so the one matrix sees coboundaries of every dimension.
+    The matrix is a view: see ``CoboundaryMatrix``.
     """
-    m = len(c.simplices)
-    last = m - 1
-    index = c.index_of
-    rows: list[list[int]] = [[] for _ in range(m)]
-    for i, v in enumerate(c.simplices):
-        if len(v) == 1:
-            continue
-        # cofacets arrive in filtration order, so each row list descends
-        for f in faces(v):
-            rows[last - index[f]].append(last - i)
-    return SparseZ2Matrix(m, m, [_mask_of_rows(r) if r else 0 for r in rows])
+    return CoboundaryMatrix(c)
 
 
-def column_reduce(A: SparseZ2Matrix) -> tuple[SparseZ2Matrix, UnitUpperZ2Matrix, dict[int, int]]:
-    """Left-to-right column reduction R = A V with unique column pivots.
+class ReducedMatrix(SparseZ2Matrix):
+    """The reduced matrix R = A V, read on demand.
+
+    ``_cols`` holds the columns built so far: each column the reduction
+    built, and each owner an exactness test has read.  A column not built
+    is A's column if that column owns its first-cofacet pivot, and zero
+    otherwise: it was cleared, or A's column is zero.
+    """
+
+    __slots__ = ("_A", "_pivot_to_col")
+
+    def __init__(self, A: SparseZ2Matrix, pivot_to_col: dict[int, int], built: dict[int, int]):
+        self.n_rows, self.n_cols = A.n_rows, A.n_cols
+        self._A = A
+        self._pivot_to_col = pivot_to_col
+        self._cols = built
+
+    def pivot(self, j: int) -> int | None:
+        col = self._cols.get(j)
+        if col is not None:
+            return col.bit_length() - 1 if col else None
+        p = self._A.pivot(j)
+        return p if p is not None and self._pivot_to_col.get(p) == j else None
+
+    def peek(self, j: int) -> int:
+        """Column j, without keeping it when it had to be built."""
+        col = self._cols.get(j)
+        if col is None:
+            col = self._A.col_mask(j) if self.pivot(j) is not None else 0
+        return col
+
+    def col_mask(self, j: int) -> int:
+        col = self.peek(j)
+        if col:
+            self._cols[j] = col
+        return col
+
+    def nnz(self) -> int:
+        return sum(self.peek(j).bit_count() for j in range(self.n_cols))
+
+
+class ReductionMatrix(SparseZ2Matrix):
+    """The reduction matrix V: upper unitriangular with its diagonal implicit.
+
+    ``_cols`` maps each column the reduction built to its part above the
+    diagonal, and ``_cleared`` each cleared column i to the column j of R
+    whose pivot row it is: there V_i = R_j.  Every other column is a unit
+    vector.
+    """
+
+    __slots__ = ("_R", "_cleared")
+
+    def __init__(self, R: ReducedMatrix, upper: dict[int, int], cleared: dict[int, int]):
+        self.n_rows = self.n_cols = R.n_cols
+        self._R = R
+        self._cols = upper
+        self._cleared = cleared
+
+    def col_mask(self, j: int) -> int:
+        if not 0 <= j < self.n_cols:
+            raise IndexError(f"column {j} out of range")
+        owner = self._cleared.get(j)
+        if owner is not None:
+            return self._R.peek(owner)
+        return self._cols.get(j, 0) | 1 << j
+
+    def nnz(self) -> int:
+        upper = sum(c.bit_count() for c in self._cols.values())
+        cleared = sum(self._R.peek(j).bit_count() - 1 for j in self._cleared.values())
+        return self.n_cols + upper + cleared
+
+
+def column_reduce(A: SparseZ2Matrix) -> tuple[ReducedMatrix, ReductionMatrix, dict[int, int]]:
+    """Column reduction R = A V with unique column pivots, block by block.
 
     Returns R, V and the map from each pivot row to the column owning it.
-    V is upper unitriangular and stores only the columns that received an
-    addition.
+    The columns are visited in the order of ``A.blocks()``.  A column i
+    whose position is the pivot row of a column j of an earlier block is
+    cleared, with V_i := R_j; that keeps A V = R only because A A = 0, as
+    for a coboundary matrix.  Within one block no column is cleared, so a
+    one-block matrix gets the plain left-to-right reduction.
     """
     if A.n_rows != A.n_cols:
         raise ValueError("column_reduce expects a square matrix")
-    n = A.n_cols
-    R = [A.col_mask(j) for j in range(n)]
-    V: dict[int, int] = {}
     pivot_to_col: dict[int, int] = {}
-    for j in range(n):
-        col = R[j]
-        added = 0
-        while col:
-            p = col.bit_length() - 1
-            owner = pivot_to_col.get(p)
+    built: dict[int, int] = {}
+    upper: dict[int, int] = {}
+    cleared: dict[int, int] = {}
+
+    def reduced_column(j: int) -> int:
+        col = built.get(j)
+        if col is None:
+            col = built[j] = A.col_mask(j)
+        return col
+
+    for block in A.blocks():
+        owned: dict[int, int] = {}
+        for j in block:
+            owner = pivot_to_col.get(j)
+            if owner is not None:
+                cleared[j] = owner
+                continue
+            p = A.pivot(j)
+            if p is None:
+                continue
+            owner = owned.get(p)
             if owner is None:
-                pivot_to_col[p] = j
-                break
-            col ^= R[owner]
-            # owner < j, so all of its V column lies above row j
-            added ^= V.get(owner, 0) | 1 << owner
-        R[j] = col
-        if added:
-            V[j] = added
-    return SparseZ2Matrix(n, n, R), UnitUpperZ2Matrix(n, V), pivot_to_col
+                owned[p] = j
+                continue
+            col = A.col_mask(j)
+            added = 0
+            while owner is not None:
+                col ^= reduced_column(owner)
+                # owner < j, so all of its V column lies above row j
+                added ^= upper.get(owner, 0) | 1 << owner
+                if not col:
+                    break
+                p = col.bit_length() - 1
+                owner = owned.get(p)
+            else:
+                owned[p] = j
+            built[j] = col
+            upper[j] = added
+        pivot_to_col.update(owned)
+    R = ReducedMatrix(A, pivot_to_col, built)
+    return R, ReductionMatrix(R, upper, cleared), pivot_to_col
 
 
 @dataclass(frozen=True)
@@ -157,8 +323,9 @@ class ReducedCoboundary:
     """The reduced coboundary matrix R = A V of a complex over Z2.
 
     ``pivot_to_col`` maps each pivot row of R to the unique column owning
-    it.  One reduction serves the barcode pairing, the representative
-    cocycles (columns of V) and every exactness test.
+    it.  A, R and V are the views of the module docstring.  One reduction
+    serves the barcode pairing, the representative cocycles (columns of V)
+    and every exactness test.
     """
 
     complex: FilteredComplex = field(repr=False)
@@ -209,7 +376,7 @@ def in_reduced_column_space(mask: int, t: float, rc: ReducedCoboundary) -> bool:
     soon as the top bit falls below the cut.
     """
     cut = rc.R.n_rows - rc.complex.stage_count(t)
-    cols = rc.R._cols
+    col_mask = rc.R.col_mask
     pivot_to_col = rc.pivot_to_col
     while mask:
         p = mask.bit_length() - 1
@@ -218,5 +385,5 @@ def in_reduced_column_space(mask: int, t: float, rc: ReducedCoboundary) -> bool:
         j = pivot_to_col.get(p)
         if j is None:
             return False
-        mask ^= cols[j]
+        mask ^= col_mask(j)
     return True

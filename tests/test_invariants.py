@@ -3,15 +3,17 @@
 Each property compares two functions on every closed interval of a
 critical grid: the function of a disjoint union against the pointwise
 max of the parts, and the function of a relabeled or monotonically
-regraded complex against the original.
+regraded complex against the original.  Stability compares two functions
+by erosion distance instead.
 """
 
+import math
 import random
 
 from cuplength import spaces
 from cuplength.cup import compute_cup_diagram
-from cuplength.functions import Interval, evaluate, pointwise_max, reconstruct
-from cuplength.simplicial import from_simplex_list
+from cuplength.functions import Interval, erosion_distance, evaluate, pointwise_max, reconstruct
+from cuplength.simplicial import build_vietoris_rips, distances_from_points, from_simplex_list
 from conftest import random_filtration, regrade
 
 SURFACES = (spaces.csaszar_torus, spaces.staged_klein, spaces.projective_plane)
@@ -77,3 +79,27 @@ def test_monotone_regrading_reparametrizes_the_function():
             assert evaluate(g, Interval.closed(phi[t], phi[s])) == value
             top = max(top, value)
     assert top == 2
+
+
+def _vr_function(D):
+    return _function(build_vietoris_rips(D, 3, math.inf))
+
+
+def test_erosion_distance_is_stable_under_perturbed_distances():
+    # the paper's stability theorem on a common vertex set, under the
+    # diam <= r convention: erosion(f(VR(D)), f(VR(D'))) <= |D - D'|_inf
+    rng = random.Random(64)
+    nonzero = 0
+    for i in range(30):
+        n = rng.randint(6, 10)
+        D = distances_from_points([[rng.random() for _ in range(3)] for _ in range(n)])
+        delta = (0.01, 0.05, 0.1, 0.2)[i % 4]
+        E = [row[:] for row in D]
+        for a in range(n):
+            for b in range(a):
+                E[a][b] = E[b][a] = max(0.0, D[a][b] + rng.uniform(-delta, delta))
+        bound = max(abs(x - y) for row, other in zip(D, E) for x, y in zip(row, other))
+        distance = erosion_distance(_vr_function(D), _vr_function(E))
+        assert distance <= bound
+        nonzero += distance > 0
+    assert nonzero > 10

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from cuplength import spaces
 from cuplength.cohomology import Cochain, cochain_coboundary
 from cuplength.errors import SimplexNotAlive
-from cuplength.simplicial import build_vietoris_rips, distances_from_points, from_simplex_list
+from cuplength.simplicial import build_vietoris_rips, distances_from_points, faces, from_simplex_list
 from cuplength.z2 import (
     SparseZ2Matrix,
     coboundary_matrix,
@@ -48,6 +50,32 @@ def test_filled_triangle_matrix():
     for j in (1, 2, 3):
         assert a.column(j) == (0,)
     assert [a.column(j) for j in (4, 5, 6)] == [(1, 2), (1, 3), (2, 3)]
+
+
+def _reference_coboundary(c):
+    """The coboundary columns of c, set face by face from every simplex."""
+    last = len(c) - 1
+    cols = [0] * len(c)
+    for i, v in enumerate(c.simplices):
+        if len(v) > 1:
+            for f in faces(v):
+                cols[last - c.index_of[f]] |= 1 << (last - i)
+    return cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.randoms(use_true_random=False).map(random_filtration),
+    st.sampled_from([from_simplex_list([([0], 0.0)]), spaces.hollow_triangle()]),
+))
+def test_coboundary_view_pivot_is_first_cofacet(c):
+    # the hollow triangle is not a flag complex: the common neighbour of an
+    # edge's vertices spans no triangle there
+    a = coboundary_matrix(c)
+    masks = _masks(a)
+    assert masks == _reference_coboundary(c)
+    assert [a.pivot(j) for j in range(a.n_cols)] == [m.bit_length() - 1 if m else None for m in masks]
+    assert a.nnz() == sum(m.bit_count() for m in masks)
 
 
 def _masks(M):
@@ -142,20 +170,31 @@ def _dense_column_reduce(cols):
     return R, V, pivot_to_col, added
 
 
+def _cleared(A, pivot_to_col):
+    """Columns whose position is the pivot row of a column of an earlier block."""
+    block_of = {j: b for b, block in enumerate(A.blocks()) for j in block}
+    return {i for i, j in pivot_to_col.items() if block_of[j] < block_of[i]}
+
+
 def _assert_matches_dense(A):
     R, V, pivot_to_col = column_reduce(A)
     n = A.n_cols
     dense_R, dense_V, dense_pivots, added = _dense_column_reduce([A.col_mask(j) for j in range(n)])
     assert [R.col_mask(j) for j in range(n)] == dense_R
     assert pivot_to_col == dense_pivots
+    cleared = _cleared(A, pivot_to_col)
+    kept = [j for j in range(n) if j not in cleared]
     dense = SparseZ2Matrix(n, n, dense_V)
-    assert [V.column(j) for j in range(n)] == [dense.column(j) for j in range(n)]
-    assert _masks(V) == dense_V
-    # V stores exactly the columns that received an addition, and its nnz
-    # still counts the implicit diagonal
-    assert set(V._cols) == added
-    assert V.nnz() == dense.nnz()
-    return added
+    assert [V.column(j) for j in kept] == [dense.column(j) for j in kept]
+    assert [V.col_mask(j) for j in kept] == [dense_V[j] for j in kept]
+    # a cleared column i takes the column of R whose pivot row it is
+    for i in cleared:
+        assert V.col_mask(i) == R.col_mask(pivot_to_col[i])
+    # V stores exactly the columns that were not cleared and received an
+    # addition, and its nnz still counts the implicit diagonal
+    assert set(V._cols) == added - cleared
+    assert V.nnz() == sum(m.bit_count() for m in _masks(V))
+    return set(V._cols), cleared
 
 
 @st.composite
@@ -180,9 +219,27 @@ def test_reduction_matches_dense_reference_on_vr_complex():
     rng = random.Random(31)
     points = [(rng.random(), rng.random()) for _ in range(12)]
     c = build_vietoris_rips(distances_from_points(points), 3, math.inf)
-    added = _assert_matches_dense(coboundary_matrix(c))
-    # most columns are never touched, so most of V is left implicit
-    assert 0 < len(added) < len(c) // 4
+    stored, cleared = _assert_matches_dense(coboundary_matrix(c))
+    # most columns are cleared or never touched, so most of V is left implicit
+    assert 0 < len(stored) < len(c) // 4
+    assert cleared
+
+
+def test_reduction_stores_far_less_than_the_coboundary_matrix():
+    # memory regression guard: every column of A as a bitmask is what a
+    # stored coboundary matrix costs; the reduction must peak well below it
+    rng = random.Random(37)
+    points = [(rng.random(), rng.random()) for _ in range(30)]
+    c = build_vietoris_rips(distances_from_points(points), 3, math.inf)
+    assert len(c) == 31_930
+    tracemalloc.start()
+    try:
+        rc = reduce_coboundary(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stored = sum(sys.getsizeof(rc.A.col_mask(j)) for j in range(rc.A.n_cols))
+    assert peak < stored / 2
 
 
 def test_is_coboundary_hollow_triangle():
