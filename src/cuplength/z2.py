@@ -46,7 +46,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import SimplexNotAlive
-from .simplicial import FilteredComplex, Verts
+from .simplicial import FilteredComplex
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cohomology import Cochain
@@ -144,7 +144,7 @@ class CoboundaryMatrix(SparseZ2Matrix):
 
     def col_mask(self, j: int) -> int:
         last = self.n_cols - 1
-        verts: Verts = self._complex.simplices[last - j]
+        verts = self._complex.simplices[last - j]
         index = self._complex.index_of
         common = self._neighbours[verts[0]]
         for v in verts[1:]:
