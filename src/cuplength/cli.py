@@ -178,6 +178,16 @@ def _json_input(parse):
     return wrapped
 
 
+def _json_int(item: dict, key: str, least: int) -> int:
+    """item[key] as a JSON integer of at least ``least``; a float, string or bool is an error."""
+    value = item[key]
+    if type(value) is not int:
+        raise ParseError(f"{key} must be a JSON integer, got {json.dumps(value)}")
+    if value < least:
+        raise ParseError(f"{key} must be at least {least}, got {value}")
+    return value
+
+
 def diagram_to_json(d: CupDiagram) -> str:
     pts = []
     for interval, value in d.sorted_points():
@@ -205,7 +215,7 @@ def parse_diagram(text: str) -> CupDiagram:
             interval = Interval(birth, INF)
         else:
             interval = Interval.closed_open(birth, float(p["death"]))
-        points[interval] = int(p["value"])
+        points[interval] = _json_int(p, "value", 1)
     return CupDiagram(points)
 
 
@@ -246,7 +256,7 @@ def parse_function(text: str) -> CupFunction:
             bool(g.get("left_closed", True)),
             bool(g.get("right_closed", False)),
         )
-        gens.append((interval, int(g["value"])))
+        gens.append((interval, _json_int(g, "value", 1)))
     return CupFunction.from_pairs(gens)
 
 
@@ -270,9 +280,10 @@ def parse_barcode(text: str) -> list[Bar]:
     bars = []
     for item in data["bars"]:
         death = INF if item.get("inf") else float(item["death"])
+        dim = _json_int(item, "dim", 0)
         summands = frozenset(tuple(v) for v in item["representative"])
-        rep = Cochain(int(item["dim"]), summands) if summands else Cochain.zero(int(item["dim"]))
-        bars.append(Bar(int(item["dim"]), float(item["birth"]), death, rep))
+        rep = Cochain(dim, summands) if summands else Cochain.zero(dim)
+        bars.append(Bar(dim, float(item["birth"]), death, rep))
     return bars
 
 

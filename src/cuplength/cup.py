@@ -12,7 +12,10 @@ the restricted product cochain is still not a coboundary.  Exactness is
 monotone downward along the filtration, so one test at the last birth
 strictly below the intersection's right end decides whether the product
 survives, and bisection over the birth grid finds the left end, as a
-linear descent would.  Each fold multiplies its pairs as it visits them.
+linear descent would.  A fold multiplies a pair only when a summand of
+the left factor ends at a vertex where a summand of the right factor
+starts: the Alexander-Whitney product joins exactly such summands, so
+every other pair multiplies to zero and is never visited.
 """
 
 from __future__ import annotations
@@ -65,6 +68,16 @@ class CupDiagram:
 
 @dataclass
 class RunStats:
+    """Sizes and work counts of one cup-length diagram run; none is an output.
+
+    ``m_k`` is the number of simplices of positive dimension in the complex,
+    ``q_1`` the number of bars kept after trimming and ``q_ell[ell]`` the
+    number of distinct (support, product) pairs found at fold ``ell``.
+    ``product_count`` counts the pairs actually multiplied: those that share
+    an end/start vertex and pass the dimension and overlap checks.
+    ``coboundary_test_count`` counts the exactness tests made by ``support``.
+    """
+
     m_k: int
     q_1: int
     q_ell: dict[int, int] = field(default_factory=dict)
@@ -121,10 +134,14 @@ def cup_diagram(b: AnnotatedBarcode, trim_eps: float = 0.0) -> tuple[CupDiagram,
     discarded first.  Every surviving bar contributes its own interval at
     value 1; repeated products against the bar set contribute the interval
     of each non-empty support at the fold count, merged by maximum.
-    Products whose total dimension would exceed ``b.dim_bound`` are
-    skipped, matching the truncation's trustworthy range.  Exactness tests
-    reuse the reduction ``b`` was read from.  The result does not depend on
-    the order of ``b.bars``.
+    Each fold indexes the products found so far by the first vertices of
+    their summands, and multiplies a bar representative only against those
+    sharing a vertex with the last vertices of its own summands, in the
+    order they were found; the other pairs multiply to zero.  Products
+    whose total dimension would exceed ``b.dim_bound`` are skipped,
+    matching the truncation's trustworthy range.  Exactness tests reuse the
+    reduction ``b`` was read from.  The result does not depend on the order
+    of ``b.bars``.
     """
     if not trim_eps >= 0:  # also rejects nan
         raise ValueError(f"trim_eps must be non-negative, got {trim_eps}")
@@ -151,13 +168,22 @@ def cup_diagram(b: AnnotatedBarcode, trim_eps: float = 0.0) -> tuple[CupDiagram,
 
     birth_grid = sorted({interval.left for interval, _ in base})
     p_max = min(k, c.dim)
+    last_vertices = [{verts[-1] for verts in s1.summands} for _, s1 in base]
     current = base
     ell = 1
     while current and ell <= k - 1:
+        # positions in current of the cochains with a summand starting at each vertex
+        starting_at: dict[int, list[int]] = {}
+        for j, (_, s2) in enumerate(current):
+            for v in {verts[0] for verts in s2.summands}:
+                starting_at.setdefault(v, []).append(j)
         # an insertion-ordered set of (support, product) pairs
         fresh: dict[tuple[Interval, Cochain], None] = {}
-        for i1, s1 in base:
-            for i2, s2 in current:
+        for (i1, s1), ends in zip(base, last_vertices):
+            partners = {j for v in ends for j in starting_at.get(v, ())}
+            # in list order, so fresh is filled in the order all pairs would fill it
+            for j in sorted(partners):
+                i2, s2 = current[j]
                 if s1.p + s2.p > p_max or not i1.overlaps(i2):
                     continue
                 stats.product_count += 1

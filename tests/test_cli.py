@@ -304,7 +304,43 @@ MALFORMED = {
         "f.json",
         '{"generators":[{"left":0,"right":1,"inf":false,"value":1e999}]}',
         ["erosion", "circle"],
-        "cannot convert float infinity to integer",
+        "value must be a JSON integer, got Infinity",
+    ),
+    "function-float-value": (
+        "f.json",
+        '{"generators":[{"left":0,"right":1,"inf":false,"value":2.7}]}',
+        ["erosion", "circle"],
+        "value must be a JSON integer, got 2.7",
+    ),
+    "function-string-value": (
+        "f.json",
+        '{"generators":[{"left":0,"right":1,"inf":false,"value":"3"}]}',
+        ["erosion", "circle"],
+        'value must be a JSON integer, got "3"',
+    ),
+    "diagram-negative-value": (
+        "d.json",
+        '{"points":[{"birth":0,"death":1,"inf":false,"value":-2}]}',
+        ["plot"],
+        "value must be at least 1, got -2",
+    ),
+    "diagram-float-value": (
+        "d.json",
+        '{"points":[{"birth":0,"death":1,"inf":false,"value":1.5}]}',
+        ["plot"],
+        "value must be a JSON integer, got 1.5",
+    ),
+    "barcode-negative-dim": (
+        "b.json",
+        '{"bars":[{"dim":-1,"birth":0,"inf":true,"representative":[]}]}',
+        ["plot"],
+        "dim must be at least 0, got -1",
+    ),
+    "barcode-float-dim": (
+        "b.json",
+        '{"bars":[{"dim":1.5,"birth":0,"inf":true,"representative":[]}]}',
+        ["plot"],
+        "dim must be a JSON integer, got 1.5",
     ),
     "preset-zero": ("f.json", '{"generators":[]}', ["erosion", "circle:0"], "preset 'circle:0'"),
     "preset-not-a-number": ("f.json", '{"generators":[]}', ["erosion", "circle:x"], "preset 'circle:x'"),

@@ -5,11 +5,11 @@ import pytest
 
 from cuplength import cli, oracle, spaces
 from cuplength.cohomology import Cochain, compute_barcode
-from cuplength.cup import compute_cup_diagram, cup_diagram, cup_product, support
+from cuplength.cup import CupDiagram, RunStats, compute_cup_diagram, cup_diagram, cup_product, support
 from cuplength.functions import Interval, evaluate, reconstruct
 from cuplength.simplicial import from_simplex_list, truncate
 from cuplength.z2 import in_reduced_column_space, is_coboundary, reduce_coboundary
-from conftest import random_filtration, regrade
+from conftest import random_filtration, regrade, simplicial_product
 
 
 def _chain(entries):
@@ -282,3 +282,79 @@ def test_cup_diagram_rejects_negative_trim():
     for eps in (-1.0, math.nan):
         with pytest.raises(ValueError, match=f"got {eps}"):
             cup_diagram(b, trim_eps=eps)
+
+
+def _all_pairs_cup_diagram(b, trim_eps=0.0):
+    """Reference for cup_diagram: each fold multiplies every base entry
+    against every product found so far, in list order."""
+    rc = b.reduction
+    c = rc.complex
+    k = b.dim_bound
+    base = [(bar.interval(), bar.representative) for bar in b.bars if bar.length >= trim_eps]
+    points = {}
+
+    def record(interval, value):
+        if points.get(interval, 0) < value:
+            points[interval] = value
+
+    for interval, _ in base:
+        record(interval, 1)
+    stats = RunStats(
+        m_k=sum(1 for v in c.simplices if len(v) > 1),
+        q_1=len(base),
+        q_ell={1: len(base)},
+    )
+    if not base or k < 2:
+        return CupDiagram(points), stats
+    birth_grid = sorted({interval.left for interval, _ in base})
+    p_max = min(k, c.dim)
+    current = base
+    ell = 1
+    while current and ell <= k - 1:
+        fresh = {}
+        for i1, s1 in base:
+            for i2, s2 in current:
+                if s1.p + s2.p > p_max or not i1.overlaps(i2):
+                    continue
+                stats.product_count += 1
+                sigma = cup_product(s1, s2, c)
+                if sigma.is_zero():
+                    continue
+                supp = support(sigma, i1.intersect(i2), rc, birth_grid, stats)
+                if supp is not None:
+                    fresh[supp, sigma] = None
+        ell += 1
+        current = list(fresh)
+        for interval, _ in current:
+            record(interval, ell)
+        stats.q_ell[ell] = len(current)
+    return CupDiagram(points), stats
+
+
+def test_vertex_index_multiplies_the_same_products_as_all_pairs():
+    rng = random.Random(91)
+    circle_rp2 = simplicial_product(spaces.hollow_triangle(), spaces.projective_plane())
+    bases = [spaces.csaszar_torus(), spaces.staged_klein(), spaces.projective_plane()]
+    instances = [
+        (random_filtration(rng, max_vertices=8, max_positive=40, density=(0.7, 0.45, 0.2)), 2 + i % 2, False)
+        for i in range(12)
+    ]
+    instances += [(regrade(rng, bases[i % 3]), 2, i % 3 == 0) for i in range(15)]
+    instances += [(circle_rp2, 3, False)] + [(regrade(rng, circle_rp2), 3, False) for _ in range(3)]
+    torus_products = torus_reference = 0
+    later_folds = 0
+    for c, k, torus in instances:
+        b = compute_barcode(c, k)
+        d, stats = cup_diagram(b)
+        ref_d, ref_stats = _all_pairs_cup_diagram(b)
+        assert cli.diagram_to_json(d) == cli.diagram_to_json(ref_d)
+        assert stats.q_ell == ref_stats.q_ell
+        assert stats.coboundary_test_count == ref_stats.coboundary_test_count
+        assert stats.product_count <= ref_stats.product_count
+        if torus:
+            torus_products += stats.product_count
+            torus_reference += ref_stats.product_count
+        later_folds += k == 3 and stats.q_ell.get(2, 0) > 0
+    assert torus_products < torus_reference
+    # a fold with current != base ran
+    assert later_folds >= 1
