@@ -188,6 +188,35 @@ def _json_int(item: dict, key: str, least: int) -> int:
     return value
 
 
+def _json_flag(item: dict, key: str, default: bool) -> bool:
+    """item[key] as JSON true or false, ``default`` when absent; any other value is an error."""
+    value = item.get(key, default)
+    if type(value) is not bool:
+        raise ParseError(f"{key} must be JSON true or false, got {json.dumps(value)}")
+    return value
+
+
+def _json_number(item: dict, key: str) -> float:
+    """item[key] as a float; a bool, string or other non-number is an error."""
+    value = item[key]
+    if type(value) not in (int, float):
+        raise ParseError(f"{key} must be a JSON number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _json_end(item: dict, key: str) -> float:
+    """The right end or death that item[key] gives, inf when "inf" is true.
+
+    A number too large for a float is an error, not an unbounded end; a
+    NaN is left for Interval to reject."""
+    if _json_flag(item, "inf", False):
+        return INF
+    value = _json_number(item, key)
+    if math.isinf(value):
+        raise ParseError(f'{key} must be finite, got {json.dumps(value)}; an unbounded end is "inf": true')
+    return value
+
+
 def diagram_to_json(d: CupDiagram) -> str:
     pts = []
     for interval, value in d.sorted_points():
@@ -210,11 +239,7 @@ def parse_diagram(text: str) -> CupDiagram:
     data = json.loads(text)
     points: dict[Interval, int] = {}
     for p in data["points"]:
-        birth = float(p["birth"])
-        if p.get("inf"):
-            interval = Interval(birth, INF)
-        else:
-            interval = Interval.closed_open(birth, float(p["death"]))
+        interval = Interval.closed_open(_json_number(p, "birth"), _json_end(p, "death"))
         points[interval] = _json_int(p, "value", 1)
     return CupDiagram(points)
 
@@ -249,12 +274,11 @@ def parse_function(text: str) -> CupFunction:
     data = json.loads(text)
     gens = []
     for g in data["generators"]:
-        right = INF if g.get("inf") else float(g["right"])
         interval = Interval(
-            float(g["left"]),
-            right,
-            bool(g.get("left_closed", True)),
-            bool(g.get("right_closed", False)),
+            _json_number(g, "left"),
+            _json_end(g, "right"),
+            _json_flag(g, "left_closed", True),
+            _json_flag(g, "right_closed", False),
         )
         gens.append((interval, _json_int(g, "value", 1)))
     return CupFunction.from_pairs(gens)
@@ -279,11 +303,11 @@ def parse_barcode(text: str) -> list[Bar]:
     data = json.loads(text)
     bars = []
     for item in data["bars"]:
-        death = INF if item.get("inf") else float(item["death"])
+        death = _json_end(item, "death")
         dim = _json_int(item, "dim", 0)
         summands = frozenset(tuple(v) for v in item["representative"])
         rep = Cochain(dim, summands) if summands else Cochain.zero(dim)
-        bars.append(Bar(dim, float(item["birth"]), death, rep))
+        bars.append(Bar(dim, _json_number(item, "birth"), death, rep))
     return bars
 
 

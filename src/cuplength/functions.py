@@ -18,14 +18,18 @@ configuration only changes when a shrunk generator endpoint crosses another
 endpoint or a generator collapses to a point.  All such breakpoints are
 differences or half differences of finite generator endpoints, so the
 infimum is the first sorted candidate whose gap to the next one passes the
-eroded predicate.  The predicate is monotone in epsilon and the gap
-midpoints increase with the index, so bisection over the candidates finds
-that gap with logarithmically many probes.
+eroded predicate.  The predicate is monotone in epsilon, so a probe at any
+candidate tells on which side of it the answer lies.  The candidates are
+rows of sorted endpoint differences and their halves, never listed whole:
+probes at the median of a stride sample narrow a value bracket until a few
+hundred candidates are left, and bisection over the gaps of those finds the
+answer with logarithmically many probes.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
@@ -33,6 +37,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .cup import CupDiagram
 
 INF = math.inf
+
+# Erosion distance samples every _STRIDE-th candidate and narrows by probes
+# until at most about _LISTED candidates are left to list.
+_STRIDE = 16
+_LISTED = 512
 
 
 @dataclass(frozen=True)
@@ -166,19 +175,54 @@ def pointwise_max(f: CupFunction, g: CupFunction) -> CupFunction:
     return CupFunction.from_pairs(tuple(f.generators) + tuple(g.generators))
 
 
-def _erosion_candidates(f: CupFunction, g: CupFunction) -> list[float]:
-    ends: list[float] = []
-    for gen, _ in f.generators + g.generators:
-        ends.append(gen.left)
-        if not gen.unbounded:
-            ends.append(gen.right)
-    cands = {0.0}
-    for i, x in enumerate(ends):
-        for y in ends[i:]:
-            d = abs(x - y)
-            cands.add(d)
-            cands.add(d / 2.0)
-    return sorted(cands)
+def _finite_ends(f: CupFunction, g: CupFunction) -> list[float]:
+    """Sorted distinct finite endpoints of both generator sets."""
+    return sorted(
+        {x for gen, _ in f.generators + g.generators for x in ((gen.left,) if gen.unbounded else (gen.left, gen.right))}
+    )
+
+
+def _sampled_candidates(ends: list[float]) -> list[float]:
+    """Every _STRIDE-th entry of the difference rows ends[j] - ends[i]
+    (j > i) laid end to end, and its half, sorted; each stands for
+    _STRIDE candidates."""
+    sample: list[float] = []
+    skip = 0
+    for i, base in enumerate(ends):
+        diffs = [x - base for x in ends[i + 1 + skip :: _STRIDE]]
+        sample += diffs
+        sample += [d / 2.0 for d in diffs]
+        skip = (skip - (len(ends) - 1 - i)) % _STRIDE
+    sample.sort()
+    return sample
+
+
+def _candidates_between(ends: list[float], lo: float, hi: float) -> list[float]:
+    """Sorted distinct candidates in [lo, hi]: 0 and every difference
+    ends[j] - ends[i] (j > i) or half difference in range.
+
+    A row ascends in j and descends in i, so the first index of a row at
+    or above lo, and the first above hi, never move back from row to row.
+    Halves are compared as computed: d / 2.0 rounds among subnormals, and
+    2 * hi may overflow.
+    """
+    found = [0.0] if lo == 0.0 else []
+    n = len(ends)
+    for div in (1.0, 2.0):  # d / 1.0 is d exactly
+        start = stop = 0
+        for i, base in enumerate(ends):
+            if start <= i:
+                start = i + 1
+            while start < n and (ends[start] - base) / div < lo:
+                start += 1
+            if start == n:
+                break  # this row and every later one lies below lo
+            if stop < start:
+                stop = start
+            while stop < n and (ends[stop] - base) / div <= hi:
+                stop += 1
+            found += [(x - base) / div for x in ends[start:stop]]
+    return sorted(set(found))
 
 
 def _covers_shrunk(f: CupFunction, outer: Interval, value: int, eps: float) -> bool:
@@ -205,20 +249,40 @@ def erosion_distance(f: CupFunction, g: CupFunction) -> float:
     midpoint passes; the last gap reaches to its candidate plus one.  A
     larger eps shrinks every query the predicate must cover, so it is
     non-decreasing in eps; the midpoints grow with the gap index, so the
-    passing gaps form a suffix.  Bisection finds the first of them, the gap
-    a scan in order would stop at, with ceil(log2(n + 1)) probes.
+    passing gaps form a suffix.
+
+    The candidates are never all listed.  A probe at a candidate v splits
+    them: if v fails, so does every gap below it, whose midpoint is at most
+    v, and the answer is at least v; if v passes, so does the gap starting
+    at v, and the answer is at most v.  Probes at the median of a sorted
+    sample narrow the bracket [lo, hi] until about _LISTED candidates are
+    left; those are listed, and bisection over their gaps finds the first
+    that passes.  A pivot v whose double overflows ends the narrowing: the
+    midpoint of the gap below such a v can round up past it.
     """
-    cands = _erosion_candidates(f, g)
+    ends = _finite_ends(f, g)
+    sample = _sampled_candidates(ends)
+    lo, hi = 0.0, INF  # the answer lies in [lo, hi]; hi stays INF until a probe passes
+    p, q = 0, len(sample)  # sample[p:q] holds the sampled candidates inside the bracket
+    while (q - p) * _STRIDE > _LISTED:
+        pivot = sample[(p + q) // 2]
+        if math.isinf(pivot + pivot):
+            break
+        if _eroded(f, g, pivot):
+            hi, q = pivot, bisect_left(sample, pivot, p, q)
+        else:
+            lo, p = pivot, bisect_right(sample, pivot, p, q)
+    cands = _candidates_between(ends, lo, hi)
     n = len(cands)
-    lo, hi = 0, n  # the first passing gap lies in [lo, hi]; n means none
-    while lo < hi:
-        mid = (lo + hi) // 2
+    first, last = 0, (n - 1 if hi < INF else n)  # the first passing gap lies in [first, last]; n means none
+    while first < last:
+        mid = (first + last) // 2
         upper = cands[mid + 1] if mid + 1 < n else cands[mid] + 1.0
         if _eroded(f, g, (cands[mid] + upper) / 2.0):
-            hi = mid
+            last = mid
         else:
-            lo = mid + 1
-    return cands[lo] if lo < n else INF
+            first = mid + 1
+    return cands[first] if first < n else INF
 
 
 def analytic_vr_circle(L: int) -> CupFunction:

@@ -342,6 +342,78 @@ MALFORMED = {
         ["plot"],
         "dim must be a JSON integer, got 1.5",
     ),
+    "function-string-flags": (
+        "f.json",
+        '{"generators":[{"left":1,"right":2,"inf":"false","left_closed":"false","value":1}]}',
+        ["erosion", "circle"],
+        'inf must be JSON true or false, got "false"',
+    ),
+    "function-string-closure": (
+        "f.json",
+        '{"generators":[{"left":1,"right":2,"inf":false,"left_closed":"false","value":1}]}',
+        ["erosion", "circle"],
+        'left_closed must be JSON true or false, got "false"',
+    ),
+    "function-numeric-closure": (
+        "f.json",
+        '{"generators":[{"left":1,"right":2,"inf":false,"right_closed":1,"value":1}]}',
+        ["plot"],
+        "right_closed must be JSON true or false, got 1",
+    ),
+    "function-overflowing-right": (
+        "f.json",
+        '{"generators":[{"left":0,"right":1e999,"inf":false,"value":1}]}',
+        ["erosion", "circle"],
+        "right must be finite, got Infinity",
+    ),
+    "function-string-left": (
+        "f.json",
+        '{"generators":[{"left":"1","right":2,"inf":false,"value":1}]}',
+        ["erosion", "circle"],
+        'left must be a JSON number, got "1"',
+    ),
+    "function-bool-right": (
+        "f.json",
+        '{"generators":[{"left":0,"right":true,"inf":false,"value":1}]}',
+        ["plot"],
+        "right must be a JSON number, got true",
+    ),
+    "diagram-string-inf": (
+        "d.json",
+        '{"points":[{"birth":0,"death":1,"inf":"false","value":1}]}',
+        ["plot"],
+        'inf must be JSON true or false, got "false"',
+    ),
+    "diagram-overflowing-death": (
+        "d.json",
+        '{"points":[{"birth":0,"death":1e999,"inf":false,"value":1}]}',
+        ["plot"],
+        "death must be finite, got Infinity",
+    ),
+    "diagram-bool-birth": (
+        "d.json",
+        '{"points":[{"birth":true,"death":2,"inf":false,"value":1}]}',
+        ["plot"],
+        "birth must be a JSON number, got true",
+    ),
+    "barcode-numeric-inf": (
+        "b.json",
+        '{"bars":[{"dim":0,"birth":0,"inf":1,"representative":[]}]}',
+        ["plot"],
+        "inf must be JSON true or false, got 1",
+    ),
+    "barcode-overflowing-death": (
+        "b.json",
+        '{"bars":[{"dim":0,"birth":0,"death":1e999,"inf":false,"representative":[]}]}',
+        ["plot"],
+        "death must be finite, got Infinity",
+    ),
+    "barcode-string-birth": (
+        "b.json",
+        '{"bars":[{"dim":0,"birth":"0","inf":true,"representative":[]}]}',
+        ["plot"],
+        'birth must be a JSON number, got "0"',
+    ),
     "preset-zero": ("f.json", '{"generators":[]}', ["erosion", "circle:0"], "preset 'circle:0'"),
     "preset-not-a-number": ("f.json", '{"generators":[]}', ["erosion", "circle:x"], "preset 'circle:x'"),
     "directory-input": ("in.txt", None, ["barcode"], "Is a directory"),

@@ -211,14 +211,45 @@ def test_erosion_symmetry_and_triangle():
         assert dfh <= dfg + dgh + 1e-12
 
 
+def _erosion_candidates(f, g):
+    """Every endpoint difference and half difference of f and g, and 0, sorted."""
+    ends = []
+    for gen, _ in f.generators + g.generators:
+        ends.append(gen.left)
+        if not gen.unbounded:
+            ends.append(gen.right)
+    cands = {0.0}
+    for i, x in enumerate(ends):
+        for y in ends[i:]:
+            d = abs(x - y)
+            cands.add(d)
+            cands.add(d / 2.0)
+    return sorted(cands)
+
+
 def _scan_erosion_distance(f, g):
     """Reference erosion distance: probe every candidate gap in order."""
-    cands = functions._erosion_candidates(f, g)
+    cands = _erosion_candidates(f, g)
     for i, c in enumerate(cands):
         upper = cands[i + 1] if i + 1 < len(cands) else c + 1.0
         if functions._eroded(f, g, (c + upper) / 2.0):
             return c
     return math.inf
+
+
+def _probed_erosion(f, g):
+    """erosion_distance(f, g) and the number of eroded-predicate probes it made."""
+    eroded = functions._eroded
+    probes = []
+
+    def counting(f, g, eps):
+        probes.append(eps)
+        return eroded(f, g, eps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functions, "_eroded", counting)
+        d = erosion_distance(f, g)
+    return d, len(probes)
 
 
 def _with_unbounded_top(f, value):
@@ -264,30 +295,131 @@ def test_erosion_bisection_matches_scan_on_finite_and_inf_pairs():
     assert erosion_distance(torus, wedge) == _scan_erosion_distance(torus, wedge)
 
 
-def test_erosion_probes_logarithmically_many_gaps(monkeypatch):
-    eroded = functions._eroded
-    probes = []
-
-    def counting(f, g, eps):
-        probes.append(eps)
-        return eroded(f, g, eps)
-
+def test_erosion_probes_logarithmically_many_gaps():
     rng = random.Random(34)
     pairs = [
         (analytic_vr_torus(8), analytic_vr_wedge_lower()),
         (analytic_vr_torus(8), analytic_vr_circle(8)),
         (pointwise_max(analytic_vr_torus(40), CupFunction.from_pairs([(Interval(10.0, math.inf), 3)])), analytic_vr_circle(40)),
     ] + [(random_cup_function(rng, max_gens=8), random_cup_function(rng, max_gens=8)) for _ in range(20)]
-    monkeypatch.setattr(functions, "_eroded", counting)
     sizes = []
     for f, g in pairs:
-        n = len(functions._erosion_candidates(f, g))
-        probes.clear()
-        erosion_distance(f, g)
-        assert len(probes) <= math.ceil(math.log2(n + 1)) + 1
+        n = len(_erosion_candidates(f, g))
+        _, probes = _probed_erosion(f, g)
+        assert probes <= math.ceil(math.log2(n + 1)) + 1
         sizes.append(n)
     # the third pair is at distance inf, where a scan probes all its gaps
     assert math.isinf(erosion_distance(*pairs[2])) and sizes[2] > 1000
+
+
+@st.composite
+def _benchmark_like_pairs(draw):
+    """Pairs shaped like the erosion benchmark's inputs: 12-24 generators,
+    3-decimal endpoints in [0, 14], mixed closures, up to three unbounded
+    generators.  Their near-equal differences (1.855 and 1.8549999999999995)
+    and thousands of candidates take the search through its narrowing
+    probes before it lists any."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def function(top):
+        gens = []
+        unbounded = rng.randint(0, 3)
+        for k in range(rng.randint(12, 24)):
+            left = round(rng.uniform(0.0, 10.0), 3)
+            if k < unbounded:
+                gens.append((Interval(left, math.inf, rng.random() < 0.5), top if k == 0 else rng.randint(1, top)))
+            else:
+                right = round(left + rng.uniform(0.05, 4.0), 3)
+                gens.append((Interval(left, right, rng.random() < 0.5, rng.random() < 0.5), rng.randint(1, 3)))
+        return CupFunction.from_pairs(gens)
+
+    # equal tops keep most distances finite; unequal ones make them inf
+    top = draw(st.integers(1, 3))
+    return function(top), function(top if draw(st.booleans()) else draw(st.integers(1, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_benchmark_like_pairs())
+def test_erosion_matches_scan_on_benchmark_like_pairs(pair):
+    f, g = pair
+    d, probes = _probed_erosion(f, g)
+    assert repr(d) == repr(_scan_erosion_distance(f, g))
+    assert probes <= math.ceil(math.log2(len(_erosion_candidates(f, g)) + 1)) + 1
+
+
+TINY = math.ulp(0.0)
+
+
+def _unit_grid_function(rng, unit, count):
+    """Generators with endpoints at multiples of ``unit`` in [-179, 179] units, a tenth unbounded."""
+    gens = []
+    for _ in range(count):
+        a = rng.randint(-179, 178)
+        if rng.random() < 0.1:
+            gens.append((Interval(a * unit, math.inf), 1))
+        else:
+            b = rng.randint(a + 1, 179)
+            gens.append((Interval(a * unit, b * unit, rng.random() < 0.5, rng.random() < 0.5), rng.randint(1, 2)))
+    return CupFunction.from_pairs(gens)
+
+
+ZERO = CupFunction.zero()
+EDGE_PAIRS = {
+    "both-zero": (ZERO, ZERO, 0.0),
+    "zero-vs-unbounded-only": (
+        ZERO,
+        CupFunction.from_pairs([(Interval(1.0, math.inf), 1), (Interval(2.5, math.inf), 2)]),
+        math.inf,
+    ),
+    "single-endpoint": (CupFunction.from_pairs([(Interval.point(1.0), 1)]), ZERO, 0.0),
+    "overflowing-difference": (
+        CupFunction.from_pairs([(Interval.closed(-1e308, 1e308), 1)]),
+        CupFunction.from_pairs([(Interval.closed(-1e308, 0.0), 1)]),
+        1e308,
+    ),
+    # 3 * TINY / 2.0 rounds to 2 * TINY, the only candidate between 0 and 3 * TINY
+    "rounded-half": (CupFunction.from_pairs([(Interval.closed(0.0, 3 * TINY), 1)]), ZERO, 2 * TINY),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_PAIRS))
+def test_erosion_edge_cases_match_scan(case):
+    f, g, expected = EDGE_PAIRS[case]
+    assert repr(erosion_distance(f, g)) == repr(_scan_erosion_distance(f, g)) == repr(expected)
+    assert repr(erosion_distance(g, f)) == repr(expected)
+
+
+@pytest.mark.parametrize("unit", [1e306, TINY], ids=["overflowing", "subnormal"])
+def test_erosion_matches_scan_at_extreme_magnitudes(unit):
+    # 30 generators a side give thousands of candidates, so the search
+    # narrows first: near 1e308 a pivot's double overflows, and among
+    # subnormals the half of an odd multiple of TINY rounds
+    rng = random.Random(55)
+    finite = 0
+    for _ in range(15):
+        f, g = _unit_grid_function(rng, unit, 30), _unit_grid_function(rng, unit, 30)
+        cands = _erosion_candidates(f, g)
+        assert (math.inf in cands) if unit > 1.0 else any(c / 2.0 * 2.0 != c for c in cands)
+        d = erosion_distance(f, g)
+        assert repr(d) == repr(_scan_erosion_distance(f, g))
+        finite += not math.isinf(d)
+    assert finite >= 5
+
+
+@pytest.mark.parametrize("unit", [1e306, TINY, 0.001], ids=["overflowing", "subnormal", "millesimal"])
+def test_candidates_between_lists_the_reference_candidates_in_range(unit):
+    # bounds are drawn from the candidates themselves, so a bound that only
+    # a rounded half or an overflowed difference reaches is among them
+    rng = random.Random(89)
+    for _ in range(4):
+        f, g = _unit_grid_function(rng, unit, 8), _unit_grid_function(rng, unit, 8)
+        ref = _erosion_candidates(f, g)
+        ends = functions._finite_ends(f, g)
+        for lo in rng.sample(ref, min(len(ref), 12)) + [0.0]:
+            above = [c for c in ref if c > lo]
+            for hi in rng.sample(above, min(len(above), 3)) + [lo, math.inf]:
+                listed = functions._candidates_between(ends, lo, hi)
+                assert listed == [c for c in ref if lo <= c <= hi], (lo, hi)
 
 
 def _case_contains(gen, q):

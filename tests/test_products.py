@@ -75,3 +75,39 @@ def test_staged_disks_times_circle_pipeline_matches_oracle():
             for t in prod.critical_values[: j + 1]:
                 q = Interval.closed(t, s)
                 assert evaluate(f, q) == evaluate(g, q)
+
+
+def _assert_pipeline_adds_factor_functions(a, b, k):
+    """The pipeline's function of a x b is the pointwise sum of the factors' oracle functions."""
+    prod = truncate(simplicial_product(a, b), k + 1)
+    diagram, _, _ = compute_cup_diagram(prod, k)
+    f = reconstruct(diagram)
+    summed = pointwise_sum(oracle.oracle_cup_function(a, k), oracle.oracle_cup_function(b, k))
+    values = set()
+    for j, s in enumerate(prod.critical_values):
+        for t in prod.critical_values[: j + 1]:
+            q = Interval.closed(t, s)
+            assert evaluate(f, q) == evaluate(summed, q), q
+            values.add(evaluate(f, q))
+    return values
+
+
+def test_staged_circle_times_disks_adds_cup_functions():
+    # the circle enters at 0, 1 or 2 and the disks' circles live on [0, 2)
+    # and [1, 3), so the product's function steps between 1 and 2
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(4):
+        a = regrade(rng, spaces.hollow_triangle(), grid=(0.0, 1.0, 2.0))
+        seen |= _assert_pipeline_adds_factor_functions(a, spaces.two_disks(), 2)
+    assert {1, 2} <= seen
+
+
+def test_staged_circle_times_projective_plane_adds_cup_functions():
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(2):
+        a = regrade(rng, spaces.hollow_triangle(), grid=(0.0, 1.0))
+        b = regrade(rng, spaces.projective_plane(), grid=(0.0, 1.0))
+        seen |= _assert_pipeline_adds_factor_functions(a, b, 3)
+    assert 3 in seen
