@@ -412,8 +412,8 @@ def run(config: JobConfig) -> int:
 
     if cmd == "oracle-check":
         # keep only the diagram, so the barcode's reduction is freed before
-        # the oracle runs
-        f = reconstruct(compute_cup_diagram(c, k, config.trim)[0])
+        # the oracle runs; the oracle keeps every bar, so no --trim here
+        f = reconstruct(compute_cup_diagram(c, k)[0])
         ct = truncate(c, k + 1)
         g = oracle.oracle_cup_function(ct, k)
         cvs = ct.critical_values
@@ -490,7 +490,7 @@ def _parser() -> argparse.ArgumentParser:
     command("cup-diagram", "persistent cup-length diagram", trim=True, formats=["csv", "svg"])
     command("cup-function", "persistent cup-length function", trim=True, formats=["svg"])
     command("erosion", "erosion distance of two functions", n_inputs=2, complex_input=False)
-    command("oracle-check", "pipeline vs oracle equivalence", trim=True)
+    command("oracle-check", "pipeline vs oracle equivalence")
     command("plot", "render a JSON artifact to SVG", complex_input=False)
     command("report", "emit all artifacts into a directory", trim=True)
     return p

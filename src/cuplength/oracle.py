@@ -2,14 +2,23 @@
 
 Everything here is recomputed from scratch with its own plain Gaussian
 elimination over Z2 (bitmask row echelon) and its own cup product against
-an explicit stage simplex set.  It exists to verify the reduction-based
-pipeline, so it shares no matrix code with it; only the complex and
-cochain containers are reused.  Intended for desk-scale instances.
+an explicit stage of the filtration.  It exists to verify the
+reduction-based pipeline, so it shares no matrix code with it; only the
+complex and cochain containers are reused.  Intended for desk-scale
+instances.
+
+A stage is a prefix of the complex's canonical order.  Each computation
+builds one skeleton of the complex, its simplices as integer positions
+with integer face positions, and reads every stage from it.
+``oracle_cup_function`` builds each stage once and computes each of its
+coboundary maps once: one elimination of the degree-p map gives both the
+cocycles of degree p and the coboundaries of degree p + 1.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -47,57 +56,109 @@ class _Echelon:
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
 
+    def copy(self) -> _Echelon:
+        twin = _Echelon()
+        twin.rows = dict(self.rows)
+        return twin
 
-class _Stage:
-    """The subcomplex at one parameter, with per-dimension indexing."""
 
-    def __init__(self, c: FilteredComplex, t: float):
-        self.t = t
-        self.alive: set[Verts] = set()
-        self.by_dim: dict[int, list[Verts]] = {}
-        for verts, grade in zip(c.simplices, c.grades):
-            if grade > t:
-                break
-            self.alive.add(verts)
-            self.by_dim.setdefault(len(verts) - 1, []).append(verts)
-        self.index: dict[int, dict[Verts, int]] = {
-            p: {v: i for i, v in enumerate(sorted(vs))} for p, vs in self.by_dim.items()
+class _Skeleton:
+    """The simplices of dimension at most ``top`` among the first ``n`` of
+    the canonical order, as ints: each dimension's positions in
+    lexicographic order, and each simplex's face positions.
+
+    One skeleton serves every stage inside its prefix.
+    """
+
+    def __init__(self, c: FilteredComplex, n: int, top: int):
+        simplices = c.simplices
+        index_of = c.index_of
+        by_dim: dict[int, list[int]] = {}
+        for i in range(n):
+            p = len(simplices[i]) - 1
+            if p <= top:
+                by_dim.setdefault(p, []).append(i)
+        self.c = c
+        self.top = top
+        self.lex = {p: sorted(ps, key=simplices.__getitem__) for p, ps in by_dim.items()}
+        self.faces: dict[int, list[int]] = {
+            i: [index_of[f] for f in faces(simplices[i])]
+            for p, ps in by_dim.items()
+            if p >= 1
+            for i in ps
         }
 
+
+class _Stage:
+    """The subcomplex at one parameter: a prefix of the canonical order.
+
+    A p-simplex's local index is its rank among the stage's p-simplices
+    in lexicographic order.  Faces precede their cofaces in the canonical
+    order, so every face of a stage simplex is in the stage.
+    """
+
+    def __init__(self, skeleton: _Skeleton, t: float):
+        c = skeleton.c
+        n = c.stage_count(t)
+        self.c = c
+        self.n = n
+        self.skeleton = skeleton
+        self.size: dict[int, int] = {}
+        # local index by position, for the dimensions below the skeleton's
+        # top: the only ones a cochain or a coboundary map's rows can have
+        self.rank = rank = array("i", bytes(4 * n))
+        for p in range(skeleton.top):
+            kept = self.gens(p)
+            self.size[p] = len(kept)
+            for r, i in enumerate(kept):
+                rank[i] = r
+        # exact spans by degree, kept by cohomology_basis or built on use
+        self.spans: dict[int, _Echelon] = {}
+
+    def gens(self, p: int) -> list[int]:
+        """Positions of the stage's p-simplices, in lexicographic order."""
+        n = self.n
+        return [i for i in self.skeleton.lex.get(p, ()) if i < n]
+
     def mask(self, sigma: Cochain) -> int:
-        idx = self.index.get(sigma.p, {})
+        index_of = self.c.index_of
+        rank = self.rank
         m = 0
         for v in sigma.summands:
-            m |= 1 << idx[v]
+            m |= 1 << rank[index_of[v]]
         return m
 
     def coboundary_map(self, p: int) -> list[int]:
-        """For each p-simplex (sorted order) the mask of its cofacets."""
-        src = self.index.get(p, {})
-        out = [0] * len(src)
-        up = self.index.get(p + 1, {})
-        for verts, bit in up.items():
-            for f in faces(verts):
-                j = src.get(f)
-                if j is not None:
-                    out[j] |= 1 << bit
+        """For each p-simplex (local order) the mask of its cofacets."""
+        out = [0] * self.size[p]
+        rank = self.rank
+        faces_of = self.skeleton.faces
+        for bit, j in enumerate(self.gens(p + 1)):
+            b = 1 << bit
+            for f in faces_of[j]:
+                out[rank[f]] |= b
         return out
 
     def exact_span(self, p: int) -> _Echelon:
         """Echelon of the image of the degree-(p-1) coboundary map."""
-        ech = _Echelon()
-        if p >= 1:
-            for image in self.coboundary_map(p - 1):
-                ech.insert(image)
-        return ech
+        span = self.spans.get(p)
+        if span is None:
+            span = _Echelon()
+            if p >= 1:
+                for image in self.coboundary_map(p - 1):
+                    span.insert(image)
+            self.spans[p] = span
+        return span
 
     def product(self, sigma1: Cochain, sigma2: Cochain) -> Cochain:
+        index_of = self.c.index_of
+        n = self.n
         out: set[Verts] = set()
         for a in sigma1.summands:
             for b in sigma2.summands:
                 if a[-1] == b[0]:
                     cand = a + b[1:]
-                    if cand in self.alive:
+                    if index_of.get(cand, n) < n:
                         out ^= {cand}
         return Cochain(sigma1.p + sigma2.p, frozenset(out))
 
@@ -113,46 +174,67 @@ class CohomBasis:
         return len(self.basis.get(p, []))
 
 
-def _kernel_basis(images: list[int]) -> list[int]:
+def _kernel_basis(images: list[int]) -> tuple[list[int], _Echelon]:
     """Combination masks spanning the kernel of a Z2 linear map given by
-    the image of each generator."""
-    stored: dict[int, tuple[int, int]] = {}
+    the image of each generator, and an echelon of its image.
+
+    The echelon is row for row the one that inserting each image in turn
+    builds, so one elimination serves both.
+    """
+    image = _Echelon()
+    rows = image.rows
+    combos: dict[int, int] = {}
     kernel = []
     for j, v in enumerate(images):
         combo = 1 << j
         while v:
             top = v.bit_length() - 1
-            hit = stored.get(top)
-            if hit is None:
+            row = rows.get(top)
+            if row is None:
                 break
-            v ^= hit[0]
-            combo ^= hit[1]
+            v ^= row
+            combo ^= combos[top]
         if v:
-            stored[v.bit_length() - 1] = (v, combo)
+            top = v.bit_length() - 1
+            rows[top] = v
+            combos[top] = combo
         else:
             kernel.append(combo)
-    return kernel
+    return kernel, image
 
 
-def cohomology_basis(c: FilteredComplex, t: float, k: int) -> CohomBasis:
-    """Bases of H^p of the stage-t subcomplex for p = 0..k, by elimination."""
+def cohomology_basis(
+    c: FilteredComplex, t: float, k: int, *, _stage: _Stage | None = None
+) -> CohomBasis:
+    """Bases of H^p of the stage-t subcomplex for p = 0..k, by elimination.
+
+    One elimination of each degree-p coboundary map gives the kernel at p
+    and the exact span at p + 1.  ``_stage`` is the stage-t subcomplex of
+    a skeleton of dimension k + 1 that the caller already holds; it keeps
+    each exact span, taken before the representatives enter it.
+    """
     if t not in c.critical_values:
         raise NotCriticalValue(f"{t} is not a critical value")
-    stage = _Stage(c, t)
+    stage = _stage
+    if stage is None:
+        stage = _Stage(_Skeleton(c, c.stage_count(t), k + 1), t)
     basis: dict[int, list[Cochain]] = {}
+    exact = _Echelon()
     for p in range(k + 1):
-        gens = sorted(stage.by_dim.get(p, []))
+        gens = stage.gens(p)
         if not gens:
             basis[p] = []
             continue
-        kernel = _kernel_basis(stage.coboundary_map(p))
-        exact = stage.exact_span(p)
+        stage.spans[p] = exact
+        kernel, image = _kernel_basis(stage.coboundary_map(p))
+        span = exact.copy()
         reps = []
         for combo in kernel:
-            if exact.insert(combo):
-                summands = frozenset(gens[i] for i in _bits(combo))
+            if span.insert(combo):
+                summands = frozenset(c.simplices[gens[i]] for i in _bits(combo))
                 reps.append(Cochain(p, summands))
         basis[p] = reps
+        exact = image
     return CohomBasis(t, basis)
 
 
@@ -163,9 +245,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _length_at_stage(
-    stage: _Stage, restricted: list[Cochain], k: int, spans: dict[int, _Echelon]
-) -> int:
+def _length_at_stage(stage: _Stage, restricted: list[Cochain], k: int) -> int:
     """Largest number of factors with a non-exact product at this stage.
 
     Tuples are drawn with repetition from the restricted basis, pruned to
@@ -173,15 +253,10 @@ def _length_at_stage(
     cochain level and tested against the exact span of its dimension.
     """
 
-    def span(p: int) -> _Echelon:
-        if p not in spans:
-            spans[p] = stage.exact_span(p)
-        return spans[p]
-
     def nonzero_class(sigma: Cochain) -> bool:
         if sigma.is_zero():
             return False
-        return not span(sigma.p).contains(stage.mask(sigma))
+        return not stage.exact_span(sigma.p).contains(stage.mask(sigma))
 
     usable = [s for s in restricted if nonzero_class(s)]
     if not usable:
@@ -218,12 +293,12 @@ def image_cup_length(c: FilteredComplex, t: float, s: float, k: int) -> int:
         raise ValueError("need t <= s")
     if t not in c.critical_values or s not in c.critical_values:
         raise NotCriticalValue(f"({t}, {s}) must be critical values")
-    src = cohomology_basis(c, s, k)
+    skeleton = _Skeleton(c, c.stage_count(s), k + 1)
+    src = cohomology_basis(c, s, k, _stage=_Stage(skeleton, s))
     restricted = [
         sigma.restrict(c, t) for p in range(1, k + 1) for sigma in src.basis.get(p, [])
     ]
-    stage = _Stage(c, t)
-    return _length_at_stage(stage, restricted, k, {})
+    return _length_at_stage(_Stage(skeleton, t), restricted, k)
 
 
 def oracle_cup_function(c: FilteredComplex, k: int) -> CupFunction:
@@ -236,16 +311,17 @@ def oracle_cup_function(c: FilteredComplex, k: int) -> CupFunction:
     computation.
     """
     cvs = c.critical_values
-    stages = {t: _Stage(c, t) for t in cvs}
-    spans: dict[float, dict[int, _Echelon]] = {t: {} for t in cvs}
+    skeleton = _Skeleton(c, len(c), k + 1)
+    stages: list[_Stage] = []
     gens: list[tuple[Interval, int]] = []
     for sj, s in enumerate(cvs):
-        src = cohomology_basis(c, s, k)
+        stages.append(_Stage(skeleton, s))
+        src = cohomology_basis(c, s, k, _stage=stages[sj])
         reps = [sigma for p in range(1, k + 1) for sigma in src.basis.get(p, [])]
         for ti in range(sj + 1):
             t = cvs[ti]
             restricted = [sigma.restrict(c, t) for sigma in reps]
-            value = _length_at_stage(stages[t], restricted, k, spans[t])
+            value = _length_at_stage(stages[ti], restricted, k)
             if value > 0:
                 right = INF if sj == len(cvs) - 1 else s
                 gens.append((Interval.closed(t, right), value))

@@ -207,6 +207,7 @@ IGNORED_FLAGS = [
     ("vr", "--format", "json"),
     ("barcode", "--trim", "1"),
     ("oracle-check", "--format", "json"),
+    ("oracle-check", "--trim", "1"),
     ("report", "--format", "json"),
 ]
 

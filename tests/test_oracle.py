@@ -1,13 +1,28 @@
+import ast
+import math
+import os
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
-from cuplength import spaces
+from cuplength import cli, oracle, spaces
+from cuplength.cohomology import Cochain
+from cuplength.cup import compute_cup_diagram
 from cuplength.errors import NotCriticalValue
-from cuplength.functions import Interval, evaluate
+from cuplength.functions import CupFunction, Interval, evaluate, reconstruct
 from cuplength.oracle import cohomology_basis, image_cup_length, oracle_cup_function
-from cuplength.simplicial import from_simplex_list, truncate
-from conftest import random_filtration
+from cuplength.simplicial import (
+    build_vietoris_rips,
+    diameter,
+    distances_from_points,
+    faces,
+    from_simplex_list,
+    truncate,
+)
+from conftest import random_filtration, regrade, simplicial_product
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def test_basis_hollow_triangle():
@@ -162,3 +177,326 @@ def test_disjoint_union_takes_max_of_parts():
             vb = image_cup_length(b, t, t, 2) if t in b.critical_values else None
             parts = [v for v in (va, vb) if v is not None]
             assert image_cup_length(u, t, t, 2) == max(parts)
+
+
+# ------------------------------------------------- reference implementation
+
+
+class _ReferenceStage:
+    """The oracle's stage before the shared skeleton: its own simplex set
+    and tuple-keyed indices, with every coboundary map rebuilt on use."""
+
+    def __init__(self, c, t):
+        self.alive = set()
+        self.by_dim = {}
+        for verts, grade in zip(c.simplices, c.grades):
+            if grade > t:
+                break
+            self.alive.add(verts)
+            self.by_dim.setdefault(len(verts) - 1, []).append(verts)
+        self.index = {
+            p: {v: i for i, v in enumerate(sorted(vs))} for p, vs in self.by_dim.items()
+        }
+
+    def mask(self, sigma):
+        idx = self.index.get(sigma.p, {})
+        m = 0
+        for v in sigma.summands:
+            m |= 1 << idx[v]
+        return m
+
+    def coboundary_map(self, p):
+        src = self.index.get(p, {})
+        out = [0] * len(src)
+        for verts, bit in self.index.get(p + 1, {}).items():
+            for f in faces(verts):
+                j = src.get(f)
+                if j is not None:
+                    out[j] |= 1 << bit
+        return out
+
+    def exact_span(self, p):
+        ech = oracle._Echelon()
+        if p >= 1:
+            for image in self.coboundary_map(p - 1):
+                ech.insert(image)
+        return ech
+
+    def product(self, sigma1, sigma2):
+        out = set()
+        for a in sigma1.summands:
+            for b in sigma2.summands:
+                if a[-1] == b[0]:
+                    cand = a + b[1:]
+                    if cand in self.alive:
+                        out ^= {cand}
+        return Cochain(sigma1.p + sigma2.p, frozenset(out))
+
+
+def _reference_kernel_basis(images):
+    stored = {}
+    kernel = []
+    for j, v in enumerate(images):
+        combo = 1 << j
+        while v:
+            hit = stored.get(v.bit_length() - 1)
+            if hit is None:
+                break
+            v ^= hit[0]
+            combo ^= hit[1]
+        if v:
+            stored[v.bit_length() - 1] = (v, combo)
+        else:
+            kernel.append(combo)
+    return kernel
+
+
+def _reference_cohomology_basis(c, t, k):
+    """Each degree's basis from a fresh stage, its kernel and exact span
+    eliminated separately."""
+    stage = _ReferenceStage(c, t)
+    basis = {}
+    for p in range(k + 1):
+        gens = sorted(stage.by_dim.get(p, []))
+        if not gens:
+            basis[p] = []
+            continue
+        kernel = _reference_kernel_basis(stage.coboundary_map(p))
+        exact = stage.exact_span(p)
+        basis[p] = [
+            Cochain(p, frozenset(gens[i] for i in oracle._bits(combo)))
+            for combo in kernel
+            if exact.insert(combo)
+        ]
+    return oracle.CohomBasis(t, basis)
+
+
+def _reference_length_at_stage(stage, restricted, k, spans):
+    def nonzero_class(sigma):
+        if sigma.is_zero():
+            return False
+        if sigma.p not in spans:
+            spans[sigma.p] = stage.exact_span(sigma.p)
+        return not spans[sigma.p].contains(stage.mask(sigma))
+
+    usable = [s for s in restricted if nonzero_class(s)]
+    if not usable:
+        return 0
+    for ell in range(k, 1, -1):
+        for tup in combinations_with_replacement(usable, ell):
+            if sum(s.p for s in tup) > k:
+                continue
+            prod = tup[0]
+            for extra in tup[1:]:
+                prod = stage.product(prod, extra)
+                if prod.is_zero():
+                    break
+            else:
+                if nonzero_class(prod):
+                    return ell
+    return 1
+
+
+def _reference_oracle_cup_function(c, k):
+    """The cup-length function with a second stage per critical value
+    built for each basis, as computed before the shared skeleton."""
+    cvs = c.critical_values
+    stages = {t: _ReferenceStage(c, t) for t in cvs}
+    spans = {t: {} for t in cvs}
+    gens = []
+    for sj, s in enumerate(cvs):
+        src = _reference_cohomology_basis(c, s, k)
+        reps = [sigma for p in range(1, k + 1) for sigma in src.basis.get(p, [])]
+        for t in cvs[: sj + 1]:
+            restricted = [sigma.restrict(c, t) for sigma in reps]
+            value = _reference_length_at_stage(stages[t], restricted, k, spans[t])
+            if value > 0:
+                right = math.inf if sj == len(cvs) - 1 else s
+                gens.append((Interval.closed(t, right), value))
+    kept = [
+        (gen, v)
+        for gen, v in gens
+        if not any(
+            (og, ov) != (gen, v) and og.left <= gen.left and og.right >= gen.right and ov >= v
+            for og, ov in gens
+        )
+    ]
+    return CupFunction.from_pairs(kept)
+
+
+def _equivalence_corpus():
+    """(name, complex, k): the fixtures, random filtrations at k = 2 and 3,
+    and a 12-point Vietoris-Rips cloud."""
+    out = []
+    for name in sorted(os.listdir(FIXTURES)):
+        path = os.path.join(FIXTURES, name)
+        if name.endswith(".csv"):
+            d = cli.load_distance_csv(path)
+            c = build_vietoris_rips(d, 3, diameter(d))
+        else:
+            c = cli.load_filtered_complex(path)
+        out.append((name, truncate(c, 3), 2))
+    rng = random.Random(20261018)
+    for i in range(20):
+        k = 2 + i % 2
+        out.append((f"random {i}", truncate(random_filtration(rng), k + 1), k))
+    points = [(rng.random(), rng.random()) for _ in range(12)]
+    d = distances_from_points(points)
+    out.append(("12-point cloud", build_vietoris_rips(d, 3, diameter(d)), 2))
+    return out
+
+
+def test_oracle_matches_reference_implementation(monkeypatch):
+    """Same basis representatives, in the same order, at every critical
+    value, standalone and inside oracle_cup_function; equal functions;
+    one skeleton and one stage per critical value."""
+    built = {"skeleton": 0, "stage": 0}
+
+    class CountedSkeleton(oracle._Skeleton):
+        def __init__(self, *args):
+            built["skeleton"] += 1
+            super().__init__(*args)
+
+    class CountedStage(oracle._Stage):
+        def __init__(self, *args):
+            built["stage"] += 1
+            super().__init__(*args)
+
+    seen = []
+
+    def recording_basis(c, t, k, **kwargs):
+        basis = real_basis(c, t, k, **kwargs)
+        seen.append(basis)
+        return basis
+
+    real_basis = oracle.cohomology_basis
+    monkeypatch.setattr(oracle, "_Skeleton", CountedSkeleton)
+    monkeypatch.setattr(oracle, "_Stage", CountedStage)
+    monkeypatch.setattr(oracle, "cohomology_basis", recording_basis)
+    for name, c, k in _equivalence_corpus():
+        cvs = c.critical_values
+        reference = [_reference_cohomology_basis(c, t, k) for t in cvs]
+        for t, ref in zip(cvs, reference):
+            assert real_basis(c, t, k) == ref, (name, t)
+        seen.clear()
+        built.update(skeleton=0, stage=0)
+        f = oracle.oracle_cup_function(c, k)
+        assert seen == reference, name
+        assert built == {"skeleton": 1, "stage": len(cvs)}, name
+        assert f == _reference_oracle_cup_function(c, k), name
+
+
+def _pipeline_imports(source):
+    """Dotted names that a module imports from z2, cup or cohomology,
+    other than the shared Cochain container."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            paths = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for path in paths:
+            parts = path.split(".")
+            if {"z2", "cup", "cohomology"} & set(parts) and parts[-2:] != ["cohomology", "Cochain"]:
+                found.append(path)
+    return found
+
+
+def test_oracle_shares_no_code_with_the_pipeline():
+    with open(oracle.__file__, encoding="utf-8") as fh:
+        assert _pipeline_imports(fh.read()) == []
+    # the check itself sees each way of importing pipeline code
+    assert _pipeline_imports("from .cohomology import Cochain, Bar") == ["cohomology.Bar"]
+    assert _pipeline_imports("from . import z2") == [".z2"]
+    assert _pipeline_imports("import cuplength.cup as c") == ["cuplength.cup"]
+    assert _pipeline_imports("def f():\n    from .z2 import column_reduce") == ["z2.column_reduce"]
+
+
+# ------------------------------------------------------ wider oracle corpus
+
+
+def _sup_torus_distances(n):
+    """Sup-metric distances of the n x n grid on two geodesic circles of
+    circumference 2 pi."""
+    h = 2 * math.pi / n
+
+    def circle(a, b):
+        d = abs(a - b)
+        return min(d, n - d) * h
+
+    grid = [(i, j) for i in range(n) for j in range(n)]
+    return [[max(circle(p[0], q[0]), circle(p[1], q[1])) for q in grid] for p in grid]
+
+
+def _clouds():
+    rng = random.Random(8910)
+    out = []
+    for n in (8, 9, 10) * 10:
+        d = distances_from_points([(rng.random(), rng.random()) for _ in range(n)])
+        out.append((build_vietoris_rips(d, 3, diameter(d)), 2))
+    return out
+
+
+def _staged_products():
+    rng = random.Random(31)
+    circle, rp2 = spaces.hollow_triangle(), spaces.projective_plane()
+    out = []
+    for _ in range(6):
+        a = regrade(rng, circle, grid=(0.0, 1.0))
+        out.append((simplicial_product(a, regrade(rng, rp2, grid=(0.0, 1.0, 2.0))), 3))
+    for _ in range(4):
+        torus = simplicial_product(regrade(rng, circle, grid=(0.0, 1.0)), regrade(rng, circle, grid=(0.0, 1.0)))
+        out.append((simplicial_product(torus, regrade(rng, circle, grid=(0.0, 1.0, 2.0))), 3))
+    for _ in range(2):
+        out.append((simplicial_product(spaces.two_disks(), regrade(rng, circle, grid=(0.0, 1.0))), 3))
+        out.append((simplicial_product(spaces.staged_klein(), regrade(rng, circle, grid=(0.0, 2.0))), 3))
+    return out
+
+
+def _unions():
+    rng = random.Random(47)
+    circle, rp2 = spaces.hollow_triangle(), spaces.projective_plane()
+    late = simplicial_product(regrade(rng, circle, grid=(2.0, 3.0)), regrade(rng, rp2, grid=(2.0, 3.0)))
+    torus = simplicial_product(regrade(rng, circle, grid=(0.0, 1.0)), regrade(rng, circle, grid=(1.0, 2.0)))
+    return [
+        (spaces.disjoint_union(late, spaces.staged_klein()), 3),
+        (spaces.disjoint_union(regrade(rng, spaces.csaszar_torus(), grid=(0.0, 1.0)), late), 3),
+        (spaces.disjoint_union(torus, regrade(rng, rp2, grid=(0.0, 2.0))), 3),
+    ]
+
+
+def _torus_grid():
+    """The 6 x 6 grid at --max-scale 3h, h = 2 pi / 6: every pair is within
+    3h, so the last stage is the full 3-skeleton on 36 vertices."""
+    return [(build_vietoris_rips(_sup_torus_distances(6), 3, 3 * (2 * math.pi / 6)), 2)]
+
+
+# each family with the function values its grid intervals must reach
+WIDER_CORPUS = {
+    "vr-clouds": (_clouds, {1}),
+    "staged-products": (_staged_products, {1, 2, 3}),
+    "disjoint-unions": (_unions, {1, 2, 3}),
+    "torus-6x6": (_torus_grid, {1, 2}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(WIDER_CORPUS))
+def test_pipeline_matches_oracle_on_wider_corpus(family):
+    """Pipeline and oracle agree on every closed interval of critical
+    values, as oracle-check compares them, beyond the criterion-2 corpus."""
+    build, reached = WIDER_CORPUS[family]
+    values = set()
+    for c, k in build():
+        f = reconstruct(compute_cup_diagram(c, k)[0])
+        ct = truncate(c, k + 1)
+        g = oracle_cup_function(ct, k)
+        cvs = ct.critical_values
+        for j, s in enumerate(cvs):
+            for t in cvs[: j + 1]:
+                q = Interval.closed(t, s)
+                value = evaluate(g, q)
+                assert evaluate(f, q) == value, (family, t, s)
+                values.add(value)
+    assert reached <= values
