@@ -14,7 +14,6 @@ grade, so its restriction to any stage before death is a cocycle there.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 
 from . import z2
@@ -183,71 +182,3 @@ def compute_barcode(c: FilteredComplex, k: int) -> AnnotatedBarcode:
 def connected_component_bars(b: AnnotatedBarcode) -> list[Bar]:
     """Dimension-0 bars (component merge events), for reporting."""
     return sorted(_harvest(b.reduction, 0, 0), key=_bar_sort_key)
-
-
-@dataclass
-class FamilyReport:
-    """Outcome of validating the representative-family property."""
-
-    ok: bool
-    first_failure: tuple[float, int] | None = None
-    failures: list[tuple[float, int, str]] = field(default_factory=list)
-
-
-def validate_family(b: AnnotatedBarcode) -> FamilyReport:
-    """Check that the bar representatives restrict to a basis at every stage.
-
-    At each critical value t of the complex ``b`` was reduced from and each
-    dimension p, the representatives of the bars containing t must restrict
-    to cocycles whose classes are linearly independent modulo coboundaries
-    and as numerous as the oracle's dim H^p.  Independence is checked
-    through exactness tests of all 2^n-1 non-trivial combinations (random
-    combinations past 12 alive bars).
-    """
-    from . import oracle
-
-    report = FamilyReport(ok=True)
-
-    def fail(t: float, p: int, reason: str) -> None:
-        if report.ok:
-            report.first_failure = (t, p)
-        report.ok = False
-        report.failures.append((t, p, reason))
-
-    rc = b.reduction
-    c = rc.complex
-    rng = random.Random(0)
-    for t in c.critical_values:
-        basis = oracle.cohomology_basis(c, t, b.dim_bound)
-        for p in range(1, b.dim_bound + 1):
-            alive = [bar for bar in b.bars if bar.dim == p and bar.contains(t)]
-            expected = len(basis.basis.get(p, []))
-            if len(alive) != expected:
-                fail(t, p, f"{len(alive)} bars alive but dim H^{p} = {expected}")
-                continue
-            restricted = [bar.representative.restrict(c, t) for bar in alive]
-            bad = next(
-                (i for i, s in enumerate(restricted) if not cochain_coboundary(c, s, t).is_zero()),
-                None,
-            )
-            if bad is not None:
-                fail(t, p, f"representative of bar {alive[bad]} is not a cocycle at {t}")
-                continue
-            n = len(restricted)
-            if n == 0:
-                continue
-            if n <= 12:
-                combos = range(1, 1 << n)
-            else:
-                combos = [rng.randrange(1, 1 << n) for _ in range(256)]
-            for mask in combos:
-                acc = Cochain.zero(p)
-                mm = mask
-                while mm:
-                    low = mm & -mm
-                    acc ^= restricted[low.bit_length() - 1]
-                    mm ^= low
-                if z2.is_coboundary(acc, t, rc):
-                    fail(t, p, f"combination {mask:b} of restrictions is exact at {t}")
-                    break
-    return report

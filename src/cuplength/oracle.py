@@ -10,7 +10,8 @@ instances.
 A stage is a prefix of the complex's canonical order.  Each computation
 builds one skeleton of the complex, its simplices as integer positions
 with integer face positions, and reads every stage from it.
-``oracle_cup_function`` builds each stage once and computes each of its
+``oracle_cup_function`` and the representative-family check
+``validate_family`` build each stage once and compute each of its
 coboundary maps once: one elimination of the degree-p map gives both the
 cocycles of degree p and the coboundaries of degree p + 1.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from .cohomology import Cochain
@@ -174,16 +175,18 @@ class CohomBasis:
         return len(self.basis.get(p, []))
 
 
-def _kernel_basis(images: list[int]) -> tuple[list[int], _Echelon]:
+def _kernel_basis(images: list[int], image: _Echelon | None = None) -> tuple[list[int], _Echelon]:
     """Combination masks spanning the kernel of a Z2 linear map given by
     the image of each generator, and an echelon of its image.
 
     The echelon is row for row the one that inserting each image in turn
-    builds, so one elimination serves both.
+    builds, so one elimination serves both.  Given a starting echelon
+    ``image``, which it extends, the kernel is taken modulo that span.
     """
-    image = _Echelon()
+    if image is None:
+        image = _Echelon()
     rows = image.rows
-    combos: dict[int, int] = {}
+    combos = dict.fromkeys(rows, 0)
     kernel = []
     for j, v in enumerate(images):
         combo = 1 << j
@@ -262,7 +265,8 @@ def _length_at_stage(stage: _Stage, restricted: list[Cochain], k: int) -> int:
     if not usable:
         return 0
     best = 1
-    for ell in range(k, 1, -1):
+    # more positive-degree factors than the complex's dimension multiply to 0
+    for ell in range(min(k, stage.c.dim), 1, -1):
         found = False
         for tup in combinations_with_replacement(usable, ell):
             if sum(s.p for s in tup) > k:
@@ -337,3 +341,60 @@ def oracle_cup_function(c: FilteredComplex, k: int) -> CupFunction:
         if not dominated:
             kept.append((gen, v))
     return CupFunction.from_pairs(kept)
+
+
+@dataclass
+class FamilyReport:
+    """Outcome of validating the representative-family property."""
+
+    ok: bool
+    first_failure: tuple[float, int] | None = None
+    failures: list[tuple[float, int, str]] = field(default_factory=list)
+
+
+def validate_family(b) -> FamilyReport:
+    """Check that the bar representatives of the annotated barcode ``b``
+    restrict to a basis at every stage.
+
+    At each critical value t of the complex ``b`` was reduced from and each
+    dimension p, the representatives of the bars containing t must be as
+    many as dim H^p, restrict to cocycles (members of the exact span plus
+    the stage's basis) and be independent modulo coboundaries: one
+    elimination against the exact span finds any exact combination.  One
+    skeleton serves every stage.
+    """
+    report = FamilyReport(ok=True)
+
+    def fail(t: float, p: int, reason: str) -> None:
+        if report.ok:
+            report.first_failure = (t, p)
+        report.ok = False
+        report.failures.append((t, p, reason))
+
+    c = b.reduction.complex
+    k = b.dim_bound
+    skeleton = _Skeleton(c, len(c), k + 1)
+    for t in c.critical_values:
+        stage = _Stage(skeleton, t)
+        basis = cohomology_basis(c, t, k, _stage=stage)
+        for p in range(1, k + 1):
+            alive = [bar for bar in b.bars if bar.dim == p and bar.contains(t)]
+            expected = basis.dim(p)
+            if len(alive) != expected:
+                fail(t, p, f"{len(alive)} bars alive but dim H^{p} = {expected}")
+                continue
+            if not alive:
+                continue
+            masks = [stage.mask(bar.representative.restrict(c, t)) for bar in alive]
+            exact = stage.exact_span(p)
+            cocycles = exact.copy()
+            for sigma in basis.basis[p]:
+                cocycles.insert(stage.mask(sigma))
+            bad = next((i for i, m in enumerate(masks) if not cocycles.contains(m)), None)
+            if bad is not None:
+                fail(t, p, f"representative of bar {alive[bad]} is not a cocycle at {t}")
+                continue
+            kernel, _ = _kernel_basis(masks, exact.copy())
+            if kernel:
+                fail(t, p, f"combination {kernel[0]:b} of restrictions is exact at {t}")
+    return report

@@ -15,7 +15,6 @@ from cuplength.cohomology import (
     Bar,
     Cochain,
     compute_barcode,
-    validate_family,
 )
 from cuplength.cup import CupDiagram, compute_cup_diagram, cup_diagram
 from cuplength.functions import (
@@ -30,6 +29,7 @@ from cuplength.functions import (
     pointwise_sum,
     reconstruct,
 )
+from cuplength.oracle import validate_family
 from cuplength.simplicial import (
     build_vietoris_rips,
     diameter,

@@ -13,9 +13,9 @@ from cuplength.cohomology import (
     cochain_coboundary,
     compute_barcode,
     connected_component_bars,
-    validate_family,
 )
 from cuplength.cup import cup_product
+from cuplength.oracle import validate_family
 from cuplength.simplicial import build_vietoris_rips, from_simplex_list, truncate
 from conftest import random_filtration, regrade
 
@@ -172,6 +172,40 @@ def test_validate_family_detects_duplicate_representative():
     report = validate_family(AnnotatedBarcode(broken, 1, b.reduction))
     assert not report.ok
     assert report.first_failure == (1.0, 1)
+
+
+def test_validate_family_detects_non_cocycle_representative():
+    # one edge of the projective plane lies on two triangles
+    b = compute_barcode(spaces.projective_plane(), 1)
+    (bar,) = b.bars
+    edge = min(bar.representative.summands)
+    broken = [Bar(1, bar.birth, bar.death, Cochain.of(edge))]
+    report = validate_family(AnnotatedBarcode(broken, 1, b.reduction))
+    assert not report.ok
+    assert report.first_failure == (0.0, 1)
+    assert "is not a cocycle at 0.0" in report.failures[0][2]
+
+
+def test_validate_family_finds_the_one_exact_combination_of_many_bars():
+    # a wedge of 14 circles at grade 0, the last representative replaced by
+    # the sum of the other 13 and the coboundary of the wedge point: the
+    # only exact combination uses all 14, and it is not zero
+    simplices = [([0], 0.0)]
+    for i in range(14):
+        u, v = 2 * i + 1, 2 * i + 2
+        simplices += [([u], 0.0), ([v], 0.0), ([0, u], 0.0), ([0, v], 0.0), ([u, v], 0.0)]
+    c = from_simplex_list(simplices)
+    b = compute_barcode(c, 1)
+    assert len(b.bars) == 14
+    bars = list(b.bars)
+    total = cochain_coboundary(c, Cochain.of((0,)), 0.0)
+    for bar in bars[:-1]:
+        total ^= bar.representative
+    bars[-1] = Bar(1, bars[-1].birth, bars[-1].death, total)
+    report = validate_family(AnnotatedBarcode(bars, 1, b.reduction))
+    assert not report.ok
+    assert report.first_failure == (0.0, 1)
+    assert f"combination {'1' * 14} of" in report.failures[0][2]
 
 
 def test_validate_family_on_random_regraded_surfaces():

@@ -6,9 +6,10 @@ import subprocess
 import sys
 
 from cuplength import oracle, spaces
-from cuplength.cohomology import compute_barcode, connected_component_bars, validate_family
+from cuplength.cohomology import compute_barcode, connected_component_bars
 from cuplength.cup import compute_cup_diagram
 from cuplength.functions import Interval, evaluate, reconstruct
+from cuplength.oracle import validate_family
 from cuplength.simplicial import from_simplex_list, truncate
 
 

@@ -145,6 +145,20 @@ def test_oracle_cup_function_torus_constant_two():
     assert evaluate(f, Interval.closed(0.0, 99.0)) == 2
 
 
+def test_tuple_search_stops_at_the_complex_dimension(monkeypatch):
+    # more positive-degree factors than dim c always multiply to zero
+    lengths = []
+
+    def recording(pool, ell):
+        lengths.append(ell)
+        return combinations_with_replacement(pool, ell)
+
+    c = cli.load_filtered_complex(os.path.join(FIXTURES, "torus_7.txt"))
+    monkeypatch.setattr(oracle, "combinations_with_replacement", recording)
+    assert oracle_cup_function(c, 60) == oracle_cup_function(c, 2)
+    assert lengths and max(lengths) <= c.dim
+
+
 def test_oracle_cup_function_matches_image_on_grid():
     rng = random.Random(4)
     for _ in range(10):

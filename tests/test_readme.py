@@ -1,8 +1,11 @@
-"""The README's library sketch runs and prints what its comments say."""
+"""The README's library sketch runs and prints what its comments say, and
+every name the package exports resolves."""
 
 import ast
 import os
 import re
+
+import cuplength
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
@@ -13,6 +16,10 @@ def _sketch() -> str:
     blocks = re.findall(r"```python\n(.*?)```", text, re.DOTALL)
     assert len(blocks) == 1
     return blocks[0]
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in cuplength.__all__ if not hasattr(cuplength, name)] == []
 
 
 def test_readme_sketch_runs_and_matches_its_comments():
