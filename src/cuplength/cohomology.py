@@ -145,25 +145,23 @@ def _harvest(rc: z2.ReducedCoboundary, min_dim: int, max_dim: int) -> list[Bar]:
     simplices = rc.complex.simplices
     grades = rc.complex.grades
     bars = []
-    for col in range(m):
-        i = m - 1 - col
-        dim = len(simplices[i]) - 1
-        if not min_dim <= dim <= max_dim:
-            continue
-        pivot = rc.R.pivot(col)
-        if pivot is not None:
-            death = grades[m - 1 - pivot]
-            if grades[i] == death:
-                continue
-            rep = _column_cochain(rc.V, col, simplices, m, dim)
-            bars.append(Bar(dim, grades[i], death, rep))
-        elif col not in rc.pivot_to_col:
-            rep = _column_cochain(rc.V, col, simplices, m, dim)
-            bars.append(Bar(dim, grades[i], INF, rep))
+    for dim in range(min_dim, max_dim + 1):
+        for col in rc.A.columns(dim):
+            i = m - 1 - col
+            pivot = rc.R.pivot(col)
+            if pivot is not None:
+                death = grades[m - 1 - pivot]
+                if grades[i] == death:
+                    continue
+                rep = _column_cochain(rc.V, col, simplices, m, dim)
+                bars.append(Bar(dim, grades[i], death, rep))
+            elif col not in rc.pivot_to_col:
+                rep = _column_cochain(rc.V, col, simplices, m, dim)
+                bars.append(Bar(dim, grades[i], INF, rep))
     return bars
 
 
-def _column_cochain(V: z2.SparseZ2Matrix, col: int, simplices: list[Verts], m: int, p: int) -> Cochain:
+def _column_cochain(V: z2.ReductionMatrix, col: int, simplices: list[Verts], m: int, p: int) -> Cochain:
     return Cochain(p, frozenset(simplices[m - 1 - r] for r in V.column(col)))
 
 

@@ -119,7 +119,10 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
         verts = tuple(sorted(raw))
         if len(set(verts)) != len(verts):
             raise DuplicateSimplex(f"repeated vertex in {raw}")
-        Simplex(verts)
+        if not verts:
+            raise InvalidSimplex("simplex needs at least one vertex")
+        if verts[0] < 0:
+            raise InvalidSimplex(f"negative vertex id in {verts}")
         if verts in graded:
             raise DuplicateSimplex(f"simplex {verts} listed twice")
         grade = float(grade)

@@ -17,24 +17,24 @@ A, R and V are views:
 
 - A stores the filtration index of each simplex's first cofacet, one int
   per simplex; that cofacet's position is the pivot of the simplex's
-  column.  A column is built on demand from the common neighbours of the
-  simplex's vertices.
-- ``column_reduce`` visits the columns dimension by dimension, each
-  dimension left to right.  A column i whose position is already the
-  pivot row of a column j of the dimension below is cleared (the twist of
-  Chen and Kerber): R_i = 0 and V_i := R_j, which keeps A V = R because
-  A R_j = A A V_j = 0.  A column whose pivot is still free takes it
-  without being built (an apparent pair, in Bauer's Ripser).  Only a
-  column whose pivot is already owned is built, and reduced against the
-  owners it adds.
-- R stores the columns built so far: the reduced ones, the owners they
-  added and the owners that exactness tests read.  Any other column of R
-  is A's column when it owns its pivot, and zero otherwise.
+  column.  It also lists each dimension's column positions, left to
+  right, as ``A.columns(p)``.  A column is built on demand from the
+  common neighbours of the simplex's vertices.
+- ``column_reduce`` visits ``A.columns(0)``, ``A.columns(1)``, ... in
+  turn.  A column i whose position is already the pivot row of a column
+  j of the dimension below is cleared (the twist of Chen and Kerber):
+  R_i = 0 and V_i := R_j, which keeps A V = R because A R_j = A A V_j =
+  0.  A column whose pivot is still free takes it without being built (an
+  apparent pair, in Bauer's Ripser).  Only a column whose pivot is
+  already owned is built, and reduced against the owners it adds.
+- R stores the columns the reduction built: the reduced ones and the
+  owners they added.  Any other column of R is A's column when it owns
+  its pivot, and zero otherwise; reading it builds it and keeps nothing.
 - V stores the part above the diagonal of each reduced column and, for
   each cleared column, the column of R it equals.  Every other column is
   a unit vector.
 
-So a run stores one int per simplex plus the few columns it reduces.
+So a run stores two ints per simplex plus the few columns it reduces.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from array import array
 from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .errors import SimplexNotAlive
 from .simplicial import FilteredComplex
@@ -53,39 +53,26 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class SparseZ2Matrix:
-    """A matrix over Z2 with per-column bitmask storage."""
+    """A Z2 matrix read column by column as bitmasks.
 
-    __slots__ = ("n_rows", "n_cols", "_cols")
+    Subclasses set ``n_rows`` and ``n_cols`` and provide ``col_mask(j)``
+    and ``nnz()``.
+    """
 
-    def __init__(self, n_rows: int, n_cols: int, cols: list[int] | None = None):
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self._cols = [0] * n_cols if cols is None else cols
-        if len(self._cols) != n_cols:
-            raise ValueError("column count mismatch")
+    __slots__ = ("n_rows", "n_cols")
 
     def column(self, j: int) -> tuple[int, ...]:
         """Row indices of the ones in column j, strictly sorted."""
         return tuple(_bits(self.col_mask(j)))
-
-    def col_mask(self, j: int) -> int:
-        return self._cols[j]
 
     def pivot(self, j: int) -> int | None:
         """Largest row index with a one in column j, or None."""
         m = self.col_mask(j)
         return m.bit_length() - 1 if m else None
 
-    def nnz(self) -> int:
-        return sum(c.bit_count() for c in self._cols)
-
-    def blocks(self) -> Iterable[Iterable[int]]:
-        """The columns in the order ``column_reduce`` visits them, as blocks:
-        here one block, left to right."""
-        return (range(self.n_cols),)
-
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.n_rows}x{self.n_cols}, nnz={self.nnz()})"
+        # the shape only: counting non-zeros would build every column
+        return f"{type(self).__name__}({self.n_rows}x{self.n_cols})"
 
 
 def _bits(mask: int):
@@ -111,22 +98,26 @@ class CoboundaryMatrix(SparseZ2Matrix):
     """The square coboundary matrix of a complex, built column by column.
 
     Stores the filtration index of each simplex's first cofacet (or -1),
-    which gives each column's pivot, and the neighbour set of each vertex.
-    ``col_mask(j)`` joins the simplex at position j with each common
-    neighbour of its vertices and keeps the joins the complex holds.
+    which gives each column's pivot, the neighbour set of each vertex and
+    each dimension's column positions.  ``col_mask(j)`` joins the simplex
+    at position j with each common neighbour of its vertices and keeps the
+    joins the complex holds.
     """
 
-    __slots__ = ("_complex", "_first", "_neighbours")
+    __slots__ = ("_complex", "_first", "_neighbours", "_columns")
 
     def __init__(self, c: FilteredComplex):
         m = len(c.simplices)
+        last = m - 1
         index = c.index_of
         first = array("q", [-1]) * m
         neighbours: dict[int, set[int]] = {}
+        columns = [array("q") for _ in range(c.dim + 1)]
         # faces enter before their cofacets, so the first cofacet of a face
         # is the first simplex that names it
         for i, v in enumerate(c.simplices):
             n = len(v)
+            columns[n - 1].append(last - i)
             if n == 1:
                 neighbours[v[0]] = set()
                 continue
@@ -137,10 +128,18 @@ class CoboundaryMatrix(SparseZ2Matrix):
                 k = index[f]
                 if first[k] < 0:
                     first[k] = i
+        for cols in columns:
+            cols.reverse()
         self.n_rows = self.n_cols = m
         self._complex = c
         self._first = first
         self._neighbours = neighbours
+        self._columns = columns
+
+    def columns(self, p: int) -> array:
+        """The positions of the p-simplices, left to right; empty when the
+        complex has no p-simplex."""
+        return self._columns[p] if p < len(self._columns) else array("q")
 
     def col_mask(self, j: int) -> int:
         last = self.n_cols - 1
@@ -163,20 +162,9 @@ class CoboundaryMatrix(SparseZ2Matrix):
         return last - i if i >= 0 else None
 
     def nnz(self) -> int:
-        # the complex is face-closed: every face of a simplex is a row of it
-        return sum(len(v) for v in self._complex.simplices if len(v) > 1)
-
-    def blocks(self) -> Iterable[Iterable[int]]:
-        """The columns dimension by dimension, from low to high, each
-        dimension left to right: the rows of a column are the simplices of
-        the next dimension, so a block owns rows only of the block after it."""
-        simplices = self._complex.simplices
-        last = self.n_cols - 1
-
-        def block(size: int):
-            return (j for j in range(self.n_cols) if len(simplices[last - j]) == size)
-
-        return [block(size) for size in range(1, self._complex.dim + 2)]
+        # the complex is face-closed: each of the p + 1 faces of a p-simplex
+        # is a row of its column
+        return sum((p + 1) * len(cols) for p, cols in enumerate(self._columns) if p)
 
 
 def coboundary_matrix(c: FilteredComplex) -> CoboundaryMatrix:
@@ -193,15 +181,15 @@ def coboundary_matrix(c: FilteredComplex) -> CoboundaryMatrix:
 class ReducedMatrix(SparseZ2Matrix):
     """The reduced matrix R = A V, read on demand.
 
-    ``_cols`` holds the columns built so far: each column the reduction
-    built, and each owner an exactness test has read.  A column not built
-    is A's column if that column owns its first-cofacet pivot, and zero
-    otherwise: it was cleared, or A's column is zero.
+    ``_cols`` holds the columns the reduction built: the reduced ones and
+    the owners they added.  Any other column is A's column if that column
+    owns its first-cofacet pivot, and zero otherwise: it was cleared, or
+    A's column is zero.  Reading such a column builds it and keeps nothing.
     """
 
-    __slots__ = ("_A", "_pivot_to_col")
+    __slots__ = ("_A", "_pivot_to_col", "_cols")
 
-    def __init__(self, A: SparseZ2Matrix, pivot_to_col: dict[int, int], built: dict[int, int]):
+    def __init__(self, A: CoboundaryMatrix, pivot_to_col: dict[int, int], built: dict[int, int]):
         self.n_rows, self.n_cols = A.n_rows, A.n_cols
         self._A = A
         self._pivot_to_col = pivot_to_col
@@ -214,21 +202,14 @@ class ReducedMatrix(SparseZ2Matrix):
         p = self._A.pivot(j)
         return p if p is not None and self._pivot_to_col.get(p) == j else None
 
-    def peek(self, j: int) -> int:
-        """Column j, without keeping it when it had to be built."""
+    def col_mask(self, j: int) -> int:
         col = self._cols.get(j)
         if col is None:
             col = self._A.col_mask(j) if self.pivot(j) is not None else 0
         return col
 
-    def col_mask(self, j: int) -> int:
-        col = self.peek(j)
-        if col:
-            self._cols[j] = col
-        return col
-
     def nnz(self) -> int:
-        return sum(self.peek(j).bit_count() for j in range(self.n_cols))
+        return sum(self.col_mask(j).bit_count() for j in range(self.n_cols))
 
 
 class ReductionMatrix(SparseZ2Matrix):
@@ -240,7 +221,7 @@ class ReductionMatrix(SparseZ2Matrix):
     vector.
     """
 
-    __slots__ = ("_R", "_cleared")
+    __slots__ = ("_R", "_cols", "_cleared")
 
     def __init__(self, R: ReducedMatrix, upper: dict[int, int], cleared: dict[int, int]):
         self.n_rows = self.n_cols = R.n_cols
@@ -253,27 +234,27 @@ class ReductionMatrix(SparseZ2Matrix):
             raise IndexError(f"column {j} out of range")
         owner = self._cleared.get(j)
         if owner is not None:
-            return self._R.peek(owner)
+            return self._R.col_mask(owner)
         return self._cols.get(j, 0) | 1 << j
 
     def nnz(self) -> int:
         upper = sum(c.bit_count() for c in self._cols.values())
-        cleared = sum(self._R.peek(j).bit_count() - 1 for j in self._cleared.values())
+        cleared = sum(self._R.col_mask(j).bit_count() - 1 for j in self._cleared.values())
         return self.n_cols + upper + cleared
 
 
-def column_reduce(A: SparseZ2Matrix) -> tuple[ReducedMatrix, ReductionMatrix, dict[int, int]]:
-    """Column reduction R = A V with unique column pivots, block by block.
+def column_reduce(A: CoboundaryMatrix) -> tuple[ReducedMatrix, ReductionMatrix, dict[int, int]]:
+    """Column reduction R = A V with unique column pivots, dimension by dimension.
 
     Returns R, V and the map from each pivot row to the column owning it.
-    The columns are visited in the order of ``A.blocks()``.  A column i
-    whose position is the pivot row of a column j of an earlier block is
-    cleared, with V_i := R_j; that keeps A V = R only because A A = 0, as
-    for a coboundary matrix.  Within one block no column is cleared, so a
-    one-block matrix gets the plain left-to-right reduction.
+    The columns are visited in the order of ``A.columns(0)``,
+    ``A.columns(1)``, ... .  A column i whose position is the pivot row of
+    a column j of the dimension below is cleared, with V_i := R_j; that
+    keeps A V = R because A A = 0.  The pivot row of a p-simplex's column
+    is a (p + 1)-simplex, so within one dimension no column is cleared and
+    a pivot row is only ever owned by a column of the dimension below it:
+    one map serves clearing and reduction alike.
     """
-    if A.n_rows != A.n_cols:
-        raise ValueError("column_reduce expects a square matrix")
     pivot_to_col: dict[int, int] = {}
     built: dict[int, int] = {}
     upper: dict[int, int] = {}
@@ -285,9 +266,8 @@ def column_reduce(A: SparseZ2Matrix) -> tuple[ReducedMatrix, ReductionMatrix, di
             col = built[j] = A.col_mask(j)
         return col
 
-    for block in A.blocks():
-        owned: dict[int, int] = {}
-        for j in block:
+    for dim in range(A._complex.dim + 1):
+        for j in A.columns(dim):
             owner = pivot_to_col.get(j)
             if owner is not None:
                 cleared[j] = owner
@@ -295,9 +275,9 @@ def column_reduce(A: SparseZ2Matrix) -> tuple[ReducedMatrix, ReductionMatrix, di
             p = A.pivot(j)
             if p is None:
                 continue
-            owner = owned.get(p)
+            owner = pivot_to_col.get(p)
             if owner is None:
-                owned[p] = j
+                pivot_to_col[p] = j
                 continue
             col = A.col_mask(j)
             added = 0
@@ -308,12 +288,11 @@ def column_reduce(A: SparseZ2Matrix) -> tuple[ReducedMatrix, ReductionMatrix, di
                 if not col:
                     break
                 p = col.bit_length() - 1
-                owner = owned.get(p)
+                owner = pivot_to_col.get(p)
             else:
-                owned[p] = j
+                pivot_to_col[p] = j
             built[j] = col
             upper[j] = added
-        pivot_to_col.update(owned)
     R = ReducedMatrix(A, pivot_to_col, built)
     return R, ReductionMatrix(R, upper, cleared), pivot_to_col
 
@@ -329,9 +308,9 @@ class ReducedCoboundary:
     """
 
     complex: FilteredComplex = field(repr=False)
-    A: SparseZ2Matrix
-    R: SparseZ2Matrix
-    V: SparseZ2Matrix
+    A: CoboundaryMatrix
+    R: ReducedMatrix
+    V: ReductionMatrix
     pivot_to_col: dict[int, int] = field(repr=False)
 
     def cochain_mask(self, sigma: "Cochain") -> int:
