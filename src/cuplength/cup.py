@@ -159,7 +159,7 @@ def cup_diagram(b: AnnotatedBarcode, trim_eps: float = 0.0) -> tuple[CupDiagram,
         record(interval, 1)
 
     stats = RunStats(
-        m_k=sum(1 for v in c.simplices if len(v) > 1),
+        m_k=len(c) - len(rc.A.columns(0)),
         q_1=len(base),
         q_ell={1: len(base)},
     )

@@ -5,6 +5,11 @@ compatible with the filtration: grade ascending, then dimension ascending,
 then lexicographic on vertices.  Everything downstream (matrix reduction,
 barcode harvesting, stage restriction) indexes simplices by their position
 in this order, so the order is part of the data structure's contract.
+
+Both constructors first list the simplices by dimension, then
+lexicographically, and then sort positions by grade alone: ``sorted`` is
+stable, so simplices of equal grade keep their (dimension, lexicographic)
+order and the result is the canonical order without a composite key.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ class FilteredComplex:
     def __post_init__(self) -> None:
         self.index_of = {v: i for i, v in enumerate(self.simplices)}
         self.critical_values = sorted(set(self.grades))
-        self.dim = max(len(v) for v in self.simplices) - 1
+        self.dim = max(map(len, self.simplices)) - 1
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -101,10 +106,11 @@ class FilteredComplex:
         return bisect.bisect_right(self.grades, t)
 
 
-def _ordered_complex(entries: list[tuple[Verts, float]]) -> FilteredComplex:
-    """The complex of (vertex tuple, grade) entries, sorted into the canonical order."""
-    entries.sort(key=lambda e: (e[1], len(e[0]), e[0]))
-    return FilteredComplex([v for v, _ in entries], [g for _, g in entries])
+def _ordered_complex(simplices: list[Verts], grades: list[float]) -> FilteredComplex:
+    """The complex of parallel simplex and grade lists given in (dimension,
+    lexicographic) order, stably sorted by grade into the canonical order."""
+    order = sorted(range(len(grades)), key=grades.__getitem__)
+    return FilteredComplex([simplices[i] for i in order], [grades[i] for i in order])
 
 
 def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> FilteredComplex:
@@ -143,7 +149,8 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
                     f"face {face} at {graded[face]} enters after {verts} at {grade}"
                 )
 
-    return _ordered_complex(list(graded.items()))
+    simplices = sorted(sorted(graded), key=len)
+    return _ordered_complex(simplices, [graded[v] for v in simplices])
 
 
 def build_vietoris_rips(
@@ -153,6 +160,13 @@ def build_vietoris_rips(
 
     Contains every simplex on at most ``max_dim + 1`` points whose diameter
     is at most ``max_scale``, graded by diameter; vertices enter at 0.
+
+    Each dimension is grown from the one below by appending a vertex larger
+    than the last, taking the simplices below in list order and the new
+    vertices in increasing order.  A simplex is its predecessor plus its
+    last vertex, so if the dimension below is in lexicographic order, so is
+    the new one, and the whole list is in (dimension, lexicographic) order
+    before the stable sort by grade.
     """
     n = len(D)
     for i in range(n):
@@ -172,28 +186,26 @@ def build_vietoris_rips(
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
 
-    entries: list[tuple[Verts, float]] = [((i,), 0.0) for i in range(n)]
-    frontier: list[tuple[Verts, float]] = [((i,), 0.0) for i in range(n)]
+    simplices: list[Verts] = [(i,) for i in range(n)]
+    grades: list[float] = [0.0] * n
+    hi = 0
     for _ in range(max_dim):
-        grown: list[tuple[Verts, float]] = []
-        for verts, diam in frontier:
-            # extend by smaller-id vertices only, so each clique appears once
-            for v in range(verts[0]):
+        lo, hi = hi, len(simplices)
+        # extend by larger-id vertices only, so each clique appears once
+        for verts, diam in zip(simplices[lo:hi], grades[lo:hi]):
+            for v in range(verts[-1] + 1, n):
                 d = diam
-                ok = True
                 for u in verts:
                     duv = D[u][v]
                     if duv > max_scale:
-                        ok = False
                         break
                     if duv > d:
                         d = duv
-                if ok:
-                    grown.append(((v,) + verts, d))
-        entries.extend(grown)
-        frontier = grown
+                else:
+                    simplices.append(verts + (v,))
+                    grades.append(d)
 
-    return _ordered_complex(entries)
+    return _ordered_complex(simplices, grades)
 
 
 def truncate(c: FilteredComplex, dim_cap: int) -> FilteredComplex:

@@ -34,7 +34,8 @@ A, R and V are views:
   each cleared column, the column of R it equals.  Every other column is
   a unit vector.
 
-So a run stores two ints per simplex plus the few columns it reduces.
+So a run stores two 4-byte ints per simplex (``array('i')``: positions
+and filtration indices stay below 2**31) plus the few columns it reduces.
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ class CoboundaryMatrix(SparseZ2Matrix):
         m = len(c.simplices)
         last = m - 1
         index = c.index_of
-        first = array("q", [-1]) * m
+        first = array("i", [-1]) * m
         neighbours: dict[int, set[int]] = {}
-        columns = [array("q") for _ in range(c.dim + 1)]
+        columns = [array("i") for _ in range(c.dim + 1)]
         # faces enter before their cofacets, so the first cofacet of a face
         # is the first simplex that names it
         for i, v in enumerate(c.simplices):
@@ -139,7 +140,7 @@ class CoboundaryMatrix(SparseZ2Matrix):
     def columns(self, p: int) -> array:
         """The positions of the p-simplices, left to right; empty when the
         complex has no p-simplex."""
-        return self._columns[p] if p < len(self._columns) else array("q")
+        return self._columns[p] if p < len(self._columns) else array("i")
 
     def col_mask(self, j: int) -> int:
         last = self.n_cols - 1

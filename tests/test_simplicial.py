@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -19,6 +20,7 @@ from cuplength.simplicial import (
     FilteredComplex,
     Simplex,
     build_vietoris_rips,
+    diameter,
     faces,
     from_simplex_list,
     truncate,
@@ -95,6 +97,33 @@ def test_vr_unit_square():
     triangles = [v for v in c.simplices if len(v) == 3]
     assert len(triangles) == 4
     assert all(c.grade_of(t) == R2 for t in triangles)
+
+
+def _vr_reference(d, max_dim, max_scale):
+    # every vertex subset of at most max_dim + 1 points within the cap,
+    # sorted by the canonical (grade, dimension, lexicographic) key
+    entries = []
+    for size in range(1, max_dim + 2):
+        for verts in itertools.combinations(range(len(d)), size):
+            diam = max((d[a][b] for a in verts for b in verts), default=0.0)
+            if diam <= max_scale:
+                entries.append((diam, size, verts))
+    entries.sort()
+    return [v for _, _, v in entries], [g for g, _, _ in entries]
+
+
+def test_vr_matches_brute_force_with_tied_grades():
+    rng = random.Random(3)
+    for _ in range(60):
+        n = rng.randint(3, 9)
+        d = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            d[i][j] = d[j][i] = rng.randint(1, 3)
+        top = diameter(d)
+        for max_dim in range(4):
+            for cap in (top - 1, top):
+                c = build_vietoris_rips(d, max_dim, cap)
+                assert (c.simplices, c.grades) == _vr_reference(d, max_dim, cap)
 
 
 def test_vr_rejects_bad_matrices():
@@ -182,3 +211,7 @@ def test_canonical_order_is_filtration_compatible():
         c = random_filtration(rng)
         keys = [(g, len(v), v) for v, g in zip(c.simplices, c.grades)]
         assert keys == sorted(keys)
+        entries = [(list(v), g) for v, g in zip(c.simplices, c.grades)]
+        rng.shuffle(entries)
+        shuffled = from_simplex_list(entries)
+        assert shuffled.simplices == c.simplices and shuffled.grades == c.grades
