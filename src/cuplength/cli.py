@@ -188,6 +188,26 @@ def _json_int(item: dict, key: str, least: int) -> int:
     return value
 
 
+def _json_array(item: dict, key: str) -> list:
+    """item[key] as a JSON array; an object, string, number or null is an error."""
+    value = item[key]
+    if type(value) is not list:
+        raise ParseError(f"{key} must be a JSON array")
+    return value
+
+
+def _json_summand(value) -> tuple[int, ...]:
+    """A representative's summand: a strictly increasing JSON array of
+    non-negative integers, so a float, a repeat or a descent is an error."""
+    if type(value) is not list or not all(type(v) is int for v in value) or not all(
+        a < b for a, b in zip([-1] + value, value)
+    ):
+        raise ParseError(
+            f"summand must be a strictly increasing array of non-negative integers, got {json.dumps(value)}"
+        )
+    return tuple(value)
+
+
 def _json_flag(item: dict, key: str, default: bool) -> bool:
     """item[key] as JSON true or false, ``default`` when absent; any other value is an error."""
     value = item.get(key, default)
@@ -238,7 +258,7 @@ def diagram_to_json(d: CupDiagram) -> str:
 def parse_diagram(text: str) -> CupDiagram:
     data = json.loads(text)
     points: dict[Interval, int] = {}
-    for p in data["points"]:
+    for p in _json_array(data, "points"):
         interval = Interval.closed_open(_json_number(p, "birth"), _json_end(p, "death"))
         points[interval] = _json_int(p, "value", 1)
     return CupDiagram(points)
@@ -273,7 +293,7 @@ def function_to_json(f: CupFunction) -> str:
 def parse_function(text: str) -> CupFunction:
     data = json.loads(text)
     gens = []
-    for g in data["generators"]:
+    for g in _json_array(data, "generators"):
         interval = Interval(
             _json_number(g, "left"),
             _json_end(g, "right"),
@@ -302,10 +322,10 @@ def barcode_to_json(bars: list[Bar]) -> str:
 def parse_barcode(text: str) -> list[Bar]:
     data = json.loads(text)
     bars = []
-    for item in data["bars"]:
+    for item in _json_array(data, "bars"):
         death = _json_end(item, "death")
         dim = _json_int(item, "dim", 0)
-        summands = frozenset(tuple(v) for v in item["representative"])
+        summands = frozenset(_json_summand(v) for v in _json_array(item, "representative"))
         rep = Cochain(dim, summands) if summands else Cochain.zero(dim)
         bars.append(Bar(dim, _json_number(item, "birth"), death, rep))
     return bars

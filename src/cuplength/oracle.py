@@ -8,8 +8,11 @@ complex and cochain containers are reused.  Intended for desk-scale
 instances.
 
 A stage is a prefix of the complex's canonical order.  Each computation
-builds one skeleton of the complex, its simplices as integer positions
-with integer face positions, and reads every stage from it.
+builds one skeleton of the complex and reads every stage from it.  The
+skeleton numbers each dimension's simplices by canonical rank and stores
+each simplex's cofacets once, as a mask over those numbers; a stage's
+p-simplices are then the first bits, and each row of a stage's
+coboundary map is one AND of a stored mask.
 ``oracle_cup_function`` and the representative-family check
 ``validate_family`` build each stage once and compute each of its
 coboundary maps once: one elimination of the degree-p map gives both the
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
@@ -65,8 +69,15 @@ class _Echelon:
 
 class _Skeleton:
     """The simplices of dimension at most ``top`` among the first ``n`` of
-    the canonical order, as ints: each dimension's positions in
-    lexicographic order, and each simplex's face positions.
+    the canonical order, numbered per dimension by canonical rank.
+
+    A p-simplex's *bit* is its rank among the prefix's p-simplices in the
+    canonical order, so the p-simplices of any stage inside the prefix
+    are exactly bits ``0 .. size - 1``.  ``canon[p]`` lists the positions
+    by bit; ``lex[p]`` lists the bits in lexicographic order, the column
+    order of every elimination; for p < top, ``cofacets[p][b]`` is the
+    mask of the (p + 1)-bits of bit b's cofacets.  Every vector of degree
+    p, cochain or coboundary map row, is a mask over p-bits.
 
     One skeleton serves every stage inside its prefix.
     """
@@ -74,28 +85,41 @@ class _Skeleton:
     def __init__(self, c: FilteredComplex, n: int, top: int):
         simplices = c.simplices
         index_of = c.index_of
-        by_dim: dict[int, list[int]] = {}
+        self.c = c
+        self.canon: list[list[int]] = [[] for _ in range(top + 1)]
+        # bit by position, for the simplices of dimension at most top
+        self.bit = bit = array("i", bytes(4 * n))
         for i in range(n):
             p = len(simplices[i]) - 1
             if p <= top:
-                by_dim.setdefault(p, []).append(i)
-        self.c = c
-        self.top = top
-        self.lex = {p: sorted(ps, key=simplices.__getitem__) for p, ps in by_dim.items()}
-        self.faces: dict[int, list[int]] = {
-            i: [index_of[f] for f in faces(simplices[i])]
-            for p, ps in by_dim.items()
-            if p >= 1
-            for i in ps
-        }
+                bit[i] = len(self.canon[p])
+                self.canon[p].append(i)
+        self.lex = [
+            sorted(range(len(ps)), key=[simplices[i] for i in ps].__getitem__) for ps in self.canon
+        ]
+        self.cofacets: list[list[int]] = []
+        for p in range(top):
+            rows: list[list[int]] = [[] for _ in self.canon[p]]
+            for b, j in enumerate(self.canon[p + 1]):
+                for f in faces(simplices[j]):
+                    rows[bit[index_of[f]]].append(b)
+            masks = []
+            for row in rows:
+                # set the bits in a buffer and convert once: an int grown
+                # by |= is copied whole on every bit
+                buf = bytearray((row[-1] >> 3) + 1 if row else 0)
+                for b in row:
+                    buf[b >> 3] |= 1 << (b & 7)
+                masks.append(int.from_bytes(buf, "little"))
+            self.cofacets.append(masks)
 
 
 class _Stage:
     """The subcomplex at one parameter: a prefix of the canonical order.
 
-    A p-simplex's local index is its rank among the stage's p-simplices
-    in lexicographic order.  Faces precede their cofaces in the canonical
-    order, so every face of a stage simplex is in the stage.
+    Its p-simplices are the skeleton's bits ``0 .. size[p] - 1``.  Faces
+    precede their cofaces in the canonical order, so every face of a
+    stage simplex is in the stage.
     """
 
     def __init__(self, skeleton: _Skeleton, t: float):
@@ -104,41 +128,28 @@ class _Stage:
         self.c = c
         self.n = n
         self.skeleton = skeleton
-        self.size: dict[int, int] = {}
-        # local index by position, for the dimensions below the skeleton's
-        # top: the only ones a cochain or a coboundary map's rows can have
-        self.rank = rank = array("i", bytes(4 * n))
-        for p in range(skeleton.top):
-            kept = self.gens(p)
-            self.size[p] = len(kept)
-            for r, i in enumerate(kept):
-                rank[i] = r
+        self.size = [bisect_left(ps, n) for ps in skeleton.canon]
         # exact spans by degree, kept by cohomology_basis or built on use
         self.spans: dict[int, _Echelon] = {}
 
     def gens(self, p: int) -> list[int]:
-        """Positions of the stage's p-simplices, in lexicographic order."""
-        n = self.n
-        return [i for i in self.skeleton.lex.get(p, ()) if i < n]
+        """Bits of the stage's p-simplices, in lexicographic order."""
+        size = self.size[p]
+        return [b for b in self.skeleton.lex[p] if b < size]
 
     def mask(self, sigma: Cochain) -> int:
         index_of = self.c.index_of
-        rank = self.rank
+        bit = self.skeleton.bit
         m = 0
         for v in sigma.summands:
-            m |= 1 << rank[index_of[v]]
+            m |= 1 << bit[index_of[v]]
         return m
 
     def coboundary_map(self, p: int) -> list[int]:
-        """For each p-simplex (local order) the mask of its cofacets."""
-        out = [0] * self.size[p]
-        rank = self.rank
-        faces_of = self.skeleton.faces
-        for bit, j in enumerate(self.gens(p + 1)):
-            b = 1 << bit
-            for f in faces_of[j]:
-                out[rank[f]] |= b
-        return out
+        """For each p-simplex (column order) the mask of its cofacets in the stage."""
+        cofacets = self.skeleton.cofacets[p]
+        in_stage = (1 << self.size[p + 1]) - 1
+        return [cofacets[b] & in_stage for b in self.gens(p)]
 
     def exact_span(self, p: int) -> _Echelon:
         """Echelon of the image of the degree-(p-1) coboundary map."""
@@ -175,10 +186,16 @@ class CohomBasis:
         return len(self.basis.get(p, []))
 
 
-def _kernel_basis(images: list[int], image: _Echelon | None = None) -> tuple[list[int], _Echelon]:
+def _kernel_basis(
+    images: list[int], columns: list[int] | range, image: _Echelon | None = None
+) -> tuple[list[int], _Echelon]:
     """Combination masks spanning the kernel of a Z2 linear map given by
     the image of each generator, and an echelon of its image.
 
+    Generator j is bit ``columns[j]`` of a combination.  Each kernel mask
+    is generator j plus the unique combination of the earlier independent
+    generators with the same image, so the kernel list depends on the
+    order of the generators but not on how the image rows are numbered.
     The echelon is row for row the one that inserting each image in turn
     builds, so one elimination serves both.  Given a starting echelon
     ``image``, which it extends, the kernel is taken modulo that span.
@@ -188,8 +205,8 @@ def _kernel_basis(images: list[int], image: _Echelon | None = None) -> tuple[lis
     rows = image.rows
     combos = dict.fromkeys(rows, 0)
     kernel = []
-    for j, v in enumerate(images):
-        combo = 1 << j
+    for col, v in zip(columns, images):
+        combo = 1 << col
         while v:
             top = v.bit_length() - 1
             row = rows.get(top)
@@ -221,6 +238,7 @@ def cohomology_basis(
     stage = _stage
     if stage is None:
         stage = _Stage(_Skeleton(c, c.stage_count(t), k + 1), t)
+    canon = stage.skeleton.canon
     basis: dict[int, list[Cochain]] = {}
     exact = _Echelon()
     for p in range(k + 1):
@@ -229,12 +247,12 @@ def cohomology_basis(
             basis[p] = []
             continue
         stage.spans[p] = exact
-        kernel, image = _kernel_basis(stage.coboundary_map(p))
+        kernel, image = _kernel_basis(stage.coboundary_map(p), gens)
         span = exact.copy()
         reps = []
         for combo in kernel:
             if span.insert(combo):
-                summands = frozenset(c.simplices[gens[i]] for i in _bits(combo))
+                summands = frozenset(c.simplices[canon[p][b]] for b in _bits(combo))
                 reps.append(Cochain(p, summands))
         basis[p] = reps
         exact = image
@@ -394,7 +412,7 @@ def validate_family(b) -> FamilyReport:
             if bad is not None:
                 fail(t, p, f"representative of bar {alive[bad]} is not a cocycle at {t}")
                 continue
-            kernel, _ = _kernel_basis(masks, exact.copy())
+            kernel, _ = _kernel_basis(masks, range(len(masks)), exact.copy())
             if kernel:
                 fail(t, p, f"combination {kernel[0]:b} of restrictions is exact at {t}")
     return report

@@ -415,6 +415,38 @@ MALFORMED = {
         ["plot"],
         'birth must be a JSON number, got "0"',
     ),
+    "function-object-generators": (
+        "f.json",
+        '{"generators":{}}',
+        ["erosion", "circle"],
+        "generators must be a JSON array",
+    ),
+    "diagram-object-points": ("d.json", '{"points":{}}', ["plot"], "points must be a JSON array"),
+    "barcode-object-bars": ("b.json", '{"bars":{}}', ["plot"], "bars must be a JSON array"),
+    "barcode-string-representative": (
+        "b.json",
+        '{"bars":[{"dim":0,"birth":0,"inf":true,"representative":"01"}]}',
+        ["plot"],
+        "representative must be a JSON array",
+    ),
+    "barcode-float-summand": (
+        "b.json",
+        '{"bars":[{"dim":1,"birth":0,"inf":true,"representative":[[1.5,2]]}]}',
+        ["plot"],
+        "summand must be a strictly increasing array of non-negative integers, got [1.5, 2]",
+    ),
+    "barcode-descending-summand": (
+        "b.json",
+        '{"bars":[{"dim":1,"birth":0,"inf":true,"representative":[[2,1]]}]}',
+        ["plot"],
+        "summand must be a strictly increasing array of non-negative integers, got [2, 1]",
+    ),
+    "barcode-negative-summand": (
+        "b.json",
+        '{"bars":[{"dim":1,"birth":0,"inf":true,"representative":[[-1,2]]}]}',
+        ["plot"],
+        "summand must be a strictly increasing array of non-negative integers, got [-1, 2]",
+    ),
     "preset-zero": ("f.json", '{"generators":[]}', ["erosion", "circle:0"], "preset 'circle:0'"),
     "preset-not-a-number": ("f.json", '{"generators":[]}', ["erosion", "circle:x"], "preset 'circle:x'"),
     "directory-input": ("in.txt", None, ["barcode"], "Is a directory"),

@@ -400,6 +400,53 @@ def test_oracle_matches_reference_implementation(monkeypatch):
         assert f == _reference_oracle_cup_function(c, k), name
 
 
+def test_stage_coboundary_maps_match_reference():
+    """Each stage's coboundary map, read back through the skeleton's bits,
+    gives the reference's cofacet sets row for row, in the top degree and
+    at stages with no simplex one degree up."""
+    seen = set()
+    for name, c, k in _equivalence_corpus():
+        skeleton = oracle._Skeleton(c, len(c), k + 1)
+        for t in c.critical_values:
+            stage = oracle._Stage(skeleton, t)
+            reference = _ReferenceStage(c, t)
+            for p in range(k + 1):
+                up = skeleton.canon[p + 1]
+                rows = [{c.simplices[up[b]] for b in oracle._bits(m)} for m in stage.coboundary_map(p)]
+                cofaces = sorted(reference.by_dim.get(p + 1, []))
+                expected = [{cofaces[b] for b in oracle._bits(m)} for m in reference.coboundary_map(p)]
+                assert rows == expected, (name, t, p)
+                if p == k and any(rows):
+                    seen.add("top degree")
+                if rows and not cofaces:
+                    seen.add("no simplex one degree up")
+    assert seen == {"top degree", "no simplex one degree up"}
+
+
+def test_kernel_basis_ignores_row_numbering():
+    """Renumbering the rows of every image leaves the kernel list as it
+    is: each kernel mask is fixed by the order of the generators alone."""
+    rng = random.Random(20261018)
+    with_kernel = 0
+    for _ in range(300):
+        width, count = rng.randint(1, 12), rng.randint(1, 12)
+        # images in a small random span, so that many columns are dependent
+        span = [rng.getrandbits(width) for _ in range(rng.randint(1, width))]
+        images = []
+        for _ in range(count):
+            v = 0
+            for w in rng.sample(span, rng.randint(0, len(span))):
+                v ^= w
+            images.append(v)
+        perm = rng.sample(range(width), width)
+        renumbered = [sum(1 << perm[r] for r in oracle._bits(v)) for v in images]
+        columns = rng.sample(range(2 * count), count)
+        kernel, _ = oracle._kernel_basis(images, columns)
+        assert oracle._kernel_basis(renumbered, columns)[0] == kernel
+        with_kernel += bool(kernel)
+    assert with_kernel > 100
+
+
 def _pipeline_imports(source):
     """Dotted names that a module imports from z2, cup or cohomology,
     other than the shared Cochain container."""
