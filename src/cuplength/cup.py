@@ -29,13 +29,36 @@ from .functions import Interval
 from .simplicial import FilteredComplex, Verts
 
 
-def cup_product(sigma1: Cochain, sigma2: Cochain, c: FilteredComplex) -> Cochain:
+class PositionMemo(dict):
+    """The positions in c of the simplices looked up so far, and None for
+    those c does not hold.
+
+    A top-dimension simplex is found through the complex's index view,
+    which costs a parent lookup and a bisection; a product loop that meets
+    the same simplices again keeps each answer as one dict entry.
+    """
+
+    __slots__ = ("_index",)
+
+    def __init__(self, c: FilteredComplex):
+        super().__init__()
+        self._index = c.index_of
+
+    def __missing__(self, verts: Verts) -> int | None:
+        i = self[verts] = self._index.get(verts)
+        return i
+
+
+def cup_product(
+    sigma1: Cochain, sigma2: Cochain, c: FilteredComplex, positions: PositionMemo | None = None
+) -> Cochain:
     """Cochain-level cup product inside c.
 
     Summand pairs whose overlap vertex matches concatenate to a candidate
     simplex; candidates present in c survive, cancelling mod 2.  Returns
     the zero cochain when the product dimension exceeds the dimension of
-    the complex.
+    the complex.  A caller multiplying many cochains of c passes one
+    ``positions`` to every call.
     """
     p = sigma1.p + sigma2.p
     if p > c.dim or sigma1.is_zero() or sigma2.is_zero():
@@ -43,12 +66,13 @@ def cup_product(sigma1: Cochain, sigma2: Cochain, c: FilteredComplex) -> Cochain
     by_first: dict[int, list[Verts]] = {}
     for b in sigma2.summands:
         by_first.setdefault(b[0], []).append(b)
-    index = c.index_of
+    if positions is None:
+        positions = PositionMemo(c)
     out: set[Verts] = set()
     for a in sigma1.summands:
         for b in by_first.get(a[-1], ()):
             cand = a + b[1:]
-            if cand in index:
+            if positions[cand] is not None:
                 out ^= {cand}
     return Cochain(p, frozenset(out))
 
@@ -91,6 +115,7 @@ def support(
     rc: z2.ReducedCoboundary,
     birth_grid: list[float],
     stats: RunStats | None = None,
+    positions: PositionMemo | None = None,
 ) -> Interval | None:
     """Parameter interval on which a product of representatives is non-zero.
 
@@ -102,9 +127,10 @@ def support(
     candidate.  Otherwise the right end is that of ``inter`` and the left
     end is the smallest birth whose stage still carries a non-zero
     restriction.  Exactness tests are counted into
-    ``stats.coboundary_test_count``.
+    ``stats.coboundary_test_count``.  ``positions``, when given, is the
+    lookup the product was made with.
     """
-    mask = rc.cochain_mask(sigma_prod)
+    mask = rc.cochain_mask(sigma_prod, positions)
 
     def exact_at(i: int) -> bool:
         if stats is not None:
@@ -167,6 +193,7 @@ def cup_diagram(b: AnnotatedBarcode, trim_eps: float = 0.0) -> tuple[CupDiagram,
         return CupDiagram(points), stats
 
     birth_grid = sorted({interval.left for interval, _ in base})
+    positions = PositionMemo(c)
     p_max = min(k, c.dim)
     last_vertices = [{verts[-1] for verts in s1.summands} for _, s1 in base]
     current = base
@@ -187,10 +214,10 @@ def cup_diagram(b: AnnotatedBarcode, trim_eps: float = 0.0) -> tuple[CupDiagram,
                 if s1.p + s2.p > p_max or not i1.overlaps(i2):
                     continue
                 stats.product_count += 1
-                sigma = cup_product(s1, s2, c)
+                sigma = cup_product(s1, s2, c, positions)
                 if sigma.is_zero():
                     continue
-                supp = support(sigma, i1.intersect(i2), rc, birth_grid, stats)
+                supp = support(sigma, i1.intersect(i2), rc, birth_grid, stats, positions)
                 if supp is not None:
                     fresh[supp, sigma] = None
         ell += 1

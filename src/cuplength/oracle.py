@@ -83,26 +83,26 @@ class _Skeleton:
     """
 
     def __init__(self, c: FilteredComplex, n: int, top: int):
-        simplices = c.simplices
-        index_of = c.index_of
         self.c = c
         self.canon: list[list[int]] = [[] for _ in range(top + 1)]
+        # each dimension's vertex tuples, by bit
+        verts: list[list[Verts]] = [[] for _ in range(top + 1)]
         # bit by position, for the simplices of dimension at most top
         self.bit = bit = array("i", bytes(4 * n))
-        for i in range(n):
-            p = len(simplices[i]) - 1
+        for i, v in zip(range(n), c.simplices):
+            p = len(v) - 1
             if p <= top:
                 bit[i] = len(self.canon[p])
                 self.canon[p].append(i)
-        self.lex = [
-            sorted(range(len(ps)), key=[simplices[i] for i in ps].__getitem__) for ps in self.canon
-        ]
+                verts[p].append(v)
+        self.lex = [sorted(range(len(vs)), key=vs.__getitem__) for vs in verts]
         self.cofacets: list[list[int]] = []
         for p in range(top):
+            index = c.positions(p)
             rows: list[list[int]] = [[] for _ in self.canon[p]]
-            for b, j in enumerate(self.canon[p + 1]):
-                for f in faces(simplices[j]):
-                    rows[bit[index_of[f]]].append(b)
+            for b, v in enumerate(verts[p + 1]):
+                for f in faces(v):
+                    rows[bit[index[f]]].append(b)
             masks = []
             for row in rows:
                 # set the bits in a buffer and convert once: an int grown
@@ -145,11 +145,12 @@ class _Stage:
             m |= 1 << bit[index_of[v]]
         return m
 
-    def coboundary_map(self, p: int) -> list[int]:
-        """For each p-simplex (column order) the mask of its cofacets in the stage."""
+    def coboundary_map(self, p: int, gens: list[int] | None = None) -> list[int]:
+        """For each p-simplex (column order) the mask of its cofacets in the
+        stage; ``gens``, when given, is ``self.gens(p)``."""
         cofacets = self.skeleton.cofacets[p]
         in_stage = (1 << self.size[p + 1]) - 1
-        return [cofacets[b] & in_stage for b in self.gens(p)]
+        return [cofacets[b] & in_stage for b in (self.gens(p) if gens is None else gens)]
 
     def exact_span(self, p: int) -> _Echelon:
         """Echelon of the image of the degree-(p-1) coboundary map."""
@@ -247,7 +248,7 @@ def cohomology_basis(
             basis[p] = []
             continue
         stage.spans[p] = exact
-        kernel, image = _kernel_basis(stage.coboundary_map(p), gens)
+        kernel, image = _kernel_basis(stage.coboundary_map(p, gens), gens)
         span = exact.copy()
         reps = []
         for combo in kernel:

@@ -6,18 +6,32 @@ then lexicographic on vertices.  Everything downstream (matrix reduction,
 barcode harvesting, stage restriction) indexes simplices by their position
 in this order, so the order is part of the data structure's contract.
 
-Both constructors first list the simplices by dimension, then
-lexicographically, and then sort positions by grade alone: ``sorted`` is
-stable, so simplices of equal grade keep their (dimension, lexicographic)
-order and the result is the canonical order without a composite key.
+The top dimension, most of a Vietoris-Rips complex, is stored without a
+vertex tuple or index entry per simplex: as two parallel ``array('i')``
+in canonical order, one holding each top simplex's parent (the simplex
+on its first vertices) and the other its last vertex.  The dimensions
+below are vertex tuples with a dict from tuple to position.  At equal
+grade a lower simplex precedes every top one, so the j-th top simplex
+sits at position j plus the number of lower simplices of grade at most
+its own.  ``simplices`` and ``index_of`` are views over both that answer
+for every simplex.
+
+Every constructor first lists the simplices by dimension, then
+lexicographically, and then sorts by grade alone: ``sorted`` is stable,
+so simplices of equal grade keep their (dimension, lexicographic) order
+and the result is the canonical order without a composite key.
 """
 
 from __future__ import annotations
 
-import bisect
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .errors import (
     AsymmetricMatrix,
@@ -60,31 +74,129 @@ def faces(verts: Verts) -> list[Verts]:
     return [verts[:i] + verts[i + 1 :] for i in range(len(verts))]
 
 
-@dataclass
 class FilteredComplex:
     """A face-closed simplicial complex with a grade per simplex.
 
-    ``simplices[i]`` is the vertex tuple at order position ``i`` and
-    ``grades[i]`` its filtration value; positions follow the canonical
-    (grade, dimension, lexicographic) order.  ``index_of``,
-    ``critical_values`` and ``dim`` are derived from these two at
-    construction.  Instances are treated as immutable after construction
-    and are safe to share between threads.
+    ``grades[i]`` is the filtration value at order position ``i``;
+    positions follow the canonical (grade, dimension, lexicographic)
+    order.  The top dimension is ``dim``, or 1 for a complex of vertices
+    alone, which then has no top simplex.
+
+    - ``lower`` lists the simplices below the top dimension as vertex
+      tuples, by dimension and then lexicographically, and
+      ``lower_index`` maps each to its position, in canonical order.
+    - The j-th top simplex in canonical order is ``lower[parent[j]]``
+      followed by the vertex ``last[j]``.  It sits at position j plus the
+      number of lower simplices before it.
+    - ``rank_at[i]`` says what sits at position i: ``lower[r]`` for
+      r >= 0, and the j-th top simplex for r = ~j < 0.
+    - ``simplices`` and ``index_of`` are read-only views of the vertex
+      tuple at each position and the position of each tuple.  A lower
+      tuple is one dict hit; a top one is its parent's dict hit and a
+      bisection among the parent's children by last vertex.
+
+    ``FilteredComplex(simplices, grades)`` builds the complex of parallel
+    vertex tuples and grades, in any order.  Instances are treated as
+    immutable after construction and are safe to share between threads.
     """
 
-    simplices: list[Verts]
-    grades: list[float]
-    index_of: dict[Verts, int] = field(init=False, repr=False)
-    critical_values: list[float] = field(init=False)
-    dim: int = field(init=False)
+    __slots__ = (
+        "grades",
+        "critical_values",
+        "dim",
+        "lower",
+        "lower_index",
+        "parent",
+        "last",
+        "rank_at",
+        "simplices",
+        "index_of",
+    )
 
-    def __post_init__(self) -> None:
-        self.index_of = {v: i for i, v in enumerate(self.simplices)}
+    def __init__(self, simplices: Iterable[Sequence[int]], grades: Iterable[float]):
+        entries = sorted(zip(map(tuple, simplices), grades), key=lambda e: (len(e[0]), e[0]))
+        self._assemble([v for v, _ in entries], [g for _, g in entries], [], [], [])
+
+    def _assemble(
+        self,
+        lower: list[Verts],
+        lower_grades: list[float],
+        parent: Sequence[int],
+        last: Sequence[int],
+        top_grades: list[float],
+    ) -> None:
+        """Store the simplices listed in (dimension, lexicographic) order:
+        the ones below the top dimension as tuples, each top one as its
+        parent, an index into ``lower``, and its last vertex.  A top
+        dimension listed as tuples (no parent given) is split off first."""
+        tops: list[Verts] = []
+        if not parent and len(lower[-1]) > 1:
+            cut = bisect_left(lower, len(lower[-1]), key=len)
+            tops = lower[cut:]
+            top_grades = lower_grades[cut:]
+            del lower[cut:], lower_grades[cut:]
+        self.dim = len(lower[-1]) if tops or parent else len(lower[-1]) - 1
+        self.lower = lower
+        n_lower, n_top = len(lower), len(top_grades)
+        order = array("i", sorted(range(n_lower), key=lower_grades.__getitem__))
+        top_order = array("i", sorted(range(n_top), key=top_grades.__getitem__))
+        lower_grades = [lower_grades[i] for i in order]
+        top_grades = [top_grades[i] for i in top_order]
+        # at equal grade a lower simplex precedes every top one, so a stable
+        # sort merges the two grade lists in canonical order
+        self.grades = sorted(lower_grades + top_grades)
         self.critical_values = sorted(set(self.grades))
-        self.dim = max(map(len, self.simplices)) - 1
+
+        # lay out the positions: the top simplices before a lower one are
+        # those of smaller grade, as many for every lower one of that grade
+        tops_below = {g: bisect_left(top_grades, g) for g in dict.fromkeys(lower_grades)}
+        rank_at = array("i")
+        lower_pos = array("i")
+        top_pos = array("i")
+        j = r0 = 0
+        for g, before in itertools.chain(tops_below.items(), [(math.inf, n_top)]):
+            if before > j:
+                r = bisect_left(lower_grades, g, r0)
+                rank_at += order[r0:r]
+                lower_pos.extend(range(r0 + j, r + j))
+                rank_at.extend(range(~j, ~before, -1))
+                top_pos.extend(range(j + r, before + r))
+                j, r0 = before, r
+        rank_at += order[r0:]
+        lower_pos.extend(range(r0 + j, n_lower + j))
+        self.rank_at = rank_at
+        self.lower_index = index = dict(zip(map(lower.__getitem__, order), lower_pos))
+        if tops:
+            parent = [rank_at[index[v[:-1]]] for v in tops]
+            last = [v[-1] for v in tops]
+        self.parent = array("i", map(parent.__getitem__, top_order))
+        self.last = array("i", map(last.__getitem__, top_order))
+
+        # the top simplices as listed run by parent, then by last vertex:
+        # the children of lower[i] are listed from start[i] to start[i + 1]
+        counts = map(Counter(parent).get, range(n_lower), itertools.repeat(0))
+        start = array("i", itertools.accumulate(counts, initial=0))
+        listed_pos = array("i", bytes(4 * n_top))
+        for i, at in zip(top_order, top_pos):
+            listed_pos[i] = at
+        self.simplices = _SimplexView(self)
+        self.index_of = _IndexView(self, start, array("i", last), listed_pos)
 
     def __len__(self) -> int:
-        return len(self.simplices)
+        return len(self.grades)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FilteredComplex):
+            return NotImplemented
+        return (
+            self.grades == other.grades
+            and self.lower == other.lower
+            and self.parent == other.parent
+            and self.last == other.last
+        )
+
+    def __repr__(self) -> str:
+        return f"FilteredComplex({len(self)} simplices, dim {self.dim})"
 
     def __contains__(self, verts) -> bool:
         key = verts.vertices if isinstance(verts, Simplex) else tuple(verts)
@@ -101,16 +213,115 @@ class FilteredComplex:
         """True iff the simplex has entered the filtration by parameter t."""
         return self.grade_of(s) <= t
 
+    def top_positions(self) -> Iterator[int]:
+        """The positions of the top simplices, in order."""
+        return itertools.compress(itertools.count(), map((0).__gt__, self.rank_at))
+
+    def positions(self, p: int) -> Mapping[Verts, int]:
+        """The position of each p-simplex: ``lower_index``, a plain dict,
+        below the top dimension, and ``index_of`` at it."""
+        return self.index_of if 0 < p == self.dim else self.lower_index
+
     def stage_count(self, t: float) -> int:
         """Number of simplices with grade <= t (a prefix of the order)."""
-        return bisect.bisect_right(self.grades, t)
+        return bisect_right(self.grades, t)
 
 
-def _ordered_complex(simplices: list[Verts], grades: list[float]) -> FilteredComplex:
-    """The complex of parallel simplex and grade lists given in (dimension,
-    lexicographic) order, stably sorted by grade into the canonical order."""
-    order = sorted(range(len(grades)), key=grades.__getitem__)
-    return FilteredComplex([simplices[i] for i in order], [grades[i] for i in order])
+class _SimplexView(Sequence):
+    """The vertex tuple at each position of a complex.
+
+    Views hold the complex's arrays, not the complex, so that a complex
+    is freed as soon as its last reference goes.
+    """
+
+    __slots__ = ("_lower", "_parent", "_last", "_rank_at")
+
+    def __init__(self, c: FilteredComplex):
+        self._lower = c.lower
+        self._parent = c.parent
+        self._last = c.last
+        self._rank_at = c.rank_at
+
+    def __len__(self) -> int:
+        return len(self._rank_at)
+
+    def __getitem__(self, i: int) -> Verts:
+        r = self._rank_at[i]
+        if r >= 0:
+            return self._lower[r]
+        return self._lower[self._parent[~r]] + (self._last[~r],)
+
+    def __iter__(self):
+        lower, parent, last = self._lower, self._parent, self._last
+        for r in self._rank_at:
+            yield lower[r] if r >= 0 else lower[parent[~r]] + (last[~r],)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, tuple, _SimplexView)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+class _IndexView(Mapping):
+    """The position of each vertex tuple of a complex.
+
+    The top simplices are also indexed as listed, by parent and then by
+    last vertex: the children of ``lower[i]`` are the entries
+    ``start[i]`` to ``start[i + 1]`` of ``last_listed`` and
+    ``listed_pos``, in increasing order of last vertex.
+    """
+
+    __slots__ = ("_simplices", "_index", "_rank_at", "_start", "_last", "_pos", "_top_len")
+
+    def __init__(self, c: FilteredComplex, start: array, last_listed: array, listed_pos: array):
+        self._simplices = c.simplices
+        self._index = c.lower_index
+        self._rank_at = c.rank_at
+        self._start = start
+        self._last = last_listed
+        self._pos = listed_pos
+        self._top_len = max(c.dim, 1) + 1
+
+    def get(self, key, default=None):
+        if len(key) != self._top_len:
+            return self._index.get(key, default)
+        i = self._index.get(key[:-1])
+        if i is None:
+            return default
+        i = self._rank_at[i]
+        start, last = self._start, self._last
+        hi = start[i + 1]
+        x = bisect_left(last, key[-1], start[i], hi)
+        return self._pos[x] if x < hi and last[x] == key[-1] else default
+
+    def __getitem__(self, key) -> int:
+        i = self.get(key)
+        if i is None:
+            raise KeyError(key)
+        return i
+
+    def __contains__(self, key) -> bool:
+        return self.get(key) is not None
+
+    def __iter__(self):
+        return iter(self._simplices)
+
+    def __len__(self) -> int:
+        return len(self._simplices)
+
+
+def _complex(
+    lower: list[Verts],
+    lower_grades: list[float],
+    parent: Sequence[int],
+    last: Sequence[int],
+    top_grades: list[float],
+) -> FilteredComplex:
+    """The complex of the simplices listed in (dimension, lexicographic)
+    order, as ``FilteredComplex._assemble`` takes them."""
+    c = FilteredComplex.__new__(FilteredComplex)
+    c._assemble(lower, lower_grades, parent, last, top_grades)
+    return c
 
 
 def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> FilteredComplex:
@@ -150,7 +361,7 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
                 )
 
     simplices = sorted(sorted(graded), key=len)
-    return _ordered_complex(simplices, [graded[v] for v in simplices])
+    return _complex(simplices, [graded[v] for v in simplices], [], [], [])
 
 
 def build_vietoris_rips(
@@ -166,7 +377,8 @@ def build_vietoris_rips(
     vertices in increasing order.  A simplex is its predecessor plus its
     last vertex, so if the dimension below is in lexicographic order, so is
     the new one, and the whole list is in (dimension, lexicographic) order
-    before the stable sort by grade.
+    before the stable sort by grade.  The top dimension is appended
+    straight to the parent and last-vertex arrays.
     """
     n = len(D)
     for i in range(n):
@@ -188,11 +400,15 @@ def build_vietoris_rips(
 
     simplices: list[Verts] = [(i,) for i in range(n)]
     grades: list[float] = [0.0] * n
+    parent: list[int] = []
+    last: list[int] = []
+    top_grades: list[float] = []
     hi = 0
-    for _ in range(max_dim):
+    for dim in range(1, max_dim + 1):
         lo, hi = hi, len(simplices)
+        top = dim == max_dim
         # extend by larger-id vertices only, so each clique appears once
-        for verts, diam in zip(simplices[lo:hi], grades[lo:hi]):
+        for p, verts, diam in zip(range(lo, hi), simplices[lo:hi], grades[lo:hi]):
             for v in range(verts[-1] + 1, n):
                 d = diam
                 for u in verts:
@@ -202,10 +418,15 @@ def build_vietoris_rips(
                     if duv > d:
                         d = duv
                 else:
-                    simplices.append(verts + (v,))
-                    grades.append(d)
+                    if top:
+                        parent.append(p)
+                        last.append(v)
+                        top_grades.append(d)
+                    else:
+                        simplices.append(verts + (v,))
+                        grades.append(d)
 
-    return _ordered_complex(simplices, grades)
+    return _complex(simplices, grades, parent, last, top_grades)
 
 
 def truncate(c: FilteredComplex, dim_cap: int) -> FilteredComplex:
@@ -217,8 +438,8 @@ def truncate(c: FilteredComplex, dim_cap: int) -> FilteredComplex:
         raise ValueError("dim_cap must be non-negative")
     if c.dim <= dim_cap:
         return c
-    keep = [i for i, v in enumerate(c.simplices) if len(v) - 1 <= dim_cap]
-    return FilteredComplex([c.simplices[i] for i in keep], [c.grades[i] for i in keep])
+    kept = [v for v in c.lower if len(v) - 1 <= dim_cap]
+    return _complex(kept, [c.grades[c.lower_index[v]] for v in kept], [], [], [])
 
 
 def diameter(D: Sequence[Sequence[float]]) -> float:

@@ -21,7 +21,8 @@ A, R and V are views:
   right, as ``A.columns(p)``.  A column is built on demand from the
   common neighbours of the simplex's vertices.
 - ``column_reduce`` visits ``A.columns(0)``, ``A.columns(1)``, ... in
-  turn.  A column i whose position is already the pivot row of a column
+  turn, up to the dimension below the top: a top-dimension column has no
+  pivot.  A column i whose position is already the pivot row of a column
   j of the dimension below is cleared (the twist of Chen and Kerber):
   R_i = 0 and V_i := R_j, which keeps A V = R because A R_j = A A V_j =
   0.  A column whose pivot is still free takes it without being built (an
@@ -30,24 +31,28 @@ A, R and V are views:
 - R stores the columns the reduction built: the reduced ones and the
   owners they added.  Any other column of R is A's column when it owns
   its pivot, and zero otherwise; reading it builds it and keeps nothing.
-- V stores the part above the diagonal of each reduced column and, for
-  each cleared column, the column of R it equals.  Every other column is
-  a unit vector.
+- V stores the part above the diagonal of each reduced column.  A
+  cleared column is a pivot row of R and equals the column of R that
+  owns it, which the pivot map names.  Every other column is a unit
+  vector.
 
-So a run stores two 4-byte ints per simplex (``array('i')``: positions
-and filtration indices stay below 2**31) plus the few columns it reduces.
+So A stores two 4-byte ints per simplex (``array('i')``: positions and
+filtration indices stay below 2**31), the run adds the few columns it
+reduces and one pivot map entry per pivot, and the complex itself holds
+no vertex tuple or dict entry for a top simplex (see ``simplicial``).
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .errors import SimplexNotAlive
-from .simplicial import FilteredComplex
+from .simplicial import FilteredComplex, Verts
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cohomology import Cochain
@@ -108,15 +113,17 @@ class CoboundaryMatrix(SparseZ2Matrix):
     __slots__ = ("_complex", "_first", "_neighbours", "_columns")
 
     def __init__(self, c: FilteredComplex):
-        m = len(c.simplices)
+        m = len(c)
         last = m - 1
-        index = c.index_of
+        index = c.lower_index
         first = array("i", [-1]) * m
         neighbours: dict[int, set[int]] = {}
         columns = [array("i") for _ in range(c.dim + 1)]
         # faces enter before their cofacets, so the first cofacet of a face
-        # is the first simplex that names it
-        for i, v in enumerate(c.simplices):
+        # is the first simplex that names it.  Every face is below the top
+        # dimension, so it is one dict hit; the lower simplices come in
+        # canonical order.
+        for v, i in index.items():
             n = len(v)
             columns[n - 1].append(last - i)
             if n == 1:
@@ -127,6 +134,22 @@ class CoboundaryMatrix(SparseZ2Matrix):
                 neighbours[v[1]].add(v[0])
             for f in combinations(v, n - 1):
                 k = index[f]
+                if first[k] < 0:
+                    first[k] = i
+        # a top simplex's faces are its parent and each face of the parent
+        # extended by its last vertex: no top tuple is built
+        lower, top = c.lower, columns[c.dim]
+        for i, p, w in zip(c.top_positions(), c.parent, c.last):
+            v = lower[p]
+            top.append(last - i)
+            k = index[v]
+            if first[k] < 0:
+                first[k] = i
+            if len(v) == 1:
+                neighbours[v[0]].add(w)
+                neighbours[w].add(v[0])
+            for f in combinations(v, len(v) - 1):
+                k = index[f + (w,)]
                 if first[k] < 0:
                     first[k] = i
         for cols in columns:
@@ -144,8 +167,12 @@ class CoboundaryMatrix(SparseZ2Matrix):
 
     def col_mask(self, j: int) -> int:
         last = self.n_cols - 1
-        verts = self._complex.simplices[last - j]
-        index = self._complex.index_of
+        c = self._complex
+        r = c.rank_at[last - j]
+        if r < 0:
+            return 0  # a top simplex has no cofacet
+        verts = c.lower[r]
+        index = c.positions(len(verts))
         common = self._neighbours[verts[0]]
         for v in verts[1:]:
             common = common & self._neighbours[v]
@@ -217,30 +244,30 @@ class ReductionMatrix(SparseZ2Matrix):
     """The reduction matrix V: upper unitriangular with its diagonal implicit.
 
     ``_cols`` maps each column the reduction built to its part above the
-    diagonal, and ``_cleared`` each cleared column i to the column j of R
-    whose pivot row it is: there V_i = R_j.  Every other column is a unit
-    vector.
+    diagonal.  Each pivot row i of R is a cleared column: V_i = R_j for
+    the column j owning it, ``pivot_to_col[i]``.  Every other column is a
+    unit vector.
     """
 
-    __slots__ = ("_R", "_cols", "_cleared")
+    __slots__ = ("_R", "_cols", "_pivot_to_col")
 
-    def __init__(self, R: ReducedMatrix, upper: dict[int, int], cleared: dict[int, int]):
+    def __init__(self, R: ReducedMatrix, upper: dict[int, int], pivot_to_col: dict[int, int]):
         self.n_rows = self.n_cols = R.n_cols
         self._R = R
         self._cols = upper
-        self._cleared = cleared
+        self._pivot_to_col = pivot_to_col
 
     def col_mask(self, j: int) -> int:
         if not 0 <= j < self.n_cols:
             raise IndexError(f"column {j} out of range")
-        owner = self._cleared.get(j)
+        owner = self._pivot_to_col.get(j)
         if owner is not None:
             return self._R.col_mask(owner)
         return self._cols.get(j, 0) | 1 << j
 
     def nnz(self) -> int:
         upper = sum(c.bit_count() for c in self._cols.values())
-        cleared = sum(self._R.col_mask(j).bit_count() - 1 for j in self._cleared.values())
+        cleared = sum(self._R.col_mask(j).bit_count() - 1 for j in self._pivot_to_col.values())
         return self.n_cols + upper + cleared
 
 
@@ -253,13 +280,14 @@ def column_reduce(A: CoboundaryMatrix) -> tuple[ReducedMatrix, ReductionMatrix, 
     a column j of the dimension below is cleared, with V_i := R_j; that
     keeps A V = R because A A = 0.  The pivot row of a p-simplex's column
     is a (p + 1)-simplex, so within one dimension no column is cleared and
-    a pivot row is only ever owned by a column of the dimension below it:
-    one map serves clearing and reduction alike.
+    a pivot row is only ever owned by a column of the dimension below it,
+    recorded before its own dimension is visited: one map serves clearing,
+    reduction and V alike.  A top-dimension column has no pivot, so the
+    visit stops below the top dimension.
     """
     pivot_to_col: dict[int, int] = {}
     built: dict[int, int] = {}
     upper: dict[int, int] = {}
-    cleared: dict[int, int] = {}
 
     def reduced_column(j: int) -> int:
         col = built.get(j)
@@ -267,11 +295,9 @@ def column_reduce(A: CoboundaryMatrix) -> tuple[ReducedMatrix, ReductionMatrix, 
             col = built[j] = A.col_mask(j)
         return col
 
-    for dim in range(A._complex.dim + 1):
+    for dim in range(A._complex.dim):
         for j in A.columns(dim):
-            owner = pivot_to_col.get(j)
-            if owner is not None:
-                cleared[j] = owner
+            if j in pivot_to_col:
                 continue
             p = A.pivot(j)
             if p is None:
@@ -295,7 +321,7 @@ def column_reduce(A: CoboundaryMatrix) -> tuple[ReducedMatrix, ReductionMatrix, 
             built[j] = col
             upper[j] = added
     R = ReducedMatrix(A, pivot_to_col, built)
-    return R, ReductionMatrix(R, upper, cleared), pivot_to_col
+    return R, ReductionMatrix(R, upper, pivot_to_col), pivot_to_col
 
 
 @dataclass(frozen=True)
@@ -314,9 +340,11 @@ class ReducedCoboundary:
     V: ReductionMatrix
     pivot_to_col: dict[int, int] = field(repr=False)
 
-    def cochain_mask(self, sigma: "Cochain") -> int:
+    def cochain_mask(self, sigma: "Cochain", positions: Mapping[Verts, int] | None = None) -> int:
+        """The bitmask of sigma's summands; ``positions``, when given, maps
+        them to their positions in place of the complex's index."""
         last = self.R.n_rows - 1
-        index = self.complex.index_of
+        index = self.complex.positions(sigma.p) if positions is None else positions
         y = 0
         for v in sigma.summands:
             y |= 1 << (last - index[v])

@@ -4,7 +4,8 @@ Each property compares two functions on every closed interval of a
 critical grid: the function of a disjoint union against the pointwise
 max of the parts, and the function of a relabeled or monotonically
 regraded complex against the original.  Stability compares two functions
-by erosion distance instead.
+by erosion distance instead, for perturbed distance matrices and for
+perturbed grades of an explicit filtration.
 """
 
 import math
@@ -13,7 +14,7 @@ import random
 from cuplength import spaces
 from cuplength.cup import compute_cup_diagram
 from cuplength.functions import Interval, erosion_distance, evaluate, pointwise_max, reconstruct
-from cuplength.simplicial import build_vietoris_rips, distances_from_points, from_simplex_list
+from cuplength.simplicial import build_vietoris_rips, distances_from_points, faces, from_simplex_list
 from conftest import random_filtration, regrade
 
 SURFACES = (spaces.csaszar_torus, spaces.staged_klein, spaces.projective_plane)
@@ -103,3 +104,32 @@ def test_erosion_distance_is_stable_under_perturbed_distances():
         assert distance <= bound
         nonzero += distance > 0
     assert nonzero > 10
+
+
+def _perturbed(rng, c, delta):
+    """Each grade moved by at most delta, then raised to the largest grade
+    of its faces.  A face's moved grade is at most its own grade plus
+    delta, which is at most the simplex's grade plus delta, so no grade
+    moves by more than delta."""
+    moved = {}
+    for v, g in sorted(zip(c.simplices, c.grades), key=lambda e: len(e[0])):
+        g += rng.uniform(-delta, delta)
+        moved[v] = max([g] + [moved[f] for f in faces(v)]) if len(v) > 1 else g
+    return from_simplex_list([(list(v), g) for v, g in moved.items()])
+
+
+def test_erosion_distance_is_stable_under_perturbed_grades():
+    # the same theorem for explicit filtrations of one complex:
+    # erosion(f(K, g), f(K, g')) <= |g - g'|_inf
+    rng = random.Random(65)
+    nonzero = 0
+    for i in range(30):
+        c = _random_complex(rng, i)
+        delta = (0.05, 0.2, 0.5, 1.0)[i % 4]
+        moved = _perturbed(rng, c, delta)
+        bound = max(abs(moved.grade_of(v) - g) for v, g in zip(c.simplices, c.grades))
+        assert bound <= delta
+        distance = erosion_distance(_function(c), _function(moved))
+        assert distance <= bound
+        nonzero += distance > 0
+    assert nonzero > 20

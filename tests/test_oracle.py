@@ -159,6 +159,19 @@ def test_tuple_search_stops_at_the_complex_dimension(monkeypatch):
     assert lengths and max(lengths) <= c.dim
 
 
+def test_each_stage_lists_its_generators_once(monkeypatch):
+    calls = {}
+    gens = oracle._Stage.gens
+
+    def counting(stage, p):
+        calls[id(stage), p] = calls.get((id(stage), p), 0) + 1
+        return gens(stage, p)
+
+    monkeypatch.setattr(oracle._Stage, "gens", counting)
+    oracle_cup_function(spaces.staged_klein(), 2)
+    assert calls and max(calls.values()) == 1
+
+
 def test_oracle_cup_function_matches_image_on_grid():
     rng = random.Random(4)
     for _ in range(10):

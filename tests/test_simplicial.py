@@ -1,10 +1,13 @@
 import itertools
 import math
+import os
 import random
+import tracemalloc
 
 import pytest
 
-from cuplength import spaces
+import conftest
+from cuplength import cli, spaces
 from cuplength.errors import (
     AsymmetricMatrix,
     CupLengthError,
@@ -21,6 +24,7 @@ from cuplength.simplicial import (
     Simplex,
     build_vietoris_rips,
     diameter,
+    distances_from_points,
     faces,
     from_simplex_list,
     truncate,
@@ -215,3 +219,116 @@ def test_canonical_order_is_filtration_compatible():
         rng.shuffle(entries)
         shuffled = from_simplex_list(entries)
         assert shuffled.simplices == c.simplices and shuffled.grades == c.grades
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def _reference(entries):
+    """The (vertex tuple, grade) pairs of a complex in canonical order."""
+    keyed = sorted((float(g), len(v), tuple(sorted(v))) for v, g in entries)
+    return [(v, g) for g, _, v in keyed]
+
+
+def _fixture_entries(name):
+    with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+        rows = [line.split("#", 1)[0].split() for line in fh]
+    return [([int(x) for x in row[1:]], float(row[0])) for row in rows if row]
+
+
+def _random_entries(rng, monkeypatch):
+    """The entries random_filtration hands to from_simplex_list."""
+    seen = []
+
+    def capture(entries):
+        seen.extend(entries)
+        return from_simplex_list(seen)
+
+    monkeypatch.setattr(conftest, "from_simplex_list", capture)
+    random_filtration(rng)
+    monkeypatch.undo()
+    return seen
+
+
+def _storage_corpus(monkeypatch):
+    """Complexes with their tuple references: random filtrations, the
+    fixtures, tied-grade Vietoris-Rips complexes, and every truncation."""
+    rng = random.Random(71)
+    for _ in range(25):
+        entries = _random_entries(rng, monkeypatch)
+        yield from_simplex_list(entries), _reference(entries)
+    for name in sorted(os.listdir(FIXTURES)):
+        if name.endswith(".txt"):
+            entries = _fixture_entries(name)
+            yield from_simplex_list(entries), _reference(entries)
+    d = cli.load_distance_csv(os.path.join(FIXTURES, "unit_square.csv"))
+    simplices, grades = _vr_reference(d, 2, diameter(d))
+    yield build_vietoris_rips(d, 2, diameter(d)), list(zip(simplices, grades))
+    rng = random.Random(3)
+    for _ in range(12):
+        n = rng.randint(3, 9)
+        d = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            d[i][j] = d[j][i] = rng.randint(1, 3)
+        for max_dim in range(4):
+            for cap in (diameter(d) - 1, diameter(d)):
+                simplices, grades = _vr_reference(d, max_dim, cap)
+                yield build_vietoris_rips(d, max_dim, cap), list(zip(simplices, grades))
+
+
+def _assert_pinned(c, ref):
+    simplices = [v for v, _ in ref]
+    grades = [g for _, g in ref]
+    assert len(c) == len(ref)
+    assert [c.simplices[i] for i in range(len(c))] == simplices
+    assert list(c.simplices) == simplices
+    assert c.grades == grades
+    assert c.dim == max(map(len, simplices)) - 1
+    assert c.critical_values == sorted(set(grades))
+    cuts = sorted(set(grades))
+    for t in cuts + [cuts[0] - 1] + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]:
+        assert c.stage_count(t) == sum(g <= t for g in grades)
+    # only the simplices below the top dimension are tuples
+    assert len(c.lower) + len(c.last) == len(c)
+    assert all(len(v) <= max(c.dim, 1) for v in c.lower)
+    for i, (v, g) in enumerate(ref):
+        assert c.index_of[v] == c.index_of.get(v) == i
+        assert v in c and c.grade_of(v) == g
+    present = set(simplices)
+    vertices = sorted({x for v in simplices for x in v})
+    for v in simplices:
+        for w in vertices + [vertices[-1] + 1]:
+            join = tuple(sorted(set(v) | {w}))
+            if join in present:
+                continue
+            assert join not in c and c.index_of.get(join) is None
+            with pytest.raises(KeyError):
+                c.index_of[join]
+            with pytest.raises(UnknownSimplex):
+                c.grade_of(join)
+
+
+def test_compact_storage_matches_the_tuple_reference(monkeypatch):
+    checked = 0
+    for c, ref in _storage_corpus(monkeypatch):
+        _assert_pinned(c, ref)
+        for cap in range(c.dim):
+            _assert_pinned(truncate(c, cap), [(v, g) for v, g in ref if len(v) <= cap + 1])
+        checked += 1
+    assert checked > 100
+
+
+def test_vr_complex_stores_far_less_than_a_tuple_per_simplex():
+    # memory regression guard: with a vertex tuple and an index entry per
+    # simplex this complex took 156 B per simplex; the top dimension, 86 %
+    # of it, is stored as arrays
+    rng = random.Random(37)
+    d = distances_from_points([(rng.random(), rng.random()) for _ in range(30)])
+    tracemalloc.start()
+    try:
+        c = build_vietoris_rips(d, 3, math.inf)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(c) == 31_930
+    assert live < 64 * len(c)
