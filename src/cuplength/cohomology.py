@@ -31,10 +31,14 @@ class Cochain:
     summands: frozenset[Verts]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "summands", frozenset(tuple(v) for v in self.summands))
-        for v in self.summands:
-            if len(v) != self.p + 1:
-                raise ValueError(f"summand {v} is not {self.p}-dimensional")
+        summands = self.summands
+        # a frozenset of tuples, as products and restrictions pass, is kept
+        if type(summands) is not frozenset or not {tuple}.issuperset(map(type, summands)):
+            summands = frozenset(tuple(v) for v in summands)
+            object.__setattr__(self, "summands", summands)
+        if not {self.p + 1}.issuperset(map(len, summands)):
+            bad = next(v for v in summands if len(v) != self.p + 1)
+            raise ValueError(f"summand {bad} is not {self.p}-dimensional")
 
     @classmethod
     def zero(cls, p: int) -> "Cochain":

@@ -49,8 +49,20 @@ class PositionMemo(dict):
         return i
 
 
+def _by_first_vertex(sigma: Cochain) -> dict[int, list[Verts]]:
+    """The summands of sigma by their first vertex."""
+    by_first: dict[int, list[Verts]] = {}
+    for b in sigma.summands:
+        by_first.setdefault(b[0], []).append(b)
+    return by_first
+
+
 def cup_product(
-    sigma1: Cochain, sigma2: Cochain, c: FilteredComplex, positions: PositionMemo | None = None
+    sigma1: Cochain,
+    sigma2: Cochain,
+    c: FilteredComplex,
+    positions: PositionMemo | None = None,
+    by_first: dict[int, list[Verts]] | None = None,
 ) -> Cochain:
     """Cochain-level cup product inside c.
 
@@ -58,14 +70,15 @@ def cup_product(
     simplex; candidates present in c survive, cancelling mod 2.  Returns
     the zero cochain when the product dimension exceeds the dimension of
     the complex.  A caller multiplying many cochains of c passes one
-    ``positions`` to every call.
+    ``positions`` to every call.  ``by_first``, when given, is sigma2's
+    summands by first vertex, for a caller that multiplies sigma2 again
+    and again.
     """
     p = sigma1.p + sigma2.p
     if p > c.dim or sigma1.is_zero() or sigma2.is_zero():
         return Cochain.zero(p)
-    by_first: dict[int, list[Verts]] = {}
-    for b in sigma2.summands:
-        by_first.setdefault(b[0], []).append(b)
+    if by_first is None:
+        by_first = _by_first_vertex(sigma2)
     if positions is None:
         positions = PositionMemo(c)
     out: set[Verts] = set()
@@ -160,8 +173,8 @@ def cup_diagram(b: AnnotatedBarcode, trim_eps: float = 0.0) -> tuple[CupDiagram,
     discarded first.  Every surviving bar contributes its own interval at
     value 1; repeated products against the bar set contribute the interval
     of each non-empty support at the fold count, merged by maximum.
-    Each fold indexes the products found so far by the first vertices of
-    their summands, and multiplies a bar representative only against those
+    Each fold indexes the summands of each product found so far by first
+    vertex, once, and multiplies a bar representative only against those
     sharing a vertex with the last vertices of its own summands, in the
     order they were found; the other pairs multiply to zero.  Products
     whose total dimension would exceed ``b.dim_bound`` are skipped,
@@ -199,10 +212,13 @@ def cup_diagram(b: AnnotatedBarcode, trim_eps: float = 0.0) -> tuple[CupDiagram,
     current = base
     ell = 1
     while current and ell <= k - 1:
-        # positions in current of the cochains with a summand starting at each vertex
+        # each cochain of current indexed by first vertex, once per fold, and
+        # the positions in current of those with a summand starting at each
+        # vertex
+        indexed = [_by_first_vertex(s2) for _, s2 in current]
         starting_at: dict[int, list[int]] = {}
-        for j, (_, s2) in enumerate(current):
-            for v in {verts[0] for verts in s2.summands}:
+        for j, by_first in enumerate(indexed):
+            for v in by_first:
                 starting_at.setdefault(v, []).append(j)
         # an insertion-ordered set of (support, product) pairs
         fresh: dict[tuple[Interval, Cochain], None] = {}
@@ -214,7 +230,7 @@ def cup_diagram(b: AnnotatedBarcode, trim_eps: float = 0.0) -> tuple[CupDiagram,
                 if s1.p + s2.p > p_max or not i1.overlaps(i2):
                     continue
                 stats.product_count += 1
-                sigma = cup_product(s1, s2, c, positions)
+                sigma = cup_product(s1, s2, c, positions, indexed[j])
                 if sigma.is_zero():
                     continue
                 supp = support(sigma, i1.intersect(i2), rc, birth_grid, stats, positions)

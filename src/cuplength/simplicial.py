@@ -7,14 +7,16 @@ barcode harvesting, stage restriction) indexes simplices by their position
 in this order, so the order is part of the data structure's contract.
 
 The top dimension, most of a Vietoris-Rips complex, is stored without a
-vertex tuple or index entry per simplex: as two parallel ``array('i')``
-in canonical order, one holding each top simplex's parent (the simplex
-on its first vertices) and the other its last vertex.  The dimensions
-below are vertex tuples with a dict from tuple to position.  At equal
-grade a lower simplex precedes every top one, so the j-th top simplex
-sits at position j plus the number of lower simplices of grade at most
-its own.  ``simplices`` and ``index_of`` are views over both that answer
-for every simplex.
+vertex tuple or index entry per simplex.  Its simplices are kept in the
+order every constructor lists them, by parent (the simplex on their
+first vertices) and then by last vertex, which is lexicographic order:
+three parallel ``array('i')`` hold each one's parent, last vertex and
+position, and the children of a parent are a contiguous run of that
+listing.  The dimensions below are vertex tuples with a dict from tuple
+to position.  At equal grade a lower simplex precedes every top one, so
+the j-th top simplex in canonical order sits at position j plus the
+number of lower simplices of grade at most its own.  ``simplices`` and
+``index_of`` are views over both that answer for every simplex.
 
 Every constructor first lists the simplices by dimension, then
 lexicographically, and then sorts by grade alone: ``sorted`` is stable,
@@ -26,12 +28,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     AsymmetricMatrix,
@@ -85,11 +88,13 @@ class FilteredComplex:
     - ``lower`` lists the simplices below the top dimension as vertex
       tuples, by dimension and then lexicographically, and
       ``lower_index`` maps each to its position, in canonical order.
-    - The j-th top simplex in canonical order is ``lower[parent[j]]``
-      followed by the vertex ``last[j]``.  It sits at position j plus the
-      number of lower simplices before it.
+    - The top simplices are listed by parent and then by last vertex,
+      the order every constructor produces.  The j-th listed one is
+      ``lower[parent[j]]`` followed by the vertex ``last[j]``, and it
+      sits at position ``top_pos[j]``.  The children of ``lower[r]`` are
+      the listed entries ``child_start[r]`` to ``child_start[r + 1]``.
     - ``rank_at[i]`` says what sits at position i: ``lower[r]`` for
-      r >= 0, and the j-th top simplex for r = ~j < 0.
+      r >= 0, and the j-th listed top simplex for r = ~j < 0.
     - ``simplices`` and ``index_of`` are read-only views of the vertex
       tuple at each position and the position of each tuple.  A lower
       tuple is one dict hit; a top one is its parent's dict hit and a
@@ -108,6 +113,8 @@ class FilteredComplex:
         "lower_index",
         "parent",
         "last",
+        "top_pos",
+        "child_start",
         "rank_at",
         "simplices",
         "index_of",
@@ -127,8 +134,9 @@ class FilteredComplex:
     ) -> None:
         """Store the simplices listed in (dimension, lexicographic) order:
         the ones below the top dimension as tuples, each top one as its
-        parent, an index into ``lower``, and its last vertex.  A top
-        dimension listed as tuples (no parent given) is split off first."""
+        parent, an index into ``lower``, and its last vertex, kept in that
+        listed order.  A top dimension listed as tuples (no parent given)
+        is split off first."""
         tops: list[Verts] = []
         if not parent and len(lower[-1]) > 1:
             cut = bisect_left(lower, len(lower[-1]), key=len)
@@ -152,35 +160,31 @@ class FilteredComplex:
         tops_below = {g: bisect_left(top_grades, g) for g in dict.fromkeys(lower_grades)}
         rank_at = array("i")
         lower_pos = array("i")
-        top_pos = array("i")
+        top_pos = array("i", bytes(4 * n_top))
         j = r0 = 0
         for g, before in itertools.chain(tops_below.items(), [(math.inf, n_top)]):
             if before > j:
                 r = bisect_left(lower_grades, g, r0)
                 rank_at += order[r0:r]
                 lower_pos.extend(range(r0 + j, r + j))
-                rank_at.extend(range(~j, ~before, -1))
-                top_pos.extend(range(j + r, before + r))
+                rank_at.extend(map(operator.invert, top_order[j:before]))
+                for t, at in zip(top_order[j:before], range(j + r, before + r)):
+                    top_pos[t] = at
                 j, r0 = before, r
         rank_at += order[r0:]
         lower_pos.extend(range(r0 + j, n_lower + j))
         self.rank_at = rank_at
+        self.top_pos = top_pos
         self.lower_index = index = dict(zip(map(lower.__getitem__, order), lower_pos))
         if tops:
             parent = [rank_at[index[v[:-1]]] for v in tops]
             last = [v[-1] for v in tops]
-        self.parent = array("i", map(parent.__getitem__, top_order))
-        self.last = array("i", map(last.__getitem__, top_order))
-
-        # the top simplices as listed run by parent, then by last vertex:
-        # the children of lower[i] are listed from start[i] to start[i + 1]
+        self.parent = array("i", parent)
+        self.last = array("i", last)
         counts = map(Counter(parent).get, range(n_lower), itertools.repeat(0))
-        start = array("i", itertools.accumulate(counts, initial=0))
-        listed_pos = array("i", bytes(4 * n_top))
-        for i, at in zip(top_order, top_pos):
-            listed_pos[i] = at
+        self.child_start = array("i", itertools.accumulate(counts, initial=0))
         self.simplices = _SimplexView(self)
-        self.index_of = _IndexView(self, start, array("i", last), listed_pos)
+        self.index_of = _IndexView(self)
 
     def __len__(self) -> int:
         return len(self.grades)
@@ -212,10 +216,6 @@ class FilteredComplex:
     def alive_at(self, s, t: float) -> bool:
         """True iff the simplex has entered the filtration by parameter t."""
         return self.grade_of(s) <= t
-
-    def top_positions(self) -> Iterator[int]:
-        """The positions of the top simplices, in order."""
-        return itertools.compress(itertools.count(), map((0).__gt__, self.rank_at))
 
     def positions(self, p: int) -> Mapping[Verts, int]:
         """The position of each p-simplex: ``lower_index``, a plain dict,
@@ -263,23 +263,17 @@ class _SimplexView(Sequence):
 
 
 class _IndexView(Mapping):
-    """The position of each vertex tuple of a complex.
-
-    The top simplices are also indexed as listed, by parent and then by
-    last vertex: the children of ``lower[i]`` are the entries
-    ``start[i]`` to ``start[i + 1]`` of ``last_listed`` and
-    ``listed_pos``, in increasing order of last vertex.
-    """
+    """The position of each vertex tuple of a complex."""
 
     __slots__ = ("_simplices", "_index", "_rank_at", "_start", "_last", "_pos", "_top_len")
 
-    def __init__(self, c: FilteredComplex, start: array, last_listed: array, listed_pos: array):
+    def __init__(self, c: FilteredComplex):
         self._simplices = c.simplices
         self._index = c.lower_index
         self._rank_at = c.rank_at
-        self._start = start
-        self._last = last_listed
-        self._pos = listed_pos
+        self._start = c.child_start
+        self._last = c.last
+        self._pos = c.top_pos
         self._top_len = max(c.dim, 1) + 1
 
     def get(self, key, default=None):

@@ -19,7 +19,9 @@ A, R and V are views:
   per simplex; that cofacet's position is the pivot of the simplex's
   column.  It also lists each dimension's column positions, left to
   right, as ``A.columns(p)``.  A column is built on demand from the
-  common neighbours of the simplex's vertices.
+  common neighbours of the simplex's vertices.  The first cofacets of
+  the simplices one below the top dimension are found from the top
+  dimension's listing, parent by parent, with no top vertex tuple built.
 - ``column_reduce`` visits ``A.columns(0)``, ``A.columns(1)``, ... in
   turn, up to the dimension below the top: a top-dimension column has no
   pivot.  A column i whose position is already the pivot row of a column
@@ -36,19 +38,21 @@ A, R and V are views:
   owns it, which the pivot map names.  Every other column is a unit
   vector.
 
-So A stores two 4-byte ints per simplex (``array('i')``: positions and
-filtration indices stay below 2**31), the run adds the few columns it
+So A stores a 4-byte int per simplex and one more per simplex below the
+top dimension (``array('i')``: positions and filtration indices stay
+below 2**31), the run adds the few columns it
 reduces and one pivot map entry per pivot, and the complex itself holds
 no vertex tuple or dict entry for a top simplex (see ``simplicial``).
 """
 
 from __future__ import annotations
 
+import operator
 from array import array
-from bisect import bisect
+from bisect import bisect, bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress, repeat
 from typing import TYPE_CHECKING
 
 from .errors import SimplexNotAlive
@@ -105,9 +109,19 @@ class CoboundaryMatrix(SparseZ2Matrix):
 
     Stores the filtration index of each simplex's first cofacet (or -1),
     which gives each column's pivot, the neighbour set of each vertex and
-    each dimension's column positions.  ``col_mask(j)`` joins the simplex
+    the column positions of each dimension below the top; the top
+    dimension's are read off the complex.  ``col_mask(j)`` joins the simplex
     at position j with each common neighbour of its vertices and keeps the
     joins the complex holds.
+
+    The first cofacets are found in one pass over the lower simplices in
+    canonical order, where the first simplex naming a face is its first
+    cofacet, and one pass over the top simplices as the complex lists
+    them, by parent P and then by last vertex w.  P's least child
+    position is one ``min`` over its run of ``top_pos``.  The other faces
+    of a child P + (w,) are f + (w,) for the faces f of P, found by the
+    int w in an index of f's own children; since the listing is not in
+    canonical order, each keeps the least position that names it.
     """
 
     __slots__ = ("_complex", "_first", "_neighbours", "_columns")
@@ -115,17 +129,22 @@ class CoboundaryMatrix(SparseZ2Matrix):
     def __init__(self, c: FilteredComplex):
         m = len(c)
         last = m - 1
+        top = max(c.dim, 1)
         index = c.lower_index
         first = array("i", [-1]) * m
         neighbours: dict[int, set[int]] = {}
-        columns = [array("i") for _ in range(c.dim + 1)]
+        columns = [array("i") for _ in range(top)]
+        # joins[f][w] is the position of the (top - 1)-simplex f + (w,)
+        joins: dict[Verts, dict[int, int]] = {}
         # faces enter before their cofacets, so the first cofacet of a face
-        # is the first simplex that names it.  Every face is below the top
-        # dimension, so it is one dict hit; the lower simplices come in
-        # canonical order.
+        # below dimension top - 1 is the first simplex that names it.  Every
+        # such face is a lower simplex, one dict hit, and the lower
+        # simplices come in canonical order.
         for v, i in index.items():
             n = len(v)
             columns[n - 1].append(last - i)
+            if n == top:
+                joins.setdefault(v[:-1], {})[v[-1]] = i
             if n == 1:
                 neighbours[v[0]] = set()
                 continue
@@ -136,22 +155,31 @@ class CoboundaryMatrix(SparseZ2Matrix):
                 k = index[f]
                 if first[k] < 0:
                     first[k] = i
-        # a top simplex's faces are its parent and each face of the parent
-        # extended by its last vertex: no top tuple is built
-        lower, top = c.lower, columns[c.dim]
-        for i, p, w in zip(c.top_positions(), c.parent, c.last):
-            v = lower[p]
-            top.append(last - i)
+        # the top simplices come as the complex lists them, parent by parent,
+        # so a face's first cofacet is the least position that names it
+        lower, start, top_last, top_pos = c.lower, c.child_start, c.last, c.top_pos
+        cut = bisect_left(lower, top, key=len)
+        for v, lo, hi in zip(lower[cut:], start[cut:], start[cut + 1 :]):
+            if lo == hi:
+                continue
+            ws, at = top_last[lo:hi], top_pos[lo:hi]
             k = index[v]
-            if first[k] < 0:
+            i = min(at)
+            j = first[k]
+            if j < 0 or i < j:
                 first[k] = i
-            if len(v) == 1:
-                neighbours[v[0]].add(w)
-                neighbours[w].add(v[0])
-            for f in combinations(v, len(v) - 1):
-                k = index[f + (w,)]
-                if first[k] < 0:
-                    first[k] = i
+            for f in combinations(v, top - 1):
+                position = joins[f]
+                for w, i in zip(ws, at):
+                    k = position[w]
+                    j = first[k]
+                    if j < 0 or i < j:
+                        first[k] = i
+        if top == 1:
+            for r, w in zip(c.parent, c.last):
+                (u,) = lower[r]
+                neighbours[u].add(w)
+                neighbours[w].add(u)
         for cols in columns:
             cols.reverse()
         self.n_rows = self.n_cols = m
@@ -162,8 +190,16 @@ class CoboundaryMatrix(SparseZ2Matrix):
 
     def columns(self, p: int) -> array:
         """The positions of the p-simplices, left to right; empty when the
-        complex has no p-simplex."""
-        return self._columns[p] if p < len(self._columns) else array("i")
+        complex has no p-simplex.  The top dimension's, which no reduction
+        visits, are read off the complex on each call."""
+        if p < len(self._columns):
+            return self._columns[p]
+        if p > len(self._columns):
+            return array("i")
+        is_top = map(operator.lt, self._complex.rank_at, repeat(0))
+        cols = array("i", compress(range(self.n_cols - 1, -1, -1), is_top))
+        cols.reverse()
+        return cols
 
     def col_mask(self, j: int) -> int:
         last = self.n_cols - 1
@@ -192,7 +228,9 @@ class CoboundaryMatrix(SparseZ2Matrix):
     def nnz(self) -> int:
         # the complex is face-closed: each of the p + 1 faces of a p-simplex
         # is a row of its column
-        return sum((p + 1) * len(cols) for p, cols in enumerate(self._columns) if p)
+        top = len(self._columns)
+        lower = sum((p + 1) * len(self._columns[p]) for p in range(1, top))
+        return lower + (top + 1) * len(self._complex.last)
 
 
 def coboundary_matrix(c: FilteredComplex) -> CoboundaryMatrix:

@@ -31,6 +31,22 @@ def test_cochain_validation_and_restriction():
     assert (sigma ^ Cochain.of((0, 1))) == Cochain.of((3, 4))
 
 
+def test_cochain_keeps_a_frozenset_of_tuples():
+    summands = frozenset({(0, 1), (1, 2)})
+    assert Cochain(1, summands).summands is summands
+    # other iterables, and frozensets of other sequences, become tuples
+    for given in ([[0, 1], [1, 2]], [(0, 1), (1, 2)], iter([(0, 1), [1, 2]]), frozenset({"ab"})):
+        sigma = Cochain(1, given)
+        assert all(type(v) is tuple for v in sigma.summands)
+    assert Cochain(1, [[0, 1], [1, 2]]).summands == summands
+    assert Cochain(1, frozenset({"ab"})).summands == {("a", "b")}
+    # every summand's length is checked, whichever way it came
+    for bad in (frozenset({(0, 1), (0, 1, 2)}), [[0, 1], [2]], frozenset({"abc"})):
+        with pytest.raises(ValueError, match="is not 1-dimensional"):
+            Cochain(1, bad)
+    assert Cochain.zero(3).summands == frozenset()
+
+
 def test_bar_rejects_empty_interval():
     with pytest.raises(ValueError):
         Bar(1, 1.0, 1.0, Cochain.zero(1))

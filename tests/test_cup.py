@@ -5,7 +5,15 @@ import pytest
 
 from cuplength import cli, oracle, spaces
 from cuplength.cohomology import Cochain, compute_barcode
-from cuplength.cup import CupDiagram, RunStats, compute_cup_diagram, cup_diagram, cup_product, support
+from cuplength.cup import (
+    CupDiagram,
+    RunStats,
+    _by_first_vertex,
+    compute_cup_diagram,
+    cup_diagram,
+    cup_product,
+    support,
+)
 from cuplength.functions import Interval, evaluate, reconstruct
 from cuplength.simplicial import from_simplex_list, truncate
 from cuplength.z2 import in_reduced_column_space, is_coboundary, reduce_coboundary
@@ -33,6 +41,21 @@ def test_cup_product_bilinear_expansion():
     left = Cochain.of((0, 1)) ^ Cochain.of((1, 2))
     out = cup_product(left, Cochain.of((2, 3)), c)
     assert out == Cochain.of((1, 2, 3))
+
+
+def test_cup_product_takes_the_right_factor_indexed_by_first_vertex():
+    rng = random.Random(17)
+    for _ in range(20):
+        c = random_filtration(rng, max_vertices=6, max_positive=30)
+        by_dim = {}
+        for v in c.simplices:
+            by_dim.setdefault(len(v) - 1, []).append(v)
+        for p1, p2 in ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1)):
+            if p1 not in by_dim or p2 not in by_dim:
+                continue
+            s1 = Cochain(p1, frozenset(rng.sample(by_dim[p1], min(4, len(by_dim[p1])))))
+            s2 = Cochain(p2, frozenset(rng.sample(by_dim[p2], min(4, len(by_dim[p2])))))
+            assert cup_product(s1, s2, c, None, _by_first_vertex(s2)) == cup_product(s1, s2, c)
 
 
 def test_cup_product_dimension_guard():

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from cuplength import spaces
 from cuplength.cohomology import Cochain, cochain_coboundary
 from cuplength.errors import SimplexNotAlive
-from cuplength.simplicial import build_vietoris_rips, distances_from_points, faces, from_simplex_list
+from cuplength.simplicial import (
+    build_vietoris_rips,
+    diameter,
+    distances_from_points,
+    faces,
+    from_simplex_list,
+    truncate,
+)
 from cuplength.z2 import (
     CoboundaryMatrix,
     coboundary_matrix,
@@ -81,6 +88,68 @@ def test_coboundary_view_pivot_is_first_cofacet(c):
     assert masks == _reference_coboundary(c)
     assert [a.pivot(j) for j in range(a.n_cols)] == [m.bit_length() - 1 if m else None for m in masks]
     assert a.nnz() == sum(m.bit_count() for m in masks)
+
+
+def _assert_first_cofacets(c):
+    """Pivots, columns and column masks of A against the reference."""
+    a = coboundary_matrix(c)
+    ref = _reference_coboundary(c)
+    last = len(c) - 1
+    assert [a.pivot(j) for j in range(a.n_cols)] == [m.bit_length() - 1 if m else None for m in ref]
+    assert _masks(a) == ref
+    for p in range(c.dim + 2):
+        expected = sorted(last - i for i, v in enumerate(c.simplices) if len(v) == p + 1)
+        assert list(a.columns(p)) == expected
+
+
+def _tied_grade_complexes():
+    """Vietoris-Rips complexes of random integer distance matrices (the
+    tied-grade ones of test_simplicial), where a parent has many top
+    children: top dimensions 0-4, two caps, and the truncations."""
+    rng = random.Random(3)
+    for _ in range(60):
+        n = rng.randint(3, 9)
+        d = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            d[i][j] = d[j][i] = rng.randint(1, 3)
+        for cap in (diameter(d) - 1, diameter(d)):
+            for max_dim in range(5):
+                c = build_vietoris_rips(d, max_dim, cap)
+                yield c
+            for dim_cap in range(c.dim):
+                yield truncate(c, dim_cap)
+
+
+def test_first_cofacets_on_vr_complexes_with_many_children_per_parent():
+    checked = 0
+    for c in _tied_grade_complexes():
+        _assert_first_cofacets(c)
+        checked += 1
+    assert checked > 900
+
+
+def _pivot_simplex(c, verts):
+    a = coboundary_matrix(c)
+    last = len(c) - 1
+    return c.simplices[last - a.pivot(last - c.index_of[verts])]
+
+
+def test_first_cofacet_found_through_a_later_parent():
+    # the cofacets of the edge (3, 4) are children of (0, 3), (1, 3) and
+    # (2, 3), listed in that order; the middle one enters first
+    entries = {(0, 3, 4): 2.0, (1, 3, 4): 1.0, (2, 3, 4): 3.0}
+    c = from_simplex_list([(list(v), g) for v, g in spaces.close_under_faces(entries).items()])
+    assert _pivot_simplex(c, (3, 4)) == (1, 3, 4)
+    _assert_first_cofacets(c)
+
+
+def test_first_cofacet_among_a_parents_own_children():
+    # (1, 2)'s cofacets are (0, 1, 2), a child of (0, 1) listed first, and
+    # its own children (1, 2, 3) and (1, 2, 4), of which the later enters first
+    entries = {(0, 1, 2): 3.0, (1, 2, 3): 2.0, (1, 2, 4): 1.0}
+    c = from_simplex_list([(list(v), g) for v, g in spaces.close_under_faces(entries).items()])
+    assert _pivot_simplex(c, (1, 2)) == (1, 2, 4)
+    _assert_first_cofacets(c)
 
 
 def _masks(M):
