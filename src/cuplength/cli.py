@@ -400,7 +400,8 @@ def run(config: JobConfig) -> int:
         return 0
 
     c = _load_complex_input(config, config.inputs[0])
-    k = config.max_dim
+    # no class or non-zero product lives above the complex's dimension
+    k = min(config.max_dim, max(c.dim, 1))
 
     if cmd == "barcode":
         barcode = compute_barcode(c, k)

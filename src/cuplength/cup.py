@@ -15,7 +15,10 @@ survives, and bisection over the birth grid finds the left end, as a
 linear descent would.  A fold multiplies a pair only when a summand of
 the left factor ends at a vertex where a summand of the right factor
 starts: the Alexander-Whitney product joins exactly such summands, so
-every other pair multiplies to zero and is never visited.
+every other pair multiplies to zero and is never visited.  A product's
+summands are found through ``c.positions(p)``; since the barcode's
+complex is truncated at k + 1, that is a plain dict for every degree a
+product can land in, unless the caller capped the complex lower.
 """
 
 from __future__ import annotations
@@ -27,26 +30,6 @@ from . import z2
 from .cohomology import AnnotatedBarcode, Cochain, compute_barcode
 from .functions import Interval
 from .simplicial import FilteredComplex, Verts
-
-
-class PositionMemo(dict):
-    """The positions in c of the simplices looked up so far, and None for
-    those c does not hold.
-
-    A top-dimension simplex is found through the complex's index view,
-    which costs a parent lookup and a bisection; a product loop that meets
-    the same simplices again keeps each answer as one dict entry.
-    """
-
-    __slots__ = ("_index",)
-
-    def __init__(self, c: FilteredComplex):
-        super().__init__()
-        self._index = c.index_of
-
-    def __missing__(self, verts: Verts) -> int | None:
-        i = self[verts] = self._index.get(verts)
-        return i
 
 
 def _by_first_vertex(sigma: Cochain) -> dict[int, list[Verts]]:
@@ -61,7 +44,6 @@ def cup_product(
     sigma1: Cochain,
     sigma2: Cochain,
     c: FilteredComplex,
-    positions: PositionMemo | None = None,
     by_first: dict[int, list[Verts]] | None = None,
 ) -> Cochain:
     """Cochain-level cup product inside c.
@@ -69,23 +51,20 @@ def cup_product(
     Summand pairs whose overlap vertex matches concatenate to a candidate
     simplex; candidates present in c survive, cancelling mod 2.  Returns
     the zero cochain when the product dimension exceeds the dimension of
-    the complex.  A caller multiplying many cochains of c passes one
-    ``positions`` to every call.  ``by_first``, when given, is sigma2's
-    summands by first vertex, for a caller that multiplies sigma2 again
-    and again.
+    the complex.  ``by_first``, when given, is sigma2's summands by first
+    vertex, for a caller that multiplies sigma2 again and again.
     """
     p = sigma1.p + sigma2.p
     if p > c.dim or sigma1.is_zero() or sigma2.is_zero():
         return Cochain.zero(p)
     if by_first is None:
         by_first = _by_first_vertex(sigma2)
-    if positions is None:
-        positions = PositionMemo(c)
+    index = c.positions(p)
     out: set[Verts] = set()
     for a in sigma1.summands:
         for b in by_first.get(a[-1], ()):
             cand = a + b[1:]
-            if positions[cand] is not None:
+            if cand in index:
                 out ^= {cand}
     return Cochain(p, frozenset(out))
 
@@ -128,7 +107,6 @@ def support(
     rc: z2.ReducedCoboundary,
     birth_grid: list[float],
     stats: RunStats | None = None,
-    positions: PositionMemo | None = None,
 ) -> Interval | None:
     """Parameter interval on which a product of representatives is non-zero.
 
@@ -140,10 +118,9 @@ def support(
     candidate.  Otherwise the right end is that of ``inter`` and the left
     end is the smallest birth whose stage still carries a non-zero
     restriction.  Exactness tests are counted into
-    ``stats.coboundary_test_count``.  ``positions``, when given, is the
-    lookup the product was made with.
+    ``stats.coboundary_test_count``.
     """
-    mask = rc.cochain_mask(sigma_prod, positions)
+    mask = rc.cochain_mask(sigma_prod)
 
     def exact_at(i: int) -> bool:
         if stats is not None:
@@ -206,7 +183,6 @@ def cup_diagram(b: AnnotatedBarcode, trim_eps: float = 0.0) -> tuple[CupDiagram,
         return CupDiagram(points), stats
 
     birth_grid = sorted({interval.left for interval, _ in base})
-    positions = PositionMemo(c)
     p_max = min(k, c.dim)
     last_vertices = [{verts[-1] for verts in s1.summands} for _, s1 in base]
     current = base
@@ -230,10 +206,10 @@ def cup_diagram(b: AnnotatedBarcode, trim_eps: float = 0.0) -> tuple[CupDiagram,
                 if s1.p + s2.p > p_max or not i1.overlaps(i2):
                     continue
                 stats.product_count += 1
-                sigma = cup_product(s1, s2, c, positions, indexed[j])
+                sigma = cup_product(s1, s2, c, indexed[j])
                 if sigma.is_zero():
                     continue
-                supp = support(sigma, i1.intersect(i2), rc, birth_grid, stats, positions)
+                supp = support(sigma, i1.intersect(i2), rc, birth_grid, stats)
                 if supp is not None:
                     fresh[supp, sigma] = None
         ell += 1

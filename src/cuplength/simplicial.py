@@ -6,17 +6,20 @@ then lexicographic on vertices.  Everything downstream (matrix reduction,
 barcode harvesting, stage restriction) indexes simplices by their position
 in this order, so the order is part of the data structure's contract.
 
-The top dimension, most of a Vietoris-Rips complex, is stored without a
-vertex tuple or index entry per simplex.  Its simplices are kept in the
-order every constructor lists them, by parent (the simplex on their
-first vertices) and then by last vertex, which is lexicographic order:
-three parallel ``array('i')`` hold each one's parent, last vertex and
-position, and the children of a parent are a contiguous run of that
-listing.  The dimensions below are vertex tuples with a dict from tuple
-to position.  At equal grade a lower simplex precedes every top one, so
-the j-th top simplex in canonical order sits at position j plus the
-number of lower simplices of grade at most its own.  ``simplices`` and
-``index_of`` are views over both that answer for every simplex.
+The dimension a caller caps a complex at, ``top``, is stored without a
+vertex tuple or index entry per simplex: K, most of the complex, for
+``build_vietoris_rips(D, K)`` and ``cap`` for ``truncate(c, cap)``.  Its
+simplices are kept in the order those constructors list them, by parent
+(the simplex on their first vertices) and then by last vertex, which is
+lexicographic order: three parallel ``array('i')`` hold each one's
+parent, last vertex and position, and the children of a parent are a
+contiguous run of that listing.  The dimensions below are vertex tuples
+with a dict from tuple to position.  A complex read from a list names no
+cap: its ``top`` is one above its dimension and empty.  At equal grade a
+lower simplex precedes every top one, so the j-th top simplex in
+canonical order sits at position j plus the number of lower simplices of
+grade at most its own.  ``simplices`` and ``index_of`` are views over
+both that answer for every simplex.
 
 Every constructor first lists the simplices by dimension, then
 lexicographically, and then sorts by grade alone: ``sorted`` is stable,
@@ -82,14 +85,16 @@ class FilteredComplex:
 
     ``grades[i]`` is the filtration value at order position ``i``;
     positions follow the canonical (grade, dimension, lexicographic)
-    order.  The top dimension is ``dim``, or 1 for a complex of vertices
-    alone, which then has no top simplex.
+    order.  ``top`` is the dimension stored as arrays: the cap of a
+    Vietoris-Rips complex or a truncation, or ``dim + 1``, empty, for a
+    complex read from a list.  It is at least 1, since a vertex has no
+    parent.
 
-    - ``lower`` lists the simplices below the top dimension as vertex
+    - ``lower`` lists the simplices below ``top`` as vertex
       tuples, by dimension and then lexicographically, and
       ``lower_index`` maps each to its position, in canonical order.
     - The top simplices are listed by parent and then by last vertex,
-      the order every constructor produces.  The j-th listed one is
+      the order their constructors produce.  The j-th listed one is
       ``lower[parent[j]]`` followed by the vertex ``last[j]``, and it
       sits at position ``top_pos[j]``.  The children of ``lower[r]`` are
       the listed entries ``child_start[r]`` to ``child_start[r + 1]``.
@@ -109,6 +114,7 @@ class FilteredComplex:
         "grades",
         "critical_values",
         "dim",
+        "top",
         "lower",
         "lower_index",
         "parent",
@@ -122,7 +128,8 @@ class FilteredComplex:
 
     def __init__(self, simplices: Iterable[Sequence[int]], grades: Iterable[float]):
         entries = sorted(zip(map(tuple, simplices), grades), key=lambda e: (len(e[0]), e[0]))
-        self._assemble([v for v, _ in entries], [g for _, g in entries], [], [], [])
+        lower = [v for v, _ in entries]
+        self._assemble(lower, [g for _, g in entries], [], [], [], len(lower[-1]))
 
     def _assemble(
         self,
@@ -131,19 +138,14 @@ class FilteredComplex:
         parent: Sequence[int],
         last: Sequence[int],
         top_grades: list[float],
+        top: int,
     ) -> None:
         """Store the simplices listed in (dimension, lexicographic) order:
-        the ones below the top dimension as tuples, each top one as its
+        the ones below dimension ``top`` as tuples, and each top one as its
         parent, an index into ``lower``, and its last vertex, kept in that
-        listed order.  A top dimension listed as tuples (no parent given)
-        is split off first."""
-        tops: list[Verts] = []
-        if not parent and len(lower[-1]) > 1:
-            cut = bisect_left(lower, len(lower[-1]), key=len)
-            tops = lower[cut:]
-            top_grades = lower_grades[cut:]
-            del lower[cut:], lower_grades[cut:]
-        self.dim = len(lower[-1]) if tops or parent else len(lower[-1]) - 1
+        listed order.  The caller splits the top dimension off."""
+        self.top = top
+        self.dim = top if top_grades else len(lower[-1]) - 1
         self.lower = lower
         n_lower, n_top = len(lower), len(top_grades)
         order = array("i", sorted(range(n_lower), key=lower_grades.__getitem__))
@@ -175,10 +177,7 @@ class FilteredComplex:
         lower_pos.extend(range(r0 + j, n_lower + j))
         self.rank_at = rank_at
         self.top_pos = top_pos
-        self.lower_index = index = dict(zip(map(lower.__getitem__, order), lower_pos))
-        if tops:
-            parent = [rank_at[index[v[:-1]]] for v in tops]
-            last = [v[-1] for v in tops]
+        self.lower_index = dict(zip(map(lower.__getitem__, order), lower_pos))
         self.parent = array("i", parent)
         self.last = array("i", last)
         counts = map(Counter(parent).get, range(n_lower), itertools.repeat(0))
@@ -192,12 +191,7 @@ class FilteredComplex:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FilteredComplex):
             return NotImplemented
-        return (
-            self.grades == other.grades
-            and self.lower == other.lower
-            and self.parent == other.parent
-            and self.last == other.last
-        )
+        return self.grades == other.grades and self.simplices == other.simplices
 
     def __repr__(self) -> str:
         return f"FilteredComplex({len(self)} simplices, dim {self.dim})"
@@ -218,9 +212,9 @@ class FilteredComplex:
         return self.grade_of(s) <= t
 
     def positions(self, p: int) -> Mapping[Verts, int]:
-        """The position of each p-simplex: ``lower_index``, a plain dict,
-        below the top dimension, and ``index_of`` at it."""
-        return self.index_of if 0 < p == self.dim else self.lower_index
+        """The position of each p-simplex: ``index_of`` at ``top``, and
+        ``lower_index``, a plain dict, at every other dimension."""
+        return self.index_of if p == self.top else self.lower_index
 
     def stage_count(self, t: float) -> int:
         """Number of simplices with grade <= t (a prefix of the order)."""
@@ -274,7 +268,7 @@ class _IndexView(Mapping):
         self._start = c.child_start
         self._last = c.last
         self._pos = c.top_pos
-        self._top_len = max(c.dim, 1) + 1
+        self._top_len = c.top + 1
 
     def get(self, key, default=None):
         if len(key) != self._top_len:
@@ -310,11 +304,12 @@ def _complex(
     parent: Sequence[int],
     last: Sequence[int],
     top_grades: list[float],
+    top: int,
 ) -> FilteredComplex:
     """The complex of the simplices listed in (dimension, lexicographic)
     order, as ``FilteredComplex._assemble`` takes them."""
     c = FilteredComplex.__new__(FilteredComplex)
-    c._assemble(lower, lower_grades, parent, last, top_grades)
+    c._assemble(lower, lower_grades, parent, last, top_grades, top)
     return c
 
 
@@ -322,8 +317,9 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
     """Build a validated complex from (vertex list, grade) pairs.
 
     Vertex lists are treated as sets and sorted; duplicate simplices,
-    missing faces, non-finite and non-monotone grades are rejected rather
-    than fixed up silently.
+    missing faces, non-finite and non-monotone grades, and vertex ids of
+    2**31 or more (past ``array('i')``) are rejected rather than fixed up
+    silently.  No dimension is capped, so every simplex is a tuple.
     """
     graded: dict[Verts, float] = {}
     for raw, grade in entries:
@@ -334,6 +330,8 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
             raise InvalidSimplex("simplex needs at least one vertex")
         if verts[0] < 0:
             raise InvalidSimplex(f"negative vertex id in {verts}")
+        if verts[-1] >= 2**31:
+            raise InvalidSimplex(f"vertex id {verts[-1]} in {verts} is 2**31 or more")
         if verts in graded:
             raise DuplicateSimplex(f"simplex {verts} listed twice")
         grade = float(grade)
@@ -355,7 +353,7 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
                 )
 
     simplices = sorted(sorted(graded), key=len)
-    return _complex(simplices, [graded[v] for v in simplices], [], [], [])
+    return _complex(simplices, [graded[v] for v in simplices], [], [], [], len(simplices[-1]))
 
 
 def build_vietoris_rips(
@@ -371,8 +369,10 @@ def build_vietoris_rips(
     vertices in increasing order.  A simplex is its predecessor plus its
     last vertex, so if the dimension below is in lexicographic order, so is
     the new one, and the whole list is in (dimension, lexicographic) order
-    before the stable sort by grade.  The top dimension is appended
-    straight to the parent and last-vertex arrays.
+    before the stable sort by grade.  Dimension ``max_dim``, the top, is
+    appended straight to the parent and last-vertex arrays.  The growth
+    stops at the first dimension that comes out empty, which is then the
+    top, so the work is bounded by the complex and not by ``max_dim``.
     """
     n = len(D)
     for i in range(n):
@@ -397,10 +397,10 @@ def build_vietoris_rips(
     parent: list[int] = []
     last: list[int] = []
     top_grades: list[float] = []
-    hi = 0
-    for dim in range(1, max_dim + 1):
-        lo, hi = hi, len(simplices)
-        top = dim == max_dim
+    top, lo = 1, 0
+    for top in range(1, max_dim + 1):
+        hi = len(simplices)
+        capped = top == max_dim
         # extend by larger-id vertices only, so each clique appears once
         for p, verts, diam in zip(range(lo, hi), simplices[lo:hi], grades[lo:hi]):
             for v in range(verts[-1] + 1, n):
@@ -412,28 +412,38 @@ def build_vietoris_rips(
                     if duv > d:
                         d = duv
                 else:
-                    if top:
+                    if capped:
                         parent.append(p)
                         last.append(v)
                         top_grades.append(d)
                     else:
                         simplices.append(verts + (v,))
                         grades.append(d)
+        if len(simplices) == hi:
+            break
+        lo = hi
 
-    return _complex(simplices, grades, parent, last, top_grades)
+    return _complex(simplices, grades, parent, last, top_grades, top)
 
 
 def truncate(c: FilteredComplex, dim_cap: int) -> FilteredComplex:
     """Keep exactly the simplices of dimension <= dim_cap, grades unchanged.
 
     To preserve cohomology up to dimension k, pass ``dim_cap = k + 1``.
+    A deeper complex is cut to one whose ``top`` is ``dim_cap`` (at least
+    1): the kept simplices below it are a prefix of ``c.lower``, so a
+    parent keeps its rank there.
     """
     if dim_cap < 0:
         raise ValueError("dim_cap must be non-negative")
     if c.dim <= dim_cap:
         return c
-    kept = [v for v in c.lower if len(v) - 1 <= dim_cap]
-    return _complex(kept, [c.grades[c.lower_index[v]] for v in kept], [], [], [])
+    index, top = c.lower_index, max(dim_cap, 1)
+    cut = bisect_left(c.lower, top + 1, key=len)
+    tops = c.lower[cut : bisect_left(c.lower, dim_cap + 2, key=len)]
+    lower_grades, top_grades = ([c.grades[index[v]] for v in vs] for vs in (c.lower[:cut], tops))
+    parent = [c.rank_at[index[v[:-1]]] for v in tops]
+    return _complex(c.lower[:cut], lower_grades, parent, [v[-1] for v in tops], top_grades, top)
 
 
 def diameter(D: Sequence[Sequence[float]]) -> float:

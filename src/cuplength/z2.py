@@ -19,16 +19,18 @@ A, R and V are views:
   per simplex; that cofacet's position is the pivot of the simplex's
   column.  It also lists each dimension's column positions, left to
   right, as ``A.columns(p)``.  A column is built on demand from the
-  common neighbours of the simplex's vertices.  The first cofacets of
-  the simplices one below the top dimension are found from the top
-  dimension's listing, parent by parent, with no top vertex tuple built.
+  common neighbours of the simplex's vertices.  When the complex stores
+  simplices in its array dimension ``top`` (a Vietoris-Rips complex or a
+  truncation, see ``simplicial``), the first cofacets of the simplices
+  one below it are found from its listing, parent by parent, with no top
+  vertex tuple built.
 - ``column_reduce`` visits ``A.columns(0)``, ``A.columns(1)``, ... in
-  turn, up to the dimension below the top: a top-dimension column has no
-  pivot.  A column i whose position is already the pivot row of a column
-  j of the dimension below is cleared (the twist of Chen and Kerber):
-  R_i = 0 and V_i := R_j, which keeps A V = R because A R_j = A A V_j =
-  0.  A column whose pivot is still free takes it without being built (an
-  apparent pair, in Bauer's Ripser).  Only a column whose pivot is
+  turn, up to the one below the complex's dimension, whose columns have
+  no pivot.  A column i whose position is already the pivot row of a
+  column j of the dimension below is cleared (the twist of Chen and
+  Kerber): R_i = 0 and V_i := R_j, which keeps A V = R because A R_j =
+  A A V_j = 0.  A column whose pivot is still free takes it without being
+  built (an apparent pair, in Bauer's Ripser).  Only a column whose pivot is
   already owned is built, and reduced against the owners it adds.
 - R stores the columns the reduction built: the reduced ones and the
   owners they added.  Any other column of R is A's column when it owns
@@ -38,11 +40,11 @@ A, R and V are views:
   owns it, which the pivot map names.  Every other column is a unit
   vector.
 
-So A stores a 4-byte int per simplex and one more per simplex below the
-top dimension (``array('i')``: positions and filtration indices stay
-below 2**31), the run adds the few columns it
-reduces and one pivot map entry per pivot, and the complex itself holds
-no vertex tuple or dict entry for a top simplex (see ``simplicial``).
+So A stores a 4-byte int per simplex and one more per simplex below
+``top`` (``array('i')``: positions and filtration indices stay below
+2**31), the run adds the few columns it reduces and one pivot map entry
+per pivot, and the complex itself holds no vertex tuple or dict entry
+for a top simplex (see ``simplicial``).
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from __future__ import annotations
 import operator
 from array import array
 from bisect import bisect, bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations, compress, repeat
 from typing import TYPE_CHECKING
@@ -109,16 +110,16 @@ class CoboundaryMatrix(SparseZ2Matrix):
 
     Stores the filtration index of each simplex's first cofacet (or -1),
     which gives each column's pivot, the neighbour set of each vertex and
-    the column positions of each dimension below the top; the top
-    dimension's are read off the complex.  ``col_mask(j)`` joins the simplex
+    the column positions of each dimension below ``c.top``; those of
+    ``top`` are read off the complex.  ``col_mask(j)`` joins the simplex
     at position j with each common neighbour of its vertices and keeps the
     joins the complex holds.
 
     The first cofacets are found in one pass over the lower simplices in
     canonical order, where the first simplex naming a face is its first
-    cofacet, and one pass over the top simplices as the complex lists
-    them, by parent P and then by last vertex w.  P's least child
-    position is one ``min`` over its run of ``top_pos``.  The other faces
+    cofacet, and, when the complex has top simplices, one pass over them
+    as it lists them, by parent P and then by last vertex w.  P's least
+    child position is one ``min`` over its run of ``top_pos``.  The other faces
     of a child P + (w,) are f + (w,) for the faces f of P, found by the
     int w in an index of f's own children; since the listing is not in
     canonical order, each keeps the least position that names it.
@@ -129,13 +130,15 @@ class CoboundaryMatrix(SparseZ2Matrix):
     def __init__(self, c: FilteredComplex):
         m = len(c)
         last = m - 1
-        top = max(c.dim, 1)
+        top = c.top
         index = c.lower_index
         first = array("i", [-1]) * m
         neighbours: dict[int, set[int]] = {}
         columns = [array("i") for _ in range(top)]
-        # joins[f][w] is the position of the (top - 1)-simplex f + (w,)
+        # joins[f][w] is the position of the (top - 1)-simplex f + (w,),
+        # needed only by the pass over the top simplices
         joins: dict[Verts, dict[int, int]] = {}
+        join_len = top if c.last else 0
         # faces enter before their cofacets, so the first cofacet of a face
         # below dimension top - 1 is the first simplex that names it.  Every
         # such face is a lower simplex, one dict hit, and the lower
@@ -143,7 +146,7 @@ class CoboundaryMatrix(SparseZ2Matrix):
         for v, i in index.items():
             n = len(v)
             columns[n - 1].append(last - i)
-            if n == top:
+            if n == join_len:
                 joins.setdefault(v[:-1], {})[v[-1]] = i
             if n == 1:
                 neighbours[v[0]] = set()
@@ -158,7 +161,7 @@ class CoboundaryMatrix(SparseZ2Matrix):
         # the top simplices come as the complex lists them, parent by parent,
         # so a face's first cofacet is the least position that names it
         lower, start, top_last, top_pos = c.lower, c.child_start, c.last, c.top_pos
-        cut = bisect_left(lower, top, key=len)
+        cut = bisect_left(lower, top, key=len) if top_last else len(lower)
         for v, lo, hi in zip(lower[cut:], start[cut:], start[cut + 1 :]):
             if lo == hi:
                 continue
@@ -378,11 +381,10 @@ class ReducedCoboundary:
     V: ReductionMatrix
     pivot_to_col: dict[int, int] = field(repr=False)
 
-    def cochain_mask(self, sigma: "Cochain", positions: Mapping[Verts, int] | None = None) -> int:
-        """The bitmask of sigma's summands; ``positions``, when given, maps
-        them to their positions in place of the complex's index."""
+    def cochain_mask(self, sigma: "Cochain") -> int:
+        """The bitmask of sigma's summands."""
         last = self.R.n_rows - 1
-        index = self.complex.positions(sigma.p) if positions is None else positions
+        index = self.complex.positions(sigma.p)
         y = 0
         for v in sigma.summands:
             y |= 1 << (last - index[v])

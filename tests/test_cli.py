@@ -1,8 +1,10 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -547,3 +549,67 @@ def test_fuzzed_inputs_exit_zero_or_two(content):
 @pytest.mark.parametrize("content", [None, b""], ids=["directory", "empty-file"])
 def test_directory_and_empty_inputs_exit_two(content):
     _assert_every_subcommand_exits_with(content, (2,))
+
+
+def _run_bounded(*args):
+    """run_cli under a time limit and a 2 GB address-space limit, so a run
+    whose work grows with --max-dim fails instead of swamping the host."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "cuplength.cli", *args],
+        capture_output=True,
+        timeout=20,
+        preexec_fn=limit,
+    )
+
+
+_DEEP_RUNS = [
+    ("vr", "unit_square.csv", 3),
+    ("barcode", "klein_staged.txt", 2),
+    ("cup-diagram", "klein_staged.txt", 2),
+    ("cup-diagram", "unit_square.csv", 3),
+    ("cup-function", "klein_staged.txt", 2),
+    ("oracle-check", "klein_staged.txt", 2),
+    ("oracle-check", "unit_square.csv", 3),
+    ("report", "klein_staged.txt", 2),
+]
+
+
+@pytest.mark.parametrize("command, name, dim", _DEEP_RUNS)
+def test_a_large_max_dim_costs_what_the_complex_costs(command, name, dim, tmp_path):
+    path = fixture(name)
+    if name.endswith(".txt"):
+        assert cli.load_filtered_complex(path).dim == dim
+    outputs = []
+    for max_dim in (dim, 10**9):
+        out = tmp_path / str(max_dim)
+        extra = ["--output", str(out)] if command == "report" else []
+        proc = _run_bounded(command, path, "--max-dim", str(max_dim), *extra)
+        assert proc.returncode == 0, proc.stderr
+        files = sorted(out.iterdir()) if extra else []
+        stdout = proc.stdout.replace(str(out).encode(), b"OUT")
+        outputs.append((stdout, [(f.name, f.read_bytes()) for f in files]))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("barcode", "0 0\n0 3000000000\n1 0 3000000000\n"),
+        ("cup-diagram", "".join(
+            f"0 {' '.join(map(str, v))}\n"
+            for size in range(1, 5)
+            for v in itertools.combinations((0, 1, 2, 3000000000), size)
+        )),
+    ],
+)
+def test_vertex_ids_of_2_31_or_more_are_a_one_line_error(command, content, tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text(content)
+    proc = run_cli(command, str(path), "--max-dim", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("cuplength: error: ") and proc.stderr.count("\n") == 1
+    assert "3000000000" in proc.stderr and "2**31 or more" in proc.stderr

@@ -55,7 +55,7 @@ def test_cup_product_takes_the_right_factor_indexed_by_first_vertex():
                 continue
             s1 = Cochain(p1, frozenset(rng.sample(by_dim[p1], min(4, len(by_dim[p1])))))
             s2 = Cochain(p2, frozenset(rng.sample(by_dim[p2], min(4, len(by_dim[p2])))))
-            assert cup_product(s1, s2, c, None, _by_first_vertex(s2)) == cup_product(s1, s2, c)
+            assert cup_product(s1, s2, c, _by_first_vertex(s2)) == cup_product(s1, s2, c)
 
 
 def test_cup_product_dimension_guard():
@@ -381,3 +381,24 @@ def test_vertex_index_multiplies_the_same_products_as_all_pairs():
     assert torus_products < torus_reference
     # a fold with current != base ran
     assert later_folds >= 1
+
+
+def test_products_of_a_list_complex_never_reach_the_index_view(monkeypatch):
+    # a complex read from a list keeps every simplex as a tuple, so every
+    # product and every read of R is a dict hit, none a parent-and-bisection
+    # lookup of an array-stored simplex
+    c = spaces.csaszar_torus()
+    b = compute_barcode(c, 2)
+    top_len = b.reduction.complex.top + 1
+    view = type(c.index_of)
+    get = view.get
+    lengths = []
+
+    def counting_get(self, key, default=None):
+        lengths.append(len(key))
+        return get(self, key, default)
+
+    monkeypatch.setattr(view, "get", counting_get)
+    diagram, stats = cup_diagram(b)
+    assert stats.product_count > 0 and max(diagram.points.values()) == 2
+    assert top_len not in lengths

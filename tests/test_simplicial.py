@@ -290,7 +290,7 @@ def _assert_pinned(c, ref):
         assert c.stage_count(t) == sum(g <= t for g in grades)
     # only the simplices below the top dimension are tuples
     assert len(c.lower) + len(c.last) == len(c)
-    assert all(len(v) <= max(c.dim, 1) for v in c.lower)
+    assert all(len(v) <= c.top for v in c.lower)
     for i, (v, g) in enumerate(ref):
         assert c.index_of[v] == c.index_of.get(v) == i
         assert v in c and c.grade_of(v) == g
@@ -332,3 +332,64 @@ def test_vr_complex_stores_far_less_than_a_tuple_per_simplex():
         tracemalloc.stop()
     assert len(c) == 31_930
     assert live < 64 * len(c)
+
+
+def _list_corpus():
+    """Complexes read from lists: random filtrations and the fixtures."""
+    rng = random.Random(19)
+    for _ in range(20):
+        yield random_filtration(rng)
+    for name in sorted(os.listdir(FIXTURES)):
+        if name.endswith(".txt"):
+            yield from_simplex_list(_fixture_entries(name))
+
+
+def test_a_complex_read_from_a_list_keeps_every_simplex_as_a_tuple():
+    for c in _list_corpus():
+        for d in (c, FilteredComplex(c.simplices, c.grades)):
+            assert len(d.last) == 0 and len(d.lower) == len(d)
+            assert d.top == d.dim + 1
+
+
+def test_truncate_stores_the_capped_dimension_as_arrays():
+    checked = 0
+    for c in _list_corpus():
+        for cap in range(1, c.dim):
+            t = truncate(c, cap)
+            tops = [v for v in c.simplices if len(v) == cap + 1]
+            assert t.top == cap and len(t.last) == len(tops) > 0
+            assert all(len(v) <= cap for v in t.lower)
+            assert sorted(t.lower[r] + (w,) for r, w in zip(t.parent, t.last)) == sorted(tops)
+            checked += 1
+        # a cap of 0 leaves vertices alone, which have no parent
+        t = truncate(c, 0)
+        assert t.top == 1 and len(t.last) == 0 and t.dim == 0
+    assert checked > 10
+
+
+def test_vr_stores_its_capped_dimension_as_arrays():
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(3, 9)
+        d = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            d[i][j] = d[j][i] = rng.randint(1, 3)
+        for max_dim in range(1, 4):
+            for cap in (diameter(d) - 1, diameter(d)):
+                c = build_vietoris_rips(d, max_dim, cap)
+                simplices, _ = _vr_reference(d, max_dim, cap)
+                tops = [v for v in simplices if len(v) == max_dim + 1]
+                assert len(c.last) == len(tops)
+                assert all(len(v) <= max_dim for v in c.lower)
+                assert c.top == (max_dim if tops else c.dim + 1)
+
+
+def test_vr_stops_at_the_first_empty_dimension():
+    # the unit square's Vietoris-Rips complex is a tetrahedron at the diameter
+    d = spaces.unit_square_distances()
+    tet = build_vietoris_rips(d, 3, 2.0)
+    deep = build_vietoris_rips(d, 50, 2.0)
+    assert deep == tet and deep.dim == tet.dim == tet.top == 3 and deep.top == 4
+    # below the diagonal there is no triangle, so growth stops at dimension 2
+    square = build_vietoris_rips(d, 50, 1.0)
+    assert square.dim == 1 and square.top == 2 and len(square.last) == 0
