@@ -353,7 +353,9 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
                 )
 
     simplices = sorted(sorted(graded), key=len)
-    return _complex(simplices, [graded[v] for v in simplices], [], [], [], len(simplices[-1]))
+    grades = list(map(graded.__getitem__, simplices))
+    graded.clear()  # freed before the complex indexes every simplex
+    return _complex(simplices, grades, [], [], [], len(simplices[-1]))
 
 
 def build_vietoris_rips(

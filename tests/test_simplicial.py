@@ -178,6 +178,15 @@ def test_truncate_noop_and_composition():
         assert _rebuilt(r) and _rebuilt(lhs)
 
 
+def test_truncate_keeps_a_list_complex_that_ends_at_the_cap():
+    # a `vr` output read back at the --max-dim it was written with: its top
+    # dimension stays as read, since once its tuples are loaded, splitting
+    # them off into arrays again costs more time than it saves
+    sq = build_vietoris_rips(spaces.unit_square_distances(), 2, 2.0)
+    c = from_simplex_list((list(v), g) for v, g in zip(sq.simplices, sq.grades))
+    assert c == sq and c.dim == 2 and truncate(c, 2) is c
+
+
 def test_alive_at():
     sq = build_vietoris_rips(spaces.unit_square_distances(), 2, 2.0)
     assert sq.alive_at((0, 1), 1.0)
