@@ -106,29 +106,28 @@ def load_distance_csv(path: str) -> list[list[float]]:
 
 
 def load_filtered_complex(path: str) -> FilteredComplex:
-    """Parse 'grade v0 v1 ... vp' lines; vertices are sorted, repeats rejected."""
-    entries = []
+    """Parse 'grade v0 v1 ... vp' lines, streamed into ``from_simplex_list``,
+    which sorts each line's vertices and validates the complex."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise ParseError(f"{path}:{lineno}: need a grade and vertices")
-            try:
-                grade = float(parts[0])
-                verts = [int(x) for x in parts[1:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if len(set(verts)) != len(verts):
-                raise ParseError(f"{path}:{lineno}: repeated vertex in {verts}")
-            if min(verts) < 0:
-                raise ParseError(f"{path}:{lineno}: negative vertex id in {verts}")
-            entries.append((verts, grade))
-    if not entries:
-        raise ParseError(f"{path}: no simplices")
-    return from_simplex_list(entries)
+        return from_simplex_list(_graded_lines(path, fh))
+
+
+def _graded_lines(path: str, fh):
+    """The (vertex list, grade) of each line; a line that does not parse
+    is a ParseError naming its path and line number."""
+    for lineno, line in enumerate(fh, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) < 2:
+            raise ParseError(f"{path}:{lineno}: need a grade and vertices")
+        try:
+            grade = float(parts[0])
+            verts = [int(x) for x in parts[1:]]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        yield verts, grade
 
 
 def _vietoris_rips(config: JobConfig, path: str) -> FilteredComplex:

@@ -6,37 +6,34 @@ then lexicographic on vertices.  Everything downstream (matrix reduction,
 barcode harvesting, stage restriction) indexes simplices by their position
 in this order, so the order is part of the data structure's contract.
 
+``FilteredComplex`` has one constructor.  It takes the simplices listed by
+dimension and then lexicographically, as ``from_simplex_list``,
+``build_vietoris_rips`` and ``truncate`` produce them, and sorts that
+listing by grade alone: ``sorted`` is stable, so simplices of equal grade
+keep their (dimension, lexicographic) order and the result is the
+canonical order without a composite key.
+
 The dimension a caller caps a complex at, ``top``, is stored without a
 vertex tuple or index entry per simplex: K, most of the complex, for
 ``build_vietoris_rips(D, K)`` and ``cap`` for ``truncate(c, cap)``.  Its
-simplices are kept in the order those constructors list them, by parent
-(the simplex on their first vertices) and then by last vertex, which is
-lexicographic order: three parallel ``array('i')`` hold each one's
-parent, last vertex and position, and the children of a parent are a
-contiguous run of that listing.  The dimensions below are vertex tuples
-with a dict from tuple to position.  A complex read from a list names no
-cap: its ``top`` is one above its dimension and empty.  At equal grade a
-lower simplex precedes every top one, so the j-th top simplex in
-canonical order sits at position j plus the number of lower simplices of
-grade at most its own.  ``simplices`` and ``index_of`` are views over
-both that answer for every simplex.
-
-Every constructor first lists the simplices by dimension, then
-lexicographically, and then sorts by grade alone: ``sorted`` is stable,
-so simplices of equal grade keep their (dimension, lexicographic) order
-and the result is the canonical order without a composite key.
+simplices are listed by parent (the simplex on their first vertices) and
+then by last vertex, which is lexicographic order: three parallel
+``array('i')`` hold each one's parent, last vertex and position, and the
+children of a parent are a contiguous run of that listing.  The
+dimensions below are vertex tuples with a dict from tuple to position.  A
+complex read from a list names no cap: its ``top`` is one above its
+dimension and empty.  ``simplices`` and ``index_of`` are views over both
+that answer for every simplex.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
@@ -52,27 +49,6 @@ from .errors import (
 )
 
 Verts = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Simplex:
-    """A simplex as a strictly increasing tuple of non-negative vertex ids."""
-
-    vertices: Verts
-
-    def __post_init__(self) -> None:
-        v = tuple(self.vertices)
-        object.__setattr__(self, "vertices", v)
-        if not v:
-            raise InvalidSimplex("simplex needs at least one vertex")
-        if any(x < 0 for x in v):
-            raise InvalidSimplex(f"negative vertex id in {v}")
-        if any(a >= b for a, b in zip(v, v[1:])):
-            raise InvalidSimplex(f"vertices must be strictly increasing: {v}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
 
 
 def faces(verts: Verts) -> list[Verts]:
@@ -98,16 +74,17 @@ class FilteredComplex:
       ``lower[parent[j]]`` followed by the vertex ``last[j]``, and it
       sits at position ``top_pos[j]``.  The children of ``lower[r]`` are
       the listed entries ``child_start[r]`` to ``child_start[r + 1]``.
-    - ``rank_at[i]`` says what sits at position i: ``lower[r]`` for
-      r >= 0, and the j-th listed top simplex for r = ~j < 0.
+    - ``rank_at[i]`` is the index into the whole listing, the lower
+      simplices and then the top ones, of what sits at position i:
+      ``lower[r]`` for ``r < len(lower)``, and otherwise the
+      ``(r - len(lower))``-th listed top simplex.
     - ``simplices`` and ``index_of`` are read-only views of the vertex
       tuple at each position and the position of each tuple.  A lower
       tuple is one dict hit; a top one is its parent's dict hit and a
       bisection among the parent's children by last vertex.
 
-    ``FilteredComplex(simplices, grades)`` builds the complex of parallel
-    vertex tuples and grades, in any order.  Instances are treated as
-    immutable after construction and are safe to share between threads.
+    Instances are treated as immutable after construction and are safe
+    to share between threads.
     """
 
     __slots__ = (
@@ -126,60 +103,42 @@ class FilteredComplex:
         "index_of",
     )
 
-    def __init__(self, simplices: Iterable[Sequence[int]], grades: Iterable[float]):
-        entries = sorted(zip(map(tuple, simplices), grades), key=lambda e: (len(e[0]), e[0]))
-        lower = [v for v, _ in entries]
-        self._assemble(lower, [g for _, g in entries], [], [], [], len(lower[-1]))
-
-    def _assemble(
+    def __init__(
         self,
         lower: list[Verts],
         lower_grades: list[float],
-        parent: Sequence[int],
-        last: Sequence[int],
+        parent: array,
+        last: array,
         top_grades: list[float],
         top: int,
-    ) -> None:
+    ):
         """Store the simplices listed in (dimension, lexicographic) order:
-        the ones below dimension ``top`` as tuples, and each top one as its
-        parent, an index into ``lower``, and its last vertex, kept in that
-        listed order.  The caller splits the top dimension off."""
+        the ones below dimension ``top`` as tuples, ``lower``, and each top
+        one as its parent, an index into ``lower``, and its last vertex,
+        two ``array('i')`` kept in that listed order.  The caller splits the
+        top dimension off; the grades are parallel to the listing."""
         self.top = top
         self.dim = top if top_grades else len(lower[-1]) - 1
         self.lower = lower
-        n_lower, n_top = len(lower), len(top_grades)
-        order = array("i", sorted(range(n_lower), key=lower_grades.__getitem__))
-        top_order = array("i", sorted(range(n_top), key=top_grades.__getitem__))
-        lower_grades = [lower_grades[i] for i in order]
-        top_grades = [top_grades[i] for i in top_order]
-        # at equal grade a lower simplex precedes every top one, so a stable
-        # sort merges the two grade lists in canonical order
-        self.grades = sorted(lower_grades + top_grades)
+        n_lower = len(lower)
+        listed = lower_grades + top_grades
+        # stable, so at equal grade a lower simplex precedes every top one
+        # and each dimension stays lexicographic
+        rank_at = array("i", sorted(range(len(listed)), key=listed.__getitem__))
+        self.grades = list(map(listed.__getitem__, rank_at))
         self.critical_values = sorted(set(self.grades))
-
-        # lay out the positions: the top simplices before a lower one are
-        # those of smaller grade, as many for every lower one of that grade
-        tops_below = {g: bisect_left(top_grades, g) for g in dict.fromkeys(lower_grades)}
-        rank_at = array("i")
-        lower_pos = array("i")
-        top_pos = array("i", bytes(4 * n_top))
-        j = r0 = 0
-        for g, before in itertools.chain(tops_below.items(), [(math.inf, n_top)]):
-            if before > j:
-                r = bisect_left(lower_grades, g, r0)
-                rank_at += order[r0:r]
-                lower_pos.extend(range(r0 + j, r + j))
-                rank_at.extend(map(operator.invert, top_order[j:before]))
-                for t, at in zip(top_order[j:before], range(j + r, before + r)):
-                    top_pos[t] = at
-                j, r0 = before, r
-        rank_at += order[r0:]
-        lower_pos.extend(range(r0 + j, n_lower + j))
+        index = {}
+        top_pos = array("i", bytes(4 * len(top_grades)))
+        for i, r in enumerate(rank_at):
+            if r < n_lower:
+                index[lower[r]] = i
+            else:
+                top_pos[r - n_lower] = i
         self.rank_at = rank_at
         self.top_pos = top_pos
-        self.lower_index = dict(zip(map(lower.__getitem__, order), lower_pos))
-        self.parent = array("i", parent)
-        self.last = array("i", last)
+        self.lower_index = index
+        self.parent = parent
+        self.last = last
         counts = map(Counter(parent).get, range(n_lower), itertools.repeat(0))
         self.child_start = array("i", itertools.accumulate(counts, initial=0))
         self.simplices = _SimplexView(self)
@@ -197,19 +156,14 @@ class FilteredComplex:
         return f"FilteredComplex({len(self)} simplices, dim {self.dim})"
 
     def __contains__(self, verts) -> bool:
-        key = verts.vertices if isinstance(verts, Simplex) else tuple(verts)
-        return key in self.index_of
+        return tuple(verts) in self.index_of
 
     def grade_of(self, verts) -> float:
-        key = verts.vertices if isinstance(verts, Simplex) else tuple(verts)
+        key = tuple(verts)
         try:
             return self.grades[self.index_of[key]]
         except KeyError:
             raise UnknownSimplex(f"simplex {key} not in complex") from None
-
-    def alive_at(self, s, t: float) -> bool:
-        """True iff the simplex has entered the filtration by parameter t."""
-        return self.grade_of(s) <= t
 
     def positions(self, p: int) -> Mapping[Verts, int]:
         """The position of each p-simplex: ``index_of`` at ``top``, and
@@ -241,14 +195,17 @@ class _SimplexView(Sequence):
 
     def __getitem__(self, i: int) -> Verts:
         r = self._rank_at[i]
-        if r >= 0:
-            return self._lower[r]
-        return self._lower[self._parent[~r]] + (self._last[~r],)
+        lower = self._lower
+        if r < len(lower):
+            return lower[r]
+        r -= len(lower)
+        return lower[self._parent[r]] + (self._last[r],)
 
     def __iter__(self):
         lower, parent, last = self._lower, self._parent, self._last
+        n = len(lower)
         for r in self._rank_at:
-            yield lower[r] if r >= 0 else lower[parent[~r]] + (last[~r],)
+            yield lower[r] if r < n else lower[parent[r - n]] + (last[r - n],)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, tuple, _SimplexView)):
@@ -298,28 +255,15 @@ class _IndexView(Mapping):
         return len(self._simplices)
 
 
-def _complex(
-    lower: list[Verts],
-    lower_grades: list[float],
-    parent: Sequence[int],
-    last: Sequence[int],
-    top_grades: list[float],
-    top: int,
-) -> FilteredComplex:
-    """The complex of the simplices listed in (dimension, lexicographic)
-    order, as ``FilteredComplex._assemble`` takes them."""
-    c = FilteredComplex.__new__(FilteredComplex)
-    c._assemble(lower, lower_grades, parent, last, top_grades, top)
-    return c
-
-
 def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> FilteredComplex:
     """Build a validated complex from (vertex list, grade) pairs.
 
-    Vertex lists are treated as sets and sorted; duplicate simplices,
-    missing faces, non-finite and non-monotone grades, and vertex ids of
-    2**31 or more (past ``array('i')``) are rejected rather than fixed up
-    silently.  No dimension is capped, so every simplex is a tuple.
+    The pairs are read once, so a file can stream into it.  Vertex lists
+    are treated as sets and sorted; repeated vertices, negative vertex
+    ids and ids of 2**31 or more (past ``array('i')``), duplicate
+    simplices, missing faces, non-finite and non-monotone grades and an
+    empty list are rejected rather than fixed up silently.  No dimension
+    is capped, so every simplex is a tuple.
     """
     graded: dict[Verts, float] = {}
     for raw, grade in entries:
@@ -355,7 +299,7 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
     simplices = sorted(sorted(graded), key=len)
     grades = list(map(graded.__getitem__, simplices))
     graded.clear()  # freed before the complex indexes every simplex
-    return _complex(simplices, grades, [], [], [], len(simplices[-1]))
+    return FilteredComplex(simplices, grades, array("i"), array("i"), [], len(simplices[-1]))
 
 
 def build_vietoris_rips(
@@ -396,8 +340,8 @@ def build_vietoris_rips(
 
     simplices: list[Verts] = [(i,) for i in range(n)]
     grades: list[float] = [0.0] * n
-    parent: list[int] = []
-    last: list[int] = []
+    parent = array("i")
+    last = array("i")
     top_grades: list[float] = []
     top, lo = 1, 0
     for top in range(1, max_dim + 1):
@@ -425,7 +369,7 @@ def build_vietoris_rips(
             break
         lo = hi
 
-    return _complex(simplices, grades, parent, last, top_grades, top)
+    return FilteredComplex(simplices, grades, parent, last, top_grades, top)
 
 
 def truncate(c: FilteredComplex, dim_cap: int) -> FilteredComplex:
@@ -444,8 +388,9 @@ def truncate(c: FilteredComplex, dim_cap: int) -> FilteredComplex:
     cut = bisect_left(c.lower, top + 1, key=len)
     tops = c.lower[cut : bisect_left(c.lower, dim_cap + 2, key=len)]
     lower_grades, top_grades = ([c.grades[index[v]] for v in vs] for vs in (c.lower[:cut], tops))
-    parent = [c.rank_at[index[v[:-1]]] for v in tops]
-    return _complex(c.lower[:cut], lower_grades, parent, [v[-1] for v in tops], top_grades, top)
+    parent = array("i", [c.rank_at[index[v[:-1]]] for v in tops])
+    last = array("i", [v[-1] for v in tops])
+    return FilteredComplex(c.lower[:cut], lower_grades, parent, last, top_grades, top)
 
 
 def diameter(D: Sequence[Sequence[float]]) -> float:

@@ -49,11 +49,10 @@ for a top simplex (see ``simplicial``).
 
 from __future__ import annotations
 
-import operator
 from array import array
 from bisect import bisect, bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress
 from typing import TYPE_CHECKING
 
 from .errors import SimplexNotAlive
@@ -199,7 +198,8 @@ class CoboundaryMatrix(SparseZ2Matrix):
             return self._columns[p]
         if p > len(self._columns):
             return array("i")
-        is_top = map(operator.lt, self._complex.rank_at, repeat(0))
+        c = self._complex
+        is_top = map(len(c.lower).__le__, c.rank_at)
         cols = array("i", compress(range(self.n_cols - 1, -1, -1), is_top))
         cols.reverse()
         return cols
@@ -208,7 +208,7 @@ class CoboundaryMatrix(SparseZ2Matrix):
         last = self.n_cols - 1
         c = self._complex
         r = c.rank_at[last - j]
-        if r < 0:
+        if r >= len(c.lower):
             return 0  # a top simplex has no cofacet
         verts = c.lower[r]
         index = c.positions(len(verts))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cuplength import cli, spaces
 from cuplength.cup import CupDiagram, compute_cup_diagram
-from cuplength.errors import AsymmetricMatrix, MissingFace, ParseError
+from cuplength.errors import AsymmetricMatrix, DuplicateSimplex, MissingFace
 from cuplength.functions import Interval, reconstruct
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -77,7 +77,7 @@ def test_load_complex_sorts_vertices_and_rejects_repeats(tmp_path):
     assert (2, 3) in c
     dup = tmp_path / "dup.txt"
     dup.write_text("1 2 2\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(DuplicateSimplex):
         cli.load_filtered_complex(str(dup))
 
 
@@ -278,6 +278,10 @@ MALFORMED = {
     "nan-distance": ("d.csv", "0,nan\nnan,0\n", ["cup-diagram"], "non-finite distance nan at (0,1)"),
     "inf-distance": ("d.csv", "0,1,inf\n1,0,1\ninf,1,0\n", ["cup-diagram"], "non-finite distance inf at (0,2)"),
     "negative-vertex": ("c.txt", "0 -1\n", ["cup-diagram"], "negative vertex id"),
+    "repeated-vertex": ("c.txt", "0 0\n0 1\n0 0 1 1\n", ["cup-diagram"], "repeated vertex"),
+    "simplex-listed-twice": ("c.txt", "0 0\n0 1\n0 0 1\n1 1 0\n", ["cup-diagram"], "listed twice"),
+    "missing-face": ("c.txt", "0 0\n0 1\n0 0 1 2\n", ["cup-diagram"], "is missing"),
+    "face-after-coface": ("c.txt", "0 0\n2 1\n1 0 1\n", ["cup-diagram"], "enters after"),
     "function-without-right": (
         "f.json",
         '{"generators":[{"left":0,"inf":false,"value":1}]}',

@@ -20,8 +20,6 @@ from cuplength.errors import (
     UnknownSimplex,
 )
 from cuplength.simplicial import (
-    FilteredComplex,
-    Simplex,
     build_vietoris_rips,
     diameter,
     distances_from_points,
@@ -35,18 +33,16 @@ R2 = math.sqrt(2.0)
 
 
 def test_simplex_validation():
-    assert Simplex((0, 3, 5)).dim == 2
     # a package error that callers catching ValueError still catch
     assert issubclass(InvalidSimplex, CupLengthError)
     assert issubclass(InvalidSimplex, ValueError)
     with pytest.raises(InvalidSimplex, match="at least one vertex"):
-        Simplex(())
-    with pytest.raises(InvalidSimplex, match="strictly increasing"):
-        Simplex((2, 1))
-    with pytest.raises(InvalidSimplex, match="strictly increasing"):
-        Simplex((1, 1))
+        from_simplex_list([([], 0)])
     with pytest.raises(InvalidSimplex, match="negative vertex"):
-        Simplex((-1, 2))
+        from_simplex_list([([-1], 0), ([2], 0), ([2, -1], 0)])
+    # a vertex list is a set: listed in any order, it is stored sorted
+    c = from_simplex_list([([5], 0), ([3], 0), ([5, 3], 0)])
+    assert c.simplices[-1] == (3, 5)
 
 
 def test_from_simplex_list_edge():
@@ -158,7 +154,7 @@ def test_truncate_tetrahedron():
 
 def _rebuilt(c):
     # the two stored lists determine the rest of the complex
-    return FilteredComplex(c.simplices, c.grades) == c
+    return from_simplex_list(zip(c.simplices, c.grades)) == c
 
 
 def test_truncate_noop_and_composition():
@@ -187,22 +183,15 @@ def test_truncate_keeps_a_list_complex_that_ends_at_the_cap():
     assert c == sq and c.dim == 2 and truncate(c, 2) is c
 
 
-def test_alive_at():
-    sq = build_vietoris_rips(spaces.unit_square_distances(), 2, 2.0)
-    assert sq.alive_at((0, 1), 1.0)
-    assert not sq.alive_at((0, 2), 1.0)
-    assert sq.alive_at((0,), 0.0)
-    with pytest.raises(UnknownSimplex):
-        sq.alive_at((0, 9), 1.0)
-
-
 def test_vr_alive_matches_diameter_predicate():
     d = spaces.unit_square_distances()
     c = build_vietoris_rips(d, 2, 2.0)
     for verts in c.simplices:
         diam = max((d[a][b] for a in verts for b in verts), default=0.0)
         for t in c.critical_values:
-            assert c.alive_at(verts, t) == (diam <= t)
+            assert (c.grade_of(verts) <= t) == (diam <= t)
+    with pytest.raises(UnknownSimplex):
+        c.grade_of((0, 9))
 
 
 def test_random_complexes_are_closed_and_monotone():
@@ -343,6 +332,24 @@ def test_vr_complex_stores_far_less_than_a_tuple_per_simplex():
     assert live < 64 * len(c)
 
 
+def test_loading_a_complex_file_peaks_near_the_complex_it_returns(tmp_path):
+    # memory regression guard: the file's lines stream into one validation,
+    # so no parsed copy of the file is held beside the complex (the peak was
+    # 1.9 times the complex when the loader listed every line first)
+    rng = random.Random(37)
+    d = distances_from_points([(rng.random(), rng.random()) for _ in range(30)])
+    path = tmp_path / "vr.txt"
+    path.write_text(cli.complex_to_text(build_vietoris_rips(d, 3, math.inf)))
+    tracemalloc.start()
+    try:
+        c = cli.load_filtered_complex(str(path))
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(c) == 31_930
+    assert peak < 1.5 * live
+
+
 def _list_corpus():
     """Complexes read from lists: random filtrations and the fixtures."""
     rng = random.Random(19)
@@ -355,7 +362,7 @@ def _list_corpus():
 
 def test_a_complex_read_from_a_list_keeps_every_simplex_as_a_tuple():
     for c in _list_corpus():
-        for d in (c, FilteredComplex(c.simplices, c.grades)):
+        for d in (c, from_simplex_list(zip(c.simplices, c.grades))):
             assert len(d.last) == 0 and len(d.lower) == len(d)
             assert d.top == d.dim + 1
 
