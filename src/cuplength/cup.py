@@ -8,11 +8,12 @@ itself, which together with associativity and symmetry of the product
 reaches every multi-fold product.  Each non-trivial product is located on
 the grid of bar births: its right end is inherited from the intersection
 of the factor intervals and its left end is the smallest birth at which
-the restricted product cochain is still not a coboundary.  Exactness is
-monotone downward along the filtration, so one test at the last birth
-strictly below the intersection's right end decides whether the product
-survives, and bisection over the birth grid finds the left end, as a
-linear descent would.  A fold multiplies a pair only when a summand of
+the restricted product cochain is still not a coboundary.  One reduction
+of the product, at the last birth strictly below the intersection's right
+end, decides whether it survives; if it does, the row where the reduction
+stops names the simplex at which its class is born, and the left end is
+the first birth at or after that simplex's grade, as a linear descent
+would find.  A fold multiplies a pair only when a summand of
 the left factor ends at a vertex where a summand of the right factor
 starts: the Alexander-Whitney product joins exactly such summands, so
 every other pair multiplies to zero and is never visited.  A product's
@@ -91,7 +92,8 @@ class RunStats:
     number of distinct (support, product) pairs found at fold ``ell``.
     ``product_count`` counts the pairs actually multiplied: those that share
     an end/start vertex and pass the dimension and overlap checks.
-    ``coboundary_test_count`` counts the exactness tests made by ``support``.
+    ``coboundary_test_count`` counts the products ``support`` reduces: one
+    per product with a birth in the intersection of its factors.
     """
 
     m_k: int
@@ -116,30 +118,23 @@ def support(
     so that is the last stage of the grid inside ``inter``.  Returns None
     when no birth lies in ``inter`` or the product is exact at the topmost
     candidate.  Otherwise the right end is that of ``inter`` and the left
-    end is the smallest birth whose stage still carries a non-zero
-    restriction.  Exactness tests are counted into
-    ``stats.coboundary_test_count``.
+    end is the smallest birth in ``inter`` at which the simplex named by
+    the reduction's stop row has entered: exactly the births whose stage
+    still carries a non-zero restriction.  The one reduction is counted
+    into ``stats.coboundary_test_count``.
     """
-    mask = rc.cochain_mask(sigma_prod)
-
-    def exact_at(i: int) -> bool:
-        if stats is not None:
-            stats.coboundary_test_count += 1
-        return z2.in_reduced_column_space(mask, birth_grid[i], rc)
-
     lo = bisect_left(birth_grid, inter.left)
     hi = bisect_left(birth_grid, inter.right) - 1
-    # exactness is monotone downward, so this also drops a product exact at the top
-    if hi < lo or exact_at(hi):
+    if hi < lo:
         return None
-    # invariant: non-exact at birth_grid[hi]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if exact_at(mid):
-            lo = mid + 1
-        else:
-            hi = mid
-    return Interval(birth_grid[hi], inter.right, left_closed=True, right_closed=inter.right_closed)
+    if stats is not None:
+        stats.coboundary_test_count += 1
+    p = z2.in_reduced_column_space(rc.cochain_mask(sigma_prod), birth_grid[hi], rc)
+    if p is None:
+        return None
+    born = rc.complex.grades[rc.R.n_rows - 1 - p]
+    left = birth_grid[bisect_left(birth_grid, born, lo)]
+    return Interval(left, inter.right, left_closed=True, right_closed=inter.right_closed)
 
 
 def cup_diagram(b: AnnotatedBarcode, trim_eps: float = 0.0) -> tuple[CupDiagram, RunStats]:

@@ -407,11 +407,12 @@ def is_coboundary(sigma: "Cochain", t: float, rc: ReducedCoboundary) -> bool:
     for v in sigma.summands:
         if grade_of(v) > t:
             raise SimplexNotAlive(f"summand {v} enters after t={t}")
-    return in_reduced_column_space(rc.cochain_mask(sigma), t, rc)
+    return in_reduced_column_space(rc.cochain_mask(sigma), t, rc) is None
 
 
-def in_reduced_column_space(mask: int, t: float, rc: ReducedCoboundary) -> bool:
-    """Exactness at stage t of the cochain with coefficient mask ``mask``.
+def in_reduced_column_space(mask: int, t: float, rc: ReducedCoboundary) -> int | None:
+    """None if the cochain with coefficient mask ``mask`` is exact at stage
+    t, else the row where its reduction stops.
 
     Reduces the vector against the stage-restricted pivot columns of R;
     membership in their span is exactness.  Since A is strictly upper
@@ -421,7 +422,10 @@ def in_reduced_column_space(mask: int, t: float, rc: ReducedCoboundary) -> bool:
     Positions below the cut are ignored.  An XOR with a pivot column never
     sets a bit above its pivot, so the bits at or above the cut evolve as
     if everything below it were masked off, and the reduction can stop as
-    soon as the top bit falls below the cut.
+    soon as the top bit falls below the cut.  The XORs do not depend on t,
+    only where they stop: if they stop at a row p that no column owns, the
+    cochain is non-exact at the stages the simplex at row p (filtration
+    index m - 1 - p) has entered and exact before, so its class is born there.
     """
     cut = rc.R.n_rows - rc.complex.stage_count(t)
     col_mask = rc.R.col_mask
@@ -429,9 +433,9 @@ def in_reduced_column_space(mask: int, t: float, rc: ReducedCoboundary) -> bool:
     while mask:
         p = mask.bit_length() - 1
         if p < cut:
-            return True
+            return None
         j = pivot_to_col.get(p)
         if j is None:
-            return False
+            return p
         mask ^= col_mask(j)
-    return True
+    return None

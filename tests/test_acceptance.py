@@ -270,7 +270,7 @@ def test_criterion_8_performance_smoke():
     )
 
 
-def test_criterion_9_determinism_serial_vs_parallel():
+def test_criterion_9_determinism_sorted_vs_reversed_bars():
     # the product loop runs once over the sorted bars and once over the
     # bars reversed in place; both orders must give the same bytes
     for name, c in fixture_complexes() + [("klein", spaces.staged_klein())]:

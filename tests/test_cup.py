@@ -143,15 +143,17 @@ def test_support_matches_linear_descent():
     # a birth at the right end itself must not be tested
     rng = random.Random(47)
     bases = [spaces.csaszar_torus(), spaces.staged_klein(), spaces.projective_plane()]
-    products = births_at_right_end = 0
-    for i in range(40):
-        c = random_filtration(rng) if i % 2 else regrade(rng, bases[i % 3])
-        b = compute_barcode(c, 2)
+    instances = [(random_filtration(rng) if i % 2 else regrade(rng, bases[i % 3]), 2) for i in range(40)]
+    circle_rp2 = simplicial_product(spaces.hollow_triangle(), spaces.projective_plane())
+    instances += [(circle_rp2, 3)] + [(regrade(rng, circle_rp2), 3) for _ in range(3)]
+    products = births_at_right_end = degree_3 = 0
+    for c, k in instances:
+        b = compute_barcode(c, k)
         ct, rc = b.reduction.complex, b.reduction
         births = sorted({bar.birth for bar in b.bars})
         for x in b.bars:
             for y in b.bars:
-                if x.dim + y.dim > 2 or not x.interval().overlaps(y.interval()):
+                if x.dim + y.dim > k or not x.interval().overlaps(y.interval()):
                     continue
                 sigma = cup_product(x.representative, y.representative, ct)
                 if sigma.is_zero():
@@ -160,8 +162,10 @@ def test_support_matches_linear_descent():
                 assert support(sigma, inter, rc, births) == _linear_support(sigma, inter, ct, rc, births)
                 products += 1
                 births_at_right_end += inter.right in births
+                degree_3 += sigma.p == 3
     assert products > 50
     assert births_at_right_end > 20
+    assert degree_3 > 20
 
 
 def test_cup_diagram_hollow_triangle():
@@ -249,10 +253,13 @@ def test_support_ends_come_from_the_bar_grid():
 
 
 def test_exactness_holds_on_a_prefix_of_the_critical_values():
-    # support gates on one test at its topmost candidate and then bisects;
-    # both need, for any mask, exactness at t to imply it at every earlier t
+    # support reduces a product once, at its topmost candidate, and reads
+    # the left end off the row where the reduction stops.  That needs, for
+    # any mask, exactness at t to imply it at every earlier t, and every
+    # stage that is not exact to stop at one row p, whose simplex enters at
+    # the first stage that is not exact
     rng = random.Random(43)
-    switches = 0
+    switches = stopped = 0
     for _ in range(40):
         c = random_filtration(rng)
         rc = reduce_coboundary(c)
@@ -263,10 +270,18 @@ def test_exactness_holds_on_a_prefix_of_the_critical_values():
                 mask ^= rc.R.col_mask(j)
             if rng.random() < 0.5:
                 mask ^= 1 << rng.randrange(m)
-            exact = [in_reduced_column_space(mask, t, rc) for t in c.critical_values]
+            stops = [in_reduced_column_space(mask, t, rc) for t in c.critical_values]
+            exact = [p is None for p in stops]
             assert exact == sorted(exact, reverse=True)
             switches += exact[0] and not exact[-1]
+            rows = {p for p in stops if p is not None}
+            assert len(rows) <= 1
+            if rows:
+                (p,) = rows
+                assert exact == [t < c.grades[m - 1 - p] for t in c.critical_values]
+                stopped += 1
     assert switches > 50
+    assert stopped > 100
 
 
 def test_diagram_matches_oracle_on_random_instances():
@@ -285,7 +300,7 @@ def test_diagram_matches_oracle_on_random_instances():
                 assert evaluate(f, q) == evaluate(g, q)
 
 
-def test_parallel_equals_serial():
+def test_sorted_and_reversed_bar_orders_give_the_same_diagram():
     # two product evaluation orders: the sorted bars, then the bars reversed
     rng = random.Random(25)
     for i in range(6):
