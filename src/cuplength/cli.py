@@ -11,6 +11,9 @@ Subcommands:
   plot          diagram/function/barcode JSON -> SVG
   report        complex -> directory of JSON + CSV + SVG artifacts
 
+barcode, cup-diagram and cup-function print one entry of the table of a
+complex's artifacts; report writes every entry, each as a command prints it.
+
 A complex file holds one simplex per line, "grade v0 v1 ... vp", with
 '#' comments.  Commands that read a complex also accept a distance CSV
 (suffix .csv), building the Vietoris-Rips filtration up to dimension
@@ -27,7 +30,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import oracle, plots
 from .cohomology import Bar, Cochain, compute_barcode, connected_component_bars
@@ -43,35 +45,7 @@ from .functions import (
     evaluate,
     reconstruct,
 )
-from .simplicial import (
-    FilteredComplex,
-    build_vietoris_rips,
-    diameter,
-    from_simplex_list,
-    truncate,
-)
-
-INF = math.inf
-
-
-@dataclass
-class JobConfig:
-    command: str
-    inputs: list[str] = field(default_factory=list)
-    max_dim: int = 2
-    max_scale: float = INF
-    trim: float = 0.0
-    fmt: str = "json"
-    output: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_dim < 1:
-            raise ParseError("--max-dim must be at least 1")
-        if not self.trim >= 0:  # also rejects nan
-            raise ParseError(f"--trim must be non-negative, got {self.trim}")
-        if not self.max_scale >= 0:  # also rejects nan
-            raise ParseError(f"--max-scale must be a number >= 0, got {self.max_scale}")
-
+from .simplicial import FilteredComplex, build_vietoris_rips, diameter, from_simplex_list, truncate
 
 # ---------------------------------------------------------------- loading
 
@@ -130,17 +104,17 @@ def _graded_lines(path: str, fh):
         yield verts, grade
 
 
-def _vietoris_rips(config: JobConfig, path: str) -> FilteredComplex:
+def _vietoris_rips(args: argparse.Namespace, path: str) -> FilteredComplex:
     """VR filtration of a distance CSV, capped at --max-scale (default: the diameter)."""
     d = load_distance_csv(path)
-    scale = config.max_scale if not math.isinf(config.max_scale) else diameter(d)
-    return build_vietoris_rips(d, config.max_dim + 1, scale)
+    scale = args.max_scale if not math.isinf(args.max_scale) else diameter(d)
+    return build_vietoris_rips(d, args.max_dim + 1, scale)
 
 
-def _load_complex_input(config: JobConfig, path: str) -> FilteredComplex:
+def _load_complex_input(args: argparse.Namespace, path: str) -> FilteredComplex:
     if path.endswith(".csv"):
-        return _vietoris_rips(config, path)
-    if not math.isinf(config.max_scale):
+        return _vietoris_rips(args, path)
+    if not math.isinf(args.max_scale):
         raise ParseError("--max-scale applies to a distance CSV input only")
     return load_filtered_complex(path)
 
@@ -171,7 +145,7 @@ def _json_input(parse):
             return parse(text)
         except KeyError as exc:
             raise ParseError(f"JSON input lacks key {exc}") from None
-        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        except (AttributeError, OverflowError, RecursionError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed JSON input: {exc}") from None
 
     return wrapped
@@ -229,27 +203,23 @@ def _json_end(item: dict, key: str) -> float:
     A number too large for a float is an error, not an unbounded end; a
     NaN is left for Interval to reject."""
     if _json_flag(item, "inf", False):
-        return INF
+        return math.inf
     value = _json_number(item, key)
     if math.isinf(value):
         raise ParseError(f'{key} must be finite, got {json.dumps(value)}; an unbounded end is "inf": true')
     return value
 
 
+def _end(key: str, x: float) -> dict:
+    """{"inf": true} for an unbounded end x, else {key: x, "inf": false}; the mirror of _json_end."""
+    return {"inf": True} if math.isinf(x) else {key: _fmt_num(x), "inf": False}
+
+
 def diagram_to_json(d: CupDiagram) -> str:
-    pts = []
-    for interval, value in d.sorted_points():
-        if interval.unbounded:
-            pts.append({"birth": _fmt_num(interval.left), "inf": True, "value": value})
-        else:
-            pts.append(
-                {
-                    "birth": _fmt_num(interval.left),
-                    "death": _fmt_num(interval.right),
-                    "inf": False,
-                    "value": value,
-                }
-            )
+    pts = [
+        {"birth": _fmt_num(interval.left), **_end("death", interval.right), "value": value}
+        for interval, value in d.sorted_points()
+    ]
     return _dumps({"points": pts})
 
 
@@ -273,18 +243,16 @@ def diagram_to_csv(d: CupDiagram) -> str:
 
 
 def function_to_json(f: CupFunction) -> str:
-    gens = []
-    for interval, value in f.generators:
-        item = {"left": _fmt_num(interval.left)}
-        if interval.unbounded:
-            item["inf"] = True
-        else:
-            item["right"] = _fmt_num(interval.right)
-            item["inf"] = False
-        item["left_closed"] = interval.left_closed
-        item["right_closed"] = interval.right_closed
-        item["value"] = value
-        gens.append(item)
+    gens = [
+        {
+            "left": _fmt_num(interval.left),
+            **_end("right", interval.right),
+            "left_closed": interval.left_closed,
+            "right_closed": interval.right_closed,
+            "value": value,
+        }
+        for interval, value in f.generators
+    ]
     return _dumps({"generators": gens})
 
 
@@ -304,16 +272,15 @@ def parse_function(text: str) -> CupFunction:
 
 
 def barcode_to_json(bars: list[Bar]) -> str:
-    out = []
-    for bar in bars:
-        item = {"dim": bar.dim, "birth": _fmt_num(bar.birth)}
-        if bar.essential:
-            item["inf"] = True
-        else:
-            item["death"] = _fmt_num(bar.death)
-            item["inf"] = False
-        item["representative"] = [list(v) for v in bar.representative.sorted_summands()]
-        out.append(item)
+    out = [
+        {
+            "dim": bar.dim,
+            "birth": _fmt_num(bar.birth),
+            **_end("death", bar.death),
+            "representative": [list(v) for v in bar.representative.sorted_summands()],
+        }
+        for bar in bars
+    ]
     return _dumps({"bars": out})
 
 
@@ -346,9 +313,43 @@ def _render_artifact_svg(text: str) -> str:
 # ---------------------------------------------------------------- commands
 
 
-def _emit(config: JobConfig, text: str) -> None:
-    if config.output:
-        with open(config.output, "w", encoding="utf-8", newline="\n") as fh:
+# Every artifact of a complex, in the order ``report`` writes them; each
+# renders the barcode, diagram or function that its name starts with.
+_ARTIFACTS = {
+    "barcode.json": lambda bars: barcode_to_json(bars) + "\n",
+    "diagram.json": lambda diagram: diagram_to_json(diagram) + "\n",
+    "diagram.csv": diagram_to_csv,
+    "function.json": lambda f: function_to_json(f) + "\n",
+    "diagram.svg": plots.render_diagram_svg,
+    "function.svg": plots.render_function_svg,
+    "barcode.svg": plots.render_barcode_svg,
+}
+
+
+def _stem(command: str) -> str:
+    return command.removeprefix("cup-")  # the barcode, diagram or function it prints
+
+
+def _render(args: argparse.Namespace, c: FilteredComplex, k: int, names) -> dict[str, str]:
+    """The text of each named artifact of c, from one reduction; the barcode, diagram
+    and function are each computed once, and only if a name reads them, as is --trim."""
+    reads = {name.split(".")[0] for name in names}
+    data = {}
+    if reads == {"barcode"}:
+        barcode = compute_barcode(c, k)
+    else:
+        data["diagram"], _, barcode = compute_cup_diagram(c, k, args.trim)
+    if "function" in reads:
+        data["function"] = reconstruct(data["diagram"])
+    if "barcode" in reads:
+        data["barcode"] = connected_component_bars(barcode) + list(barcode.bars)
+    return {name: _ARTIFACTS[name](data[name.split(".")[0]]) for name in names}
+
+
+def _emit(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout when there is none."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -378,57 +379,28 @@ def _function_source(source: str) -> CupFunction:
     )
 
 
-def run(config: JobConfig) -> int:
-    """Execute one job; returns the process exit code."""
-    cmd = config.command
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; returns the process exit code."""
+    cmd = args.command
     if cmd == "vr":
-        _emit(config, complex_to_text(_vietoris_rips(config, config.inputs[0])))
+        _emit(args.output, complex_to_text(_vietoris_rips(args, args.inputs[0])))
         return 0
 
     if cmd == "erosion":
-        f = _function_source(config.inputs[0])
-        g = _function_source(config.inputs[1])
-        value = erosion_distance(f, g)
-        _emit(config, f"{'inf' if math.isinf(value) else repr(value)}\n")
+        value = erosion_distance(*map(_function_source, args.inputs))
+        _emit(args.output, f"{'inf' if math.isinf(value) else repr(value)}\n")
         return 0
 
     if cmd == "plot":
-        with open(config.inputs[0], "r", encoding="utf-8") as fh:
-            text = fh.read()
-        _emit(config, _render_artifact_svg(text))
+        with open(args.inputs[0], "r", encoding="utf-8") as fh:
+            _emit(args.output, _render_artifact_svg(fh.read()))
         return 0
 
-    c = _load_complex_input(config, config.inputs[0])
+    if cmd == "report" and not args.output:
+        raise ParseError("report needs --output DIRECTORY")
+    c = _load_complex_input(args, args.inputs[0])
     # no class or non-zero product lives above the complex's dimension
-    k = min(config.max_dim, max(c.dim, 1))
-
-    if cmd == "barcode":
-        barcode = compute_barcode(c, k)
-        bars = connected_component_bars(barcode) + list(barcode.bars)
-        if config.fmt == "svg":
-            _emit(config, plots.render_barcode_svg(bars))
-        else:
-            _emit(config, barcode_to_json(bars) + "\n")
-        return 0
-
-    if cmd == "cup-diagram":
-        diagram, _, _ = compute_cup_diagram(c, k, config.trim)
-        if config.fmt == "svg":
-            _emit(config, plots.render_diagram_svg(diagram))
-        elif config.fmt == "csv":
-            _emit(config, diagram_to_csv(diagram))
-        else:
-            _emit(config, diagram_to_json(diagram) + "\n")
-        return 0
-
-    if cmd == "cup-function":
-        diagram, _, _ = compute_cup_diagram(c, k, config.trim)
-        f = reconstruct(diagram)
-        if config.fmt == "svg":
-            _emit(config, plots.render_function_svg(f))
-        else:
-            _emit(config, function_to_json(f) + "\n")
-        return 0
+    k = min(args.max_dim, max(c.dim, 1))
 
     if cmd == "oracle-check":
         # keep only the diagram, so the barcode's reduction is freed before
@@ -448,34 +420,21 @@ def run(config: JobConfig) -> int:
                     mismatches.append(f"MISMATCH [{t:g}, {s:g}]: pipeline {a} vs oracle {b}\n")
         if mismatches:
             summary = f"oracle-check: FAIL ({len(mismatches)}/{checked} grid intervals differ)\n"
-            _emit(config, "".join(mismatches) + summary)
+            _emit(args.output, "".join(mismatches) + summary)
             return 1
-        _emit(config, f"oracle-check: OK ({checked} grid intervals)\n")
+        _emit(args.output, f"oracle-check: OK ({checked} grid intervals)\n")
         return 0
 
-    if cmd == "report":
-        if not config.output:
-            raise ParseError("report needs --output DIRECTORY")
-        os.makedirs(config.output, exist_ok=True)
-        diagram, _, barcode = compute_cup_diagram(c, k, config.trim)
-        f = reconstruct(diagram)
-        bars = connected_component_bars(barcode) + list(barcode.bars)
-        artifacts = {
-            "barcode.json": barcode_to_json(bars) + "\n",
-            "diagram.json": diagram_to_json(diagram) + "\n",
-            "diagram.csv": diagram_to_csv(diagram),
-            "function.json": function_to_json(f) + "\n",
-            "diagram.svg": plots.render_diagram_svg(diagram),
-            "function.svg": plots.render_function_svg(f),
-            "barcode.svg": plots.render_barcode_svg(bars),
-        }
-        for name, text in artifacts.items():
-            with open(os.path.join(config.output, name), "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-            print(os.path.join(config.output, name))
+    if cmd != "report":
+        name = f"{_stem(cmd)}.{args.fmt}"  # barcode, cup-diagram, cup-function
+        _emit(args.output, _render(args, c, k, [name])[name])
         return 0
-
-    raise ParseError(f"unknown command {cmd!r}")
+    os.makedirs(args.output, exist_ok=True)
+    for name, text in _render(args, c, k, _ARTIFACTS).items():
+        path = os.path.join(args.output, name)
+        _emit(path, text)
+        print(path)
+    return 0
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -492,23 +451,24 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str, n_inputs=1, complex_input=True, trim=False, formats=()):
-        """A subcommand that takes exactly the flags its job reads."""
+    def command(name: str, summary: str, n_inputs=1, complex_input=True, trim=False):
+        """A subcommand that takes exactly the flags its job reads and the formats _ARTIFACTS has."""
+        formats = [n.split(".")[1] for n in _ARTIFACTS if n.split(".")[0] == _stem(name)]
         sp = sub.add_parser(name, help=summary)
         sp.add_argument("inputs", nargs=n_inputs, metavar="INPUT")
         if complex_input:
             sp.add_argument("--max-dim", dest="max_dim", type=int, default=2, metavar="K")
-            sp.add_argument("--max-scale", dest="max_scale", type=float, default=INF, metavar="R")
+            sp.add_argument("--max-scale", dest="max_scale", type=float, default=math.inf, metavar="R")
         if trim:
             sp.add_argument("--trim", type=float, default=0.0, metavar="EPS")
         if formats:
-            sp.add_argument("--format", dest="fmt", choices=["json", *formats], default="json")
+            sp.add_argument("--format", dest="fmt", choices=formats, default="json")
         sp.add_argument("--output", default=None, metavar="PATH")
 
     command("vr", "build a Vietoris-Rips filtration")
-    command("barcode", "annotated barcode", formats=["svg"])
-    command("cup-diagram", "persistent cup-length diagram", trim=True, formats=["csv", "svg"])
-    command("cup-function", "persistent cup-length function", trim=True, formats=["svg"])
+    command("barcode", "annotated barcode")
+    command("cup-diagram", "persistent cup-length diagram", trim=True)
+    command("cup-function", "persistent cup-length function", trim=True)
     command("erosion", "erosion distance of two functions", n_inputs=2, complex_input=False)
     command("oracle-check", "pipeline vs oracle equivalence")
     command("plot", "render a JSON artifact to SVG", complex_input=False)
@@ -519,8 +479,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = JobConfig(**vars(args))
-        return run(config)
+        if "max_dim" in args and args.max_dim < 1:
+            raise ParseError("--max-dim must be at least 1")
+        if "trim" in args and not args.trim >= 0:  # also rejects nan
+            raise ParseError(f"--trim must be non-negative, got {args.trim}")
+        if "max_scale" in args and not args.max_scale >= 0:  # also rejects nan
+            raise ParseError(f"--max-scale must be a number >= 0, got {args.max_scale}")
+        return run(args)
     except (CupLengthError, OSError) as exc:
         print(f"cuplength: error: {exc}", file=sys.stderr)
         return 2

@@ -337,6 +337,8 @@ def build_vietoris_rips(
                 raise AsymmetricMatrix(f"asymmetry at ({i},{j})")
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
+    if math.isnan(max_scale):
+        raise ValueError("max_scale must be a number, got nan")
 
     simplices: list[Verts] = [(i,) for i in range(n)]
     grades: list[float] = [0.0] * n

@@ -192,6 +192,29 @@ def test_report_directory(tmp_path):
     assert len(data["points"]) == 3
 
 
+REPORT_FILES = {
+    "barcode.json": ["barcode"],
+    "barcode.svg": ["barcode", "--format", "svg"],
+    "diagram.json": ["cup-diagram"],
+    "diagram.csv": ["cup-diagram", "--format", "csv"],
+    "diagram.svg": ["cup-diagram", "--format", "svg"],
+    "function.json": ["cup-function"],
+    "function.svg": ["cup-function", "--format", "svg"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))
+def test_each_report_file_is_what_its_command_prints(name, tmp_path):
+    out = tmp_path / "rep"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["report", fixture(name), "--output", str(out)]) == 0
+    assert sorted(os.listdir(out)) == sorted(REPORT_FILES)
+    for artifact, (command, *flags) in REPORT_FILES.items():
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            assert cli.main([command, fixture(name), *flags]) == 0
+        assert (out / artifact).read_bytes() == printed.getvalue().encode(), artifact
+
+
 def test_missing_file_exit_code():
     proc = run_cli("cup-diagram", "no_such_file.txt")
     assert proc.returncode == 2
@@ -246,13 +269,6 @@ def test_oracle_check_output_file(tmp_path):
     assert out.read_text() == run_cli("oracle-check", fixture("hollow_triangle.txt")).stdout
 
 
-def test_invalid_config_exit_code():
-    proc = run_cli("cup-diagram", fixture("hollow_triangle.txt"), "--max-dim", "0")
-    assert proc.returncode == 2
-    proc = run_cli("cup-diagram", fixture("hollow_triangle.txt"), "--trim", "-1")
-    assert proc.returncode == 2
-
-
 @pytest.mark.parametrize("command", ["barcode", "cup-diagram", "cup-function", "oracle-check", "report"])
 def test_each_command_reduces_the_complex_once(command, monkeypatch, tmp_path):
     from cuplength import z2
@@ -270,6 +286,36 @@ def test_each_command_reduces_the_complex_once(command, monkeypatch, tmp_path):
         argv += ["--output", str(tmp_path / "rep")]
     assert cli.main(argv) == 0
     assert len(calls) == 1
+
+
+# how often each command calls these, past the one reduction: a product
+# diagram, the dimension-0 bars and a function are each computed only when printed
+COUNTED = ("compute_cup_diagram", "connected_component_bars", "reconstruct")
+COMPUTED = {
+    "barcode": (0, 1, 0),
+    "cup-diagram": (1, 0, 0),
+    "cup-function": (1, 0, 1),
+    "report": (1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMPUTED))
+def test_each_command_computes_only_what_it_prints(command, monkeypatch, tmp_path):
+    calls = {}
+    for name in COUNTED:
+        original = getattr(cli, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(cli, name, counting)
+    argv = [command, fixture("klein_staged.txt")]
+    if command == "report":
+        argv += ["--output", str(tmp_path / "rep")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert tuple(calls.get(name, 0) for name in COUNTED) == COMPUTED[command]
 
 
 MALFORMED = {
@@ -461,6 +507,16 @@ MALFORMED = {
     "trim-nan": ("c.txt", "0 0\n0 1\n1 0 1\n", ["cup-diagram", "--trim", "nan"], "--trim must be non-negative, got nan"),
     "max-scale-nan": ("d.csv", "0,1\n1,0\n", ["cup-diagram", "--max-scale", "nan"], "--max-scale must be a number"),
     "max-scale-negative": ("d.csv", "0,1\n1,0\n", ["vr", "--max-scale", "-1"], "got -1.0"),
+    "max-dim-zero": ("c.txt", "0 0\n0 1\n1 0 1\n", ["cup-diagram", "--max-dim", "0"], "--max-dim must be at least 1"),
+    "trim-negative": ("c.txt", "0 0\n0 1\n1 0 1\n", ["cup-diagram", "--trim", "-1"], "--trim must be non-negative, got -1.0"),
+    "max-scale-negative-diagram": (
+        "d.csv",
+        "0,1\n1,0\n",
+        ["cup-diagram", "--max-scale", "-1"],
+        "--max-scale must be a number >= 0, got -1.0",
+    ),
+    "deeply-nested-plot": ("d.json", "[" * 5000 + "]" * 5000, ["plot"], "malformed JSON input"),
+    "deeply-nested-function": ("f.json", "[" * 5000 + "]" * 5000, ["erosion", "circle"], "malformed JSON input"),
     "max-scale-on-complex": ("c.txt", "0 0\n0 1\n1 0 1\n", ["cup-diagram", "--max-scale", "5"], "distance CSV input only"),
 }
 

@@ -133,6 +133,8 @@ def test_vr_rejects_bad_matrices():
         build_vietoris_rips([[1, 1], [1, 0]], 1, 5.0)
     with pytest.raises(NegativeDistance):
         build_vietoris_rips([[0, -1], [-1, 0]], 1, 5.0)
+    with pytest.raises(ValueError, match="max_scale"):
+        build_vietoris_rips(spaces.unit_square_distances(), 3, math.nan)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
