@@ -15,8 +15,11 @@ p-simplices are then the first bits, and each row of a stage's
 coboundary map is one AND of a stored mask.
 ``oracle_cup_function`` and the representative-family check
 ``validate_family`` build each stage once and compute each of its
-coboundary maps once: one elimination of the degree-p map gives both the
-cocycles of degree p and the coboundaries of degree p + 1.
+coboundary maps once: one elimination of the degree-p map gives the
+coboundaries of degree p + 1 and the rank of the map, and the cocycles
+of degree p are eliminated only when that rank leaves H^p non-zero.
+``oracle_cup_function`` keeps one small value per grid cell and prunes
+the dominated cells in one sweep of the grid.
 """
 
 from __future__ import annotations
@@ -50,6 +53,18 @@ class _Echelon:
                 return v
             v ^= pivot
         return 0
+
+    def extend(self, vectors) -> None:
+        """Insert each vector in turn."""
+        rows = self.rows
+        for v in vectors:
+            while v:
+                top = v.bit_length() - 1
+                pivot = rows.get(top)
+                if pivot is None:
+                    rows[top] = v
+                    break
+                v ^= pivot
 
     def insert(self, v: int) -> bool:
         v = self.reduce(v)
@@ -158,8 +173,7 @@ class _Stage:
         if span is None:
             span = _Echelon()
             if p >= 1:
-                for image in self.coboundary_map(p - 1):
-                    span.insert(image)
+                span.extend(self.coboundary_map(p - 1))
             self.spans[p] = span
         return span
 
@@ -189,17 +203,16 @@ class CohomBasis:
 
 def _kernel_basis(
     images: list[int], columns: list[int] | range, image: _Echelon | None = None
-) -> tuple[list[int], _Echelon]:
+) -> list[int]:
     """Combination masks spanning the kernel of a Z2 linear map given by
-    the image of each generator, and an echelon of its image.
+    the image of each generator.
 
     Generator j is bit ``columns[j]`` of a combination.  Each kernel mask
     is generator j plus the unique combination of the earlier independent
     generators with the same image, so the kernel list depends on the
     order of the generators but not on how the image rows are numbered.
-    The echelon is row for row the one that inserting each image in turn
-    builds, so one elimination serves both.  Given a starting echelon
-    ``image``, which it extends, the kernel is taken modulo that span.
+    Given a starting echelon ``image``, which it extends, the kernel is
+    taken modulo that span.
     """
     if image is None:
         image = _Echelon()
@@ -221,7 +234,7 @@ def _kernel_basis(
             combos[top] = combo
         else:
             kernel.append(combo)
-    return kernel, image
+    return kernel
 
 
 def cohomology_basis(
@@ -229,8 +242,11 @@ def cohomology_basis(
 ) -> CohomBasis:
     """Bases of H^p of the stage-t subcomplex for p = 0..k, by elimination.
 
-    One elimination of each degree-p coboundary map gives the kernel at p
-    and the exact span at p + 1.  ``_stage`` is the stage-t subcomplex of
+    One elimination of each degree-p coboundary map gives its rank and
+    the exact span at p + 1.  The kernel at p, with the combinations that
+    name its cocycles, is eliminated only when H^p is non-zero, that is
+    when dim ker exceeds the rank of the exact span at p; otherwise the
+    representative list is empty.  ``_stage`` is the stage-t subcomplex of
     a skeleton of dimension k + 1 that the caller already holds; it keeps
     each exact span, taken before the representatives enter it.
     """
@@ -248,13 +264,18 @@ def cohomology_basis(
             basis[p] = []
             continue
         stage.spans[p] = exact
-        kernel, image = _kernel_basis(stage.coboundary_map(p, gens), gens)
-        span = exact.copy()
+        images = stage.coboundary_map(p, gens)
+        image = _Echelon()
+        image.extend(images)
         reps = []
-        for combo in kernel:
-            if span.insert(combo):
-                summands = frozenset(c.simplices[canon[p][b]] for b in _bits(combo))
-                reps.append(Cochain(p, summands))
+        # dim ker = generators minus rank; H^p = 0 unless it exceeds dim im
+        if len(gens) - len(image.rows) > len(exact.rows):
+            kernel = _kernel_basis(images, gens)
+            span = exact.copy()
+            for combo in kernel:
+                if span.insert(combo):
+                    summands = frozenset(c.simplices[canon[p][b]] for b in _bits(combo))
+                    reps.append(Cochain(p, summands))
         basis[p] = reps
         exact = image
     return CohomBasis(t, basis)
@@ -329,37 +350,54 @@ def oracle_cup_function(c: FilteredComplex, k: int) -> CupFunction:
 
     Generators are closed grid rectangles of positive value (the last
     column extends to infinity, since the complex is constant past its
-    final critical value), pruned of dominated entries; evaluation on any
-    closed interval with critical endpoints equals the direct image
-    computation.
+    final critical value), pruned of dominated entries in one sweep of
+    the grid; evaluation on any closed interval with critical endpoints
+    equals the direct image computation.  A stage with no positive-degree
+    class gives 0 on its whole column without any product.
     """
     cvs = c.critical_values
     skeleton = _Skeleton(c, len(c), k + 1)
     stages: list[_Stage] = []
-    gens: list[tuple[Interval, int]] = []
+    # values[sj][ti]: cup-length of the image of stage sj inside stage ti
+    values: list[bytearray] = []
     for sj, s in enumerate(cvs):
         stages.append(_Stage(skeleton, s))
         src = cohomology_basis(c, s, k, _stage=stages[sj])
         reps = [sigma for p in range(1, k + 1) for sigma in src.basis.get(p, [])]
-        for ti in range(sj + 1):
-            t = cvs[ti]
-            restricted = [sigma.restrict(c, t) for sigma in reps]
-            value = _length_at_stage(stages[ti], restricted, k)
-            if value > 0:
-                right = INF if sj == len(cvs) - 1 else s
-                gens.append((Interval.closed(t, right), value))
+        column = bytearray(sj + 1)
+        if reps:
+            for ti in range(sj + 1):
+                restricted = [sigma.restrict(c, cvs[ti]) for sigma in reps]
+                column[ti] = _length_at_stage(stages[ti], restricted, k)
+        values.append(column)
+    last = len(cvs) - 1
+    return CupFunction.from_pairs(
+        (Interval.closed(cvs[ti], INF if sj == last else cvs[sj]), values[sj][ti])
+        for ti, sj in _undominated(values)
+    )
+
+
+def _undominated(values: list[bytearray]) -> list[tuple[int, int]]:
+    """The cells (ti, sj) of the triangle ``values[sj][ti]`` (ti <= sj) whose
+    value is positive and above that of every other cell (ti' <= ti,
+    sj' >= sj), found in one sweep from the last column to the first.
+
+    ``above[ti]`` is the largest value over the cells (ti' <= ti) of the
+    columns already swept; ``run`` is the largest value of the earlier
+    cells (ti' < ti) of the current column.
+    """
+    above = bytearray(len(values))
     kept = []
-    for gen, v in gens:
-        dominated = False
-        for og, ov in gens:
-            if (og, ov) == (gen, v):
-                continue
-            if og.left <= gen.left and og.right >= gen.right and ov >= v:
-                dominated = True
-                break
-        if not dominated:
-            kept.append((gen, v))
-    return CupFunction.from_pairs(kept)
+    for sj in range(len(values) - 1, -1, -1):
+        run = 0
+        for ti, v in enumerate(values[sj]):
+            if v > run:
+                if v > above[ti]:
+                    kept.append((ti, sj))
+                run = v
+            if run > above[ti]:
+                above[ti] = run
+    return kept
 
 
 @dataclass
@@ -407,13 +445,12 @@ def validate_family(b) -> FamilyReport:
             masks = [stage.mask(bar.representative.restrict(c, t)) for bar in alive]
             exact = stage.exact_span(p)
             cocycles = exact.copy()
-            for sigma in basis.basis[p]:
-                cocycles.insert(stage.mask(sigma))
+            cocycles.extend(stage.mask(sigma) for sigma in basis.basis[p])
             bad = next((i for i, m in enumerate(masks) if not cocycles.contains(m)), None)
             if bad is not None:
                 fail(t, p, f"representative of bar {alive[bad]} is not a cocycle at {t}")
                 continue
-            kernel, _ = _kernel_basis(masks, range(len(masks)), exact.copy())
+            kernel = _kernel_basis(masks, range(len(masks)), exact.copy())
             if kernel:
                 fail(t, p, f"combination {kernel[0]:b} of restrictions is exact at {t}")
     return report

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from cuplength import cli, spaces
 from cuplength.cup import CupDiagram, compute_cup_diagram
 from cuplength.errors import AsymmetricMatrix, DuplicateSimplex, MissingFace
-from cuplength.functions import Interval, reconstruct
+from cuplength.functions import CupFunction, Interval, reconstruct
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -111,6 +111,22 @@ def test_oracle_check_exit_codes():
     proc = run_cli("oracle-check", fixture("hollow_triangle.txt"))
     assert proc.returncode == 0
     assert "OK" in proc.stdout
+
+
+def test_oracle_check_reports_each_mismatch(monkeypatch, capsys):
+    """An oracle that differs from the pipeline on three grid intervals of
+    the staged Klein bottle (pipeline values by [t, s]: 1 on [1, 1], 1 on
+    [1, 2], 2 from [2, 2] on) fails the check, naming each interval in
+    order of s, then t."""
+    fake = CupFunction.from_pairs([(Interval.closed(0.0, 1.0), 1), (Interval.closed(2.0, math.inf), 2)])
+    monkeypatch.setattr(cli.oracle, "oracle_cup_function", lambda c, k: fake)
+    assert cli.main(["oracle-check", fixture("klein_staged.txt")]) == 1
+    assert capsys.readouterr().out == (
+        "MISMATCH [0, 0]: pipeline 0 vs oracle 1\n"
+        "MISMATCH [0, 1]: pipeline 0 vs oracle 1\n"
+        "MISMATCH [1, 2]: pipeline 1 vs oracle 0\n"
+        "oracle-check: FAIL (3/10 grid intervals differ)\n"
+    )
 
 
 def test_vr_command_round_trip(tmp_path):

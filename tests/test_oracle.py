@@ -454,10 +454,76 @@ def test_kernel_basis_ignores_row_numbering():
         perm = rng.sample(range(width), width)
         renumbered = [sum(1 << perm[r] for r in oracle._bits(v)) for v in images]
         columns = rng.sample(range(2 * count), count)
-        kernel, _ = oracle._kernel_basis(images, columns)
-        assert oracle._kernel_basis(renumbered, columns)[0] == kernel
+        kernel = oracle._kernel_basis(images, columns)
+        assert oracle._kernel_basis(renumbered, columns) == kernel
         with_kernel += bool(kernel)
     assert with_kernel > 100
+
+
+def _brute_force_undominated(values):
+    """Positive cells of ``values[sj][ti]`` that no other cell (ti' <= ti,
+    sj' >= sj) matches or exceeds, by comparing every pair of cells."""
+    cells = {(ti, sj): v for sj, column in enumerate(values) for ti, v in enumerate(column)}
+    return {
+        (ti, sj)
+        for (ti, sj), v in cells.items()
+        if v > 0
+        and not any(
+            (oi, oj) != (ti, sj) and oi <= ti and oj >= sj and ov >= v
+            for (oi, oj), ov in cells.items()
+        )
+    }
+
+
+def test_dominance_sweep_matches_brute_force():
+    """The one-sweep pruning keeps exactly the cells that the pairwise rule
+    keeps, on seeded random value triangles: non-monotone ones, ties and a
+    single critical value among them."""
+    rng = random.Random(20261019)
+    seen = set()
+    for trial in range(400):
+        grid = 1 if trial % 20 == 0 else rng.randint(2, 9)
+        top = rng.randint(1, 4)
+        values = [bytearray(rng.randint(0, top) for _ in range(sj + 1)) for sj in range(grid)]
+        kept = oracle._undominated(values)
+        assert len(kept) == len(set(kept))
+        assert set(kept) == _brute_force_undominated(values), values
+        for sj, column in enumerate(values):
+            for ti, v in enumerate(column):
+                for oj in range(sj, grid):
+                    for oi in range(ti + 1):
+                        ov = values[oj][oi]
+                        if (oi, oj) != (ti, sj) and 0 < ov == v:
+                            seen.add("tie")
+                        if ov > v:
+                            seen.add("non-monotone")
+        if grid == 1 and kept:
+            seen.add("single critical value")
+    assert seen == {"tie", "non-monotone", "single critical value"}
+
+
+@pytest.mark.parametrize("name, degrees", [("filled_triangle.txt", [0]), ("torus_7.txt", [0, 1, 2])])
+def test_kernel_is_eliminated_only_where_cohomology_lives(monkeypatch, name, degrees):
+    """cohomology_basis eliminates the kernel of the degree-p map only when
+    H^p is non-zero: on the contractible filled triangle never above
+    degree 0, on the torus in degrees 1 and 2 as well."""
+    c = cli.load_filtered_complex(os.path.join(FIXTURES, name))
+    k = 2
+    skeleton = oracle._Skeleton(c, len(c), k + 1)
+    called = []
+
+    def recording(images, columns, image=None):
+        matches = [p for p in range(k + 1) if images == stage.coboundary_map(p)]
+        assert len(matches) == 1
+        called.append(matches[0])
+        return real(images, columns, image)
+
+    real = oracle._kernel_basis
+    monkeypatch.setattr(oracle, "_kernel_basis", recording)
+    assert c.critical_values == [0.0]
+    stage = oracle._Stage(skeleton, 0.0)
+    basis = oracle.cohomology_basis(c, 0.0, k, _stage=stage)
+    assert called == degrees == [p for p in range(k + 1) if basis.dim(p)]
 
 
 def _pipeline_imports(source):
