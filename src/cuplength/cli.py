@@ -45,7 +45,7 @@ from .functions import (
     evaluate,
     reconstruct,
 )
-from .simplicial import FilteredComplex, build_vietoris_rips, diameter, from_simplex_list, truncate
+from .simplicial import FilteredComplex, build_vietoris_rips, from_simplex_list, truncate
 
 # ---------------------------------------------------------------- loading
 
@@ -105,10 +105,8 @@ def _graded_lines(path: str, fh):
 
 
 def _vietoris_rips(args: argparse.Namespace, path: str) -> FilteredComplex:
-    """VR filtration of a distance CSV, capped at --max-scale (default: the diameter)."""
-    d = load_distance_csv(path)
-    scale = args.max_scale if not math.isinf(args.max_scale) else diameter(d)
-    return build_vietoris_rips(d, args.max_dim + 1, scale)
+    """VR filtration of a distance CSV, capped at --max-scale (default: no cap)."""
+    return build_vietoris_rips(load_distance_csv(path), args.max_dim + 1, args.max_scale)
 
 
 def _load_complex_input(args: argparse.Namespace, path: str) -> FilteredComplex:
@@ -417,7 +415,7 @@ def run(args: argparse.Namespace) -> int:
                 q = Interval.closed(t, s)
                 a, b = evaluate(f, q), evaluate(g, q)
                 if a != b:
-                    mismatches.append(f"MISMATCH [{t:g}, {s:g}]: pipeline {a} vs oracle {b}\n")
+                    mismatches.append(f"MISMATCH [{_fmt_num(t)}, {_fmt_num(s)}]: pipeline {a} vs oracle {b}\n")
         if mismatches:
             summary = f"oracle-check: FAIL ({len(mismatches)}/{checked} grid intervals differ)\n"
             _emit(args.output, "".join(mismatches) + summary)

@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Mapping, Sequence
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     AsymmetricMatrix,
@@ -68,12 +69,13 @@ class FilteredComplex:
 
     - ``lower`` lists the simplices below ``top`` as vertex
       tuples, by dimension and then lexicographically, and
-      ``lower_index`` maps each to its position, in canonical order.
+      ``lower_index`` maps each to its position.
     - The top simplices are listed by parent and then by last vertex,
       the order their constructors produce.  The j-th listed one is
       ``lower[parent[j]]`` followed by the vertex ``last[j]``, and it
       sits at position ``top_pos[j]``.  The children of ``lower[r]`` are
-      the listed entries ``child_start[r]`` to ``child_start[r + 1]``.
+      the listed entries ``child_start[r]`` to ``child_start[r + 1]``;
+      ``top_children()`` reads them parent by parent.
     - ``rank_at[i]`` is the index into the whole listing, the lower
       simplices and then the top ones, of what sits at position i:
       ``lower[r]`` for ``r < len(lower)``, and otherwise the
@@ -83,8 +85,10 @@ class FilteredComplex:
       tuple is one dict hit; a top one is its parent's dict hit and a
       bisection among the parent's children by last vertex.
 
-    Instances are treated as immutable after construction and are safe
-    to share between threads.
+    Only this module reads these arrays; other modules read a complex
+    through ``simplices``, ``index_of``, ``positions``, ``top_children``
+    and ``lower_index`` as a mapping.  Instances are treated as immutable
+    after construction and are safe to share between threads.
     """
 
     __slots__ = (
@@ -103,32 +107,24 @@ class FilteredComplex:
         "index_of",
     )
 
-    def __init__(
-        self,
-        lower: list[Verts],
-        lower_grades: list[float],
-        parent: array,
-        last: array,
-        top_grades: list[float],
-        top: int,
-    ):
+    def __init__(self, lower: list[Verts], grades: list[float], parent: array, last: array, top: int):
         """Store the simplices listed in (dimension, lexicographic) order:
         the ones below dimension ``top`` as tuples, ``lower``, and each top
         one as its parent, an index into ``lower``, and its last vertex,
         two ``array('i')`` kept in that listed order.  The caller splits the
-        top dimension off; the grades are parallel to the listing."""
+        top dimension off; ``grades`` runs parallel to the whole listing,
+        the lower simplices and then the top ones."""
         self.top = top
-        self.dim = top if top_grades else len(lower[-1]) - 1
-        self.lower = lower
         n_lower = len(lower)
-        listed = lower_grades + top_grades
+        self.dim = top if parent else len(lower[-1]) - 1
+        self.lower = lower
         # stable, so at equal grade a lower simplex precedes every top one
         # and each dimension stays lexicographic
-        rank_at = array("i", sorted(range(len(listed)), key=listed.__getitem__))
-        self.grades = list(map(listed.__getitem__, rank_at))
+        rank_at = array("i", sorted(range(len(grades)), key=grades.__getitem__))
+        self.grades = list(map(grades.__getitem__, rank_at))
         self.critical_values = sorted(set(self.grades))
         index = {}
-        top_pos = array("i", bytes(4 * len(top_grades)))
+        top_pos = array("i", bytes(4 * len(parent)))
         for i, r in enumerate(rank_at):
             if r < n_lower:
                 index[lower[r]] = i
@@ -169,6 +165,18 @@ class FilteredComplex:
         """The position of each p-simplex: ``index_of`` at ``top``, and
         ``lower_index``, a plain dict, at every other dimension."""
         return self.index_of if p == self.top else self.lower_index
+
+    def top_children(self) -> Iterator[tuple[Verts, array, array]]:
+        """The top simplices as listed, parent by parent: each parent's
+        vertex tuple with the last vertices of its children, increasing,
+        and their positions.  A complex with no top simplex yields nothing."""
+        parent, start, last, at = self.parent, self.child_start, self.last, self.top_pos
+        if not parent:
+            return
+        for r in range(parent[0], parent[-1] + 1):
+            lo, hi = start[r], start[r + 1]
+            if lo < hi:
+                yield self.lower[r], last[lo:hi], at[lo:hi]
 
     def stage_count(self, t: float) -> int:
         """Number of simplices with grade <= t (a prefix of the order)."""
@@ -259,11 +267,11 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
     """Build a validated complex from (vertex list, grade) pairs.
 
     The pairs are read once, so a file can stream into it.  Vertex lists
-    are treated as sets and sorted; repeated vertices, negative vertex
-    ids and ids of 2**31 or more (past ``array('i')``), duplicate
-    simplices, missing faces, non-finite and non-monotone grades and an
-    empty list are rejected rather than fixed up silently.  No dimension
-    is capped, so every simplex is a tuple.
+    are treated as sets and sorted; repeated vertices, non-integer and
+    negative vertex ids and ids of 2**31 or more (past ``array('i')``),
+    duplicate simplices, missing faces, non-finite and non-monotone grades
+    and an empty list are rejected rather than fixed up silently.  No
+    dimension is capped, so every simplex is a tuple.
     """
     graded: dict[Verts, float] = {}
     for raw, grade in entries:
@@ -284,6 +292,10 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
         graded[verts] = grade
     if not graded:
         raise MissingFace("empty simplex list")
+    try:  # one C-level pass over every id, keeping nothing
+        deque(map(operator.index, itertools.chain.from_iterable(graded)), maxlen=0)
+    except TypeError as exc:
+        raise InvalidSimplex(f"non-integer vertex id: {exc}") from None
 
     for verts, grade in graded.items():
         if len(verts) == 1:
@@ -299,7 +311,7 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
     simplices = sorted(sorted(graded), key=len)
     grades = list(map(graded.__getitem__, simplices))
     graded.clear()  # freed before the complex indexes every simplex
-    return FilteredComplex(simplices, grades, array("i"), array("i"), [], len(simplices[-1]))
+    return FilteredComplex(simplices, grades, array("i"), array("i"), len(simplices[-1]))
 
 
 def build_vietoris_rips(
@@ -316,11 +328,15 @@ def build_vietoris_rips(
     last vertex, so if the dimension below is in lexicographic order, so is
     the new one, and the whole list is in (dimension, lexicographic) order
     before the stable sort by grade.  Dimension ``max_dim``, the top, is
-    appended straight to the parent and last-vertex arrays.  The growth
+    appended straight to the parent and last-vertex arrays, and every
+    grade to the one list parallel to that listing.  An empty matrix is
+    rejected, as ``from_simplex_list`` rejects an empty list.  The growth
     stops at the first dimension that comes out empty, which is then the
     top, so the work is bounded by the complex and not by ``max_dim``.
     """
     n = len(D)
+    if not n:
+        raise MissingFace("empty distance matrix")
     for i in range(n):
         if len(D[i]) != n:
             raise AsymmetricMatrix("distance matrix is not square")
@@ -344,7 +360,6 @@ def build_vietoris_rips(
     grades: list[float] = [0.0] * n
     parent = array("i")
     last = array("i")
-    top_grades: list[float] = []
     top, lo = 1, 0
     for top in range(1, max_dim + 1):
         hi = len(simplices)
@@ -363,15 +378,14 @@ def build_vietoris_rips(
                     if capped:
                         parent.append(p)
                         last.append(v)
-                        top_grades.append(d)
                     else:
                         simplices.append(verts + (v,))
-                        grades.append(d)
+                    grades.append(d)
         if len(simplices) == hi:
             break
         lo = hi
 
-    return FilteredComplex(simplices, grades, parent, last, top_grades, top)
+    return FilteredComplex(simplices, grades, parent, last, top)
 
 
 def truncate(c: FilteredComplex, dim_cap: int) -> FilteredComplex:
@@ -389,10 +403,10 @@ def truncate(c: FilteredComplex, dim_cap: int) -> FilteredComplex:
     index, top = c.lower_index, max(dim_cap, 1)
     cut = bisect_left(c.lower, top + 1, key=len)
     tops = c.lower[cut : bisect_left(c.lower, dim_cap + 2, key=len)]
-    lower_grades, top_grades = ([c.grades[index[v]] for v in vs] for vs in (c.lower[:cut], tops))
+    grades = [c.grades[index[v]] for v in c.lower[: cut + len(tops)]]
     parent = array("i", [c.rank_at[index[v[:-1]]] for v in tops])
     last = array("i", [v[-1] for v in tops])
-    return FilteredComplex(c.lower[:cut], lower_grades, parent, last, top_grades, top)
+    return FilteredComplex(c.lower[:cut], grades, parent, last, top)
 
 
 def diameter(D: Sequence[Sequence[float]]) -> float:

@@ -19,10 +19,12 @@ A, R and V are views:
   per simplex; that cofacet's position is the pivot of the simplex's
   column.  It also lists each dimension's column positions, left to
   right, as ``A.columns(p)``.  A column is built on demand from the
-  common neighbours of the simplex's vertices.  When the complex stores
-  simplices in its array dimension ``top`` (a Vietoris-Rips complex or a
-  truncation, see ``simplicial``), the first cofacets of the simplices
-  one below it are found from its listing, parent by parent, with no top
+  common neighbours of the simplex's vertices, and is zero for a simplex
+  with no cofacet.  A reads the complex through its views only: the
+  position dict of the simplices below ``top``, in whatever order it
+  iterates, and ``top_children()``, the top dimension's listing parent by
+  parent (a Vietoris-Rips complex or a truncation, see ``simplicial``),
+  from which the first cofacets one below it are found with no top
   vertex tuple built.
 - ``column_reduce`` visits ``A.columns(0)``, ``A.columns(1)``, ... in
   turn, up to the one below the complex's dimension, whose columns have
@@ -50,9 +52,10 @@ for a top simplex (see ``simplicial``).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect, bisect_left
+from bisect import bisect
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations, compress
+from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .errors import SimplexNotAlive
@@ -107,21 +110,20 @@ def _mask_of_rows(rows: list[int]) -> int:
 class CoboundaryMatrix(SparseZ2Matrix):
     """The square coboundary matrix of a complex, built column by column.
 
-    Stores the filtration index of each simplex's first cofacet (or -1),
-    which gives each column's pivot, the neighbour set of each vertex and
-    the column positions of each dimension below ``c.top``; those of
-    ``top`` are read off the complex.  ``col_mask(j)`` joins the simplex
-    at position j with each common neighbour of its vertices and keeps the
-    joins the complex holds.
+    Stores the filtration index of each simplex's first cofacet (m when it
+    has none), which gives each column's pivot, the neighbour set of each
+    vertex and the column positions of each dimension below ``c.top``.
+    ``col_mask(j)`` is zero for a simplex with no cofacet; any other
+    simplex is decoded through ``c.simplices``, joined with each common
+    neighbour of its vertices, and the joins the complex holds are kept.
 
-    The first cofacets are found in one pass over the lower simplices in
-    canonical order, where the first simplex naming a face is its first
-    cofacet, and, when the complex has top simplices, one pass over them
-    as it lists them, by parent P and then by last vertex w.  P's least
-    child position is one ``min`` over its run of ``top_pos``.  The other faces
-    of a child P + (w,) are f + (w,) for the faces f of P, found by the
-    int w in an index of f's own children; since the listing is not in
-    canonical order, each keeps the least position that names it.
+    The first cofacets are found in two passes that each keep the least
+    position naming a face, so neither depends on the order it reads.  One
+    pass is over ``c.lower_index``, the simplices below ``top``, one dict
+    hit per face.  The other, when the complex has top simplices, is over
+    ``c.top_children()``, parent P by parent: P's least child position is
+    one ``min``, and the other faces of a child P + (w,) are f + (w,) for
+    the faces f of P, found by the int w in an index of f's own children.
     """
 
     __slots__ = ("_complex", "_first", "_neighbours", "_columns")
@@ -131,86 +133,67 @@ class CoboundaryMatrix(SparseZ2Matrix):
         last = m - 1
         top = c.top
         index = c.lower_index
-        first = array("i", [-1]) * m
-        neighbours: dict[int, set[int]] = {}
-        columns = [array("i") for _ in range(top)]
+        first = array("i", [m]) * m
+        neighbours: defaultdict[int, set[int]] = defaultdict(set)
+        columns: list[list[int]] = [[] for _ in range(top)]
         # joins[f][w] is the position of the (top - 1)-simplex f + (w,),
         # needed only by the pass over the top simplices
-        joins: dict[Verts, dict[int, int]] = {}
-        join_len = top if c.last else 0
-        # faces enter before their cofacets, so the first cofacet of a face
-        # below dimension top - 1 is the first simplex that names it.  Every
-        # such face is a lower simplex, one dict hit, and the lower
-        # simplices come in canonical order.
+        joins: defaultdict[Verts, dict[int, int]] = defaultdict(dict)
+        join_len = top if len(index) < m else 0
         for v, i in index.items():
             n = len(v)
             columns[n - 1].append(last - i)
             if n == join_len:
-                joins.setdefault(v[:-1], {})[v[-1]] = i
+                joins[v[:-1]][v[-1]] = i
             if n == 1:
-                neighbours[v[0]] = set()
                 continue
             if n == 2:
                 neighbours[v[0]].add(v[1])
                 neighbours[v[1]].add(v[0])
             for f in combinations(v, n - 1):
                 k = index[f]
-                if first[k] < 0:
+                if i < first[k]:
                     first[k] = i
-        # the top simplices come as the complex lists them, parent by parent,
-        # so a face's first cofacet is the least position that names it
-        lower, start, top_last, top_pos = c.lower, c.child_start, c.last, c.top_pos
-        cut = bisect_left(lower, top, key=len) if top_last else len(lower)
-        for v, lo, hi in zip(lower[cut:], start[cut:], start[cut + 1 :]):
-            if lo == hi:
-                continue
-            ws, at = top_last[lo:hi], top_pos[lo:hi]
+        for v, ws, at in c.top_children():
             k = index[v]
             i = min(at)
-            j = first[k]
-            if j < 0 or i < j:
+            if i < first[k]:
                 first[k] = i
             for f in combinations(v, top - 1):
                 position = joins[f]
                 for w, i in zip(ws, at):
                     k = position[w]
-                    j = first[k]
-                    if j < 0 or i < j:
+                    if i < first[k]:
                         first[k] = i
-        if top == 1:
-            for r, w in zip(c.parent, c.last):
-                (u,) = lower[r]
-                neighbours[u].add(w)
-                neighbours[w].add(u)
-        for cols in columns:
-            cols.reverse()
+            if top == 1:
+                (u,) = v
+                neighbours[u].update(ws)
+                for w in ws:
+                    neighbours[w].add(u)
         self.n_rows = self.n_cols = m
         self._complex = c
         self._first = first
         self._neighbours = neighbours
-        self._columns = columns
+        self._columns = [array("i", sorted(cols)) for cols in columns]
 
     def columns(self, p: int) -> array:
         """The positions of the p-simplices, left to right; empty when the
         complex has no p-simplex.  The top dimension's, which no reduction
-        visits, are read off the complex on each call."""
+        visits, are read off the complex's listing on each call."""
         if p < len(self._columns):
             return self._columns[p]
-        if p > len(self._columns):
-            return array("i")
-        c = self._complex
-        is_top = map(len(c.lower).__le__, c.rank_at)
-        cols = array("i", compress(range(self.n_cols - 1, -1, -1), is_top))
-        cols.reverse()
-        return cols
+        cols = array("i")
+        if p == len(self._columns):
+            for _, _, at in self._complex.top_children():
+                cols.extend(at)
+        return array("i", sorted(self.n_cols - 1 - i for i in cols))
 
     def col_mask(self, j: int) -> int:
         last = self.n_cols - 1
+        if self._first[last - j] > last:
+            return 0  # no cofacet, a top simplex among them
         c = self._complex
-        r = c.rank_at[last - j]
-        if r >= len(c.lower):
-            return 0  # a top simplex has no cofacet
-        verts = c.lower[r]
+        verts = c.simplices[last - j]
         index = c.positions(len(verts))
         common = self._neighbours[verts[0]]
         for v in verts[1:]:
@@ -221,19 +204,19 @@ class CoboundaryMatrix(SparseZ2Matrix):
             i = index.get(verts[:k] + (w,) + verts[k:])
             if i is not None:
                 rows.append(last - i)
-        return _mask_of_rows(rows) if rows else 0
+        return _mask_of_rows(rows)
 
     def pivot(self, j: int) -> int | None:
         last = self.n_cols - 1
-        i = self._first[last - j]
-        return last - i if i >= 0 else None
+        p = last - self._first[last - j]
+        return p if p >= 0 else None
 
     def nnz(self) -> int:
         # the complex is face-closed: each of the p + 1 faces of a p-simplex
         # is a row of its column
-        top = len(self._columns)
-        lower = sum((p + 1) * len(self._columns[p]) for p in range(1, top))
-        return lower + (top + 1) * len(self._complex.last)
+        counts = [len(cols) for cols in self._columns]
+        counts.append(self.n_cols - sum(counts))  # the top simplices
+        return sum((p + 1) * n for p, n in enumerate(counts) if p)
 
 
 def coboundary_matrix(c: FilteredComplex) -> CoboundaryMatrix:

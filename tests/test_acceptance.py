@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance is fixed here, nothing is calibrated elsewhere.
 """
 
+import itertools
 import math
 import os
 import random
@@ -282,3 +283,44 @@ def test_criterion_9_determinism_sorted_vs_reversed_bars():
         assert s1.product_count == s2.product_count, name
         assert s1.coboundary_test_count == s2.coboundary_test_count, name
     _report(9, "byte-identical diagrams for sorted and reversed bar order")
+
+
+def test_criterion_10_cup_length_three_from_a_point_cloud(tmp_path, capsys):
+    """The sup-metric product of geodesic circles on 4, 5 and 6 points.
+
+    The expected function comes from the construction: the VR complex of a
+    sup product is homotopy equivalent to the product of the factors' VR
+    complexes, an n-point circle's is a circle for r in [h, 2h) with
+    h = 2 pi / n, and cup-length adds under products.  Capped below
+    2 h_6, the function on [t, s] is the number of circles born by t.
+    """
+    sizes = (4, 5, 6)
+    points = list(itertools.product(*(range(n) for n in sizes)))
+
+    def geodesic(n, a, b):
+        k = abs(a - b)
+        return 2 * PI / n * min(k, n - k)
+
+    path = tmp_path / "circles.csv"
+    path.write_text(
+        "".join(
+            ",".join(repr(max(map(geodesic, sizes, p, q))) for q in points) + "\n"
+            for p in points
+        )
+    )
+    flags = ["--max-dim", "3", "--max-scale", "2.0"]
+    assert 2.0 < 2 * (2 * PI / 6)
+    start = time.time()
+    out = tmp_path / "diagram.json"
+    assert cli.main(["cup-diagram", str(path), *flags, "--output", str(out)]) == 0
+    f = reconstruct(cli.parse_diagram(out.read_text()))
+    births = sorted(2 * PI / n for n in sizes)  # h_6 < h_5 < h_4
+    grid = [0.0, *births]
+    for j, s in enumerate(grid):
+        for t in grid[: j + 1]:
+            assert evaluate(f, Interval.closed(t, s)) == sum(t >= h for h in births), (t, s)
+    assert cli.main(["oracle-check", str(path), *flags]) == 0
+    assert capsys.readouterr().out == "oracle-check: OK (10 grid intervals)\n"
+    elapsed = time.time() - start
+    assert elapsed < 60.0
+    _report(10, f"cup-length 3 on a 120-point product of three circles, {elapsed:.1f}s")

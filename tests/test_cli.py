@@ -129,6 +129,22 @@ def test_oracle_check_reports_each_mismatch(monkeypatch, capsys):
     )
 
 
+def test_oracle_check_names_mismatches_by_exact_grades(tmp_path, monkeypatch, capsys):
+    """A hollow triangle closed at 1.0000001, next to the grade 1, which six
+    significant digits would print the same: the FAIL lines name two
+    different intervals."""
+    path = tmp_path / "tri.txt"
+    path.write_text("0 0\n0 1\n0 2\n1 0 1\n1 0 2\n1.0000001 1 2\n")
+    fake = CupFunction.from_pairs([(Interval.closed(1.0, math.inf), 1)])
+    monkeypatch.setattr(cli.oracle, "oracle_cup_function", lambda c, k: fake)
+    assert cli.main(["oracle-check", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "MISMATCH [1, 1]: pipeline 0 vs oracle 1\n"
+        "MISMATCH [1, 1.0000001]: pipeline 0 vs oracle 1\n"
+        "oracle-check: FAIL (2/6 grid intervals differ)\n"
+    )
+
+
 def test_vr_command_round_trip(tmp_path):
     out = tmp_path / "square.txt"
     proc = run_cli(

@@ -45,6 +45,14 @@ def test_simplex_validation():
     assert c.simplices[-1] == (3, 5)
 
 
+@pytest.mark.parametrize("raw", [[0.5], [1.0], [0, 2.5]])
+def test_non_integer_vertex_ids_are_rejected(raw):
+    # a float id would be stored, and fail later as an array('i') entry
+    entries = [([0], 0), ([2], 0), ([0, 2], 0), (raw, 1)]
+    with pytest.raises(InvalidSimplex, match="non-integer vertex id"):
+        from_simplex_list(entries)
+
+
 def test_from_simplex_list_edge():
     c = from_simplex_list([([0], 0), ([1], 0), ([0, 1], 0)])
     assert len(c) == 3
@@ -135,6 +143,8 @@ def test_vr_rejects_bad_matrices():
         build_vietoris_rips([[0, -1], [-1, 0]], 1, 5.0)
     with pytest.raises(ValueError, match="max_scale"):
         build_vietoris_rips(spaces.unit_square_distances(), 3, math.nan)
+    with pytest.raises(MissingFace, match="^empty distance matrix$"):
+        build_vietoris_rips([], 2, 1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

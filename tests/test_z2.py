@@ -12,6 +12,7 @@ from cuplength import spaces
 from cuplength.cohomology import Cochain, cochain_coboundary
 from cuplength.errors import SimplexNotAlive
 from cuplength.simplicial import (
+    FilteredComplex,
     build_vietoris_rips,
     diameter,
     distances_from_points,
@@ -150,6 +151,61 @@ def test_first_cofacet_among_a_parents_own_children():
     c = from_simplex_list([(list(v), g) for v, g in spaces.close_under_faces(entries).items()])
     assert _pivot_simplex(c, (1, 2)) == (1, 2, 4)
     _assert_first_cofacets(c)
+
+
+def _reorder_lower_index(c):
+    """Rebuild c.lower_index from the same entries, vertices first and the
+    rest in reverse, so it no longer iterates in filtration order."""
+    entries = list(c.lower_index.items())
+    vertices = [e for e in entries if len(e[0]) == 1]
+    rest = [e for e in entries if len(e[0]) > 1]
+    c.lower_index = dict(vertices + rest[::-1])
+
+
+def test_first_cofacets_do_not_depend_on_the_order_of_the_lower_index():
+    rng = random.Random(53)
+    listed = [random_filtration(rng) for _ in range(16)]
+    # top 1 holds only vertices below it, which no reordering moves
+    deep = (c for c in _tied_grade_complexes() if c.top > 1)
+    built = list(itertools.islice(deep, 0, None, 30))[:16]
+    for c in listed + built:
+        _reorder_lower_index(c)
+        _assert_first_cofacets(c)
+    assert len(listed + built) == 32
+
+
+_STORAGE = {"lower", "parent", "last", "top_pos", "child_start", "rank_at"}
+
+
+class _StorageGuarded(FilteredComplex):
+    """A complex that fails when code in z2 reads one of its storage arrays."""
+
+    __slots__ = ()
+
+    def __getattribute__(self, name):
+        if name in _STORAGE and sys._getframe(1).f_globals["__name__"] == "cuplength.z2":
+            raise AssertionError(f"z2 reads the complex's {name}")
+        return super().__getattribute__(name)
+
+
+def test_z2_reads_a_complex_only_through_its_views():
+    # simplicial is the one module that knows how a complex is stored
+    rng = random.Random(59)
+    corpus = [random_filtration(rng) for _ in range(5)]
+    corpus += list(itertools.islice(_tied_grade_complexes(), 0, 100, 7))
+    corpus.append(_small_vr_complex(61))
+    for c in corpus:
+        c.__class__ = _StorageGuarded
+        rc = reduce_coboundary(c)
+        A = rc.A
+        for p in range(c.top + 2):
+            A.columns(p)
+        _masks(A), _masks(rc.R), _masks(rc.V)
+        A.nnz(), rc.R.nnz(), rc.V.nnz()
+        for t in c.critical_values:
+            in_reduced_column_space(rng.getrandbits(len(c)), t, rc)
+        sigma = Cochain(1, frozenset(v for v in c.simplices if len(v) == 2))
+        is_coboundary(sigma, c.critical_values[-1], rc)
 
 
 def _masks(M):
