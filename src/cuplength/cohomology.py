@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import z2
 from .functions import Interval
-from .simplicial import FilteredComplex, Verts, faces, truncate
+from .simplicial import FilteredComplex, Verts, truncate
 
 INF = math.inf
 
@@ -65,21 +65,6 @@ class Cochain:
 
     def sorted_summands(self) -> list[Verts]:
         return sorted(self.summands)
-
-
-def cochain_coboundary(c: FilteredComplex, sigma: Cochain, t: float) -> Cochain:
-    """Coboundary of sigma evaluated in the stage-t subcomplex."""
-    out: set[Verts] = set()
-    q = sigma.p + 1
-    for verts, grade in zip(c.simplices, c.grades):
-        if grade > t:
-            break
-        if len(verts) != q + 1:
-            continue
-        count = sum(1 for f in faces(verts) if f in sigma.summands)
-        if count & 1:
-            out.add(verts)
-    return Cochain(q, frozenset(out))
 
 
 @dataclass(frozen=True)

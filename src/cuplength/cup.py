@@ -144,7 +144,8 @@ def cup_diagram(b: AnnotatedBarcode, trim_eps: float = 0.0) -> tuple[CupDiagram,
     dimension ``b.dim_bound + 1``.  Bars of length below ``trim_eps`` are
     discarded first.  Every surviving bar contributes its own interval at
     value 1; repeated products against the bar set contribute the interval
-    of each non-empty support at the fold count, merged by maximum.
+    of each non-empty support at the fold count, merged by maximum: a later
+    fold's count is the larger, so it is assigned.
     Each fold indexes the summands of each product found so far by first
     vertex, once, and multiplies a bar representative only against those
     sharing a vertex with the last vertices of its own summands, in the
@@ -160,15 +161,7 @@ def cup_diagram(b: AnnotatedBarcode, trim_eps: float = 0.0) -> tuple[CupDiagram,
     c = rc.complex
     k = b.dim_bound
     base = [(bar.interval(), bar.representative) for bar in b.bars if bar.length >= trim_eps]
-    points: dict[Interval, int] = {}
-
-    def record(interval: Interval, value: int) -> None:
-        if points.get(interval, 0) < value:
-            points[interval] = value
-
-    for interval, _ in base:
-        record(interval, 1)
-
+    points = {interval: 1 for interval, _ in base}
     stats = RunStats(
         m_k=len(c) - len(rc.A.columns(0)),
         q_1=len(base),
@@ -210,7 +203,7 @@ def cup_diagram(b: AnnotatedBarcode, trim_eps: float = 0.0) -> tuple[CupDiagram,
         ell += 1
         current = list(fresh)
         for interval, _ in current:
-            record(interval, ell)
+            points[interval] = ell
         stats.q_ell[ell] = len(current)
     return CupDiagram(points), stats
 

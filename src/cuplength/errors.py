@@ -30,7 +30,9 @@ class UnknownSimplex(CupLengthError):
 
 
 class InvalidSimplex(CupLengthError, ValueError):
-    """A vertex tuple that is empty, has a negative id or is not strictly increasing."""
+    """A vertex tuple that is empty, has a negative id or is not strictly
+    increasing, or a listed simplex whose ids are not ints or whose grade is
+    not a number."""
 
 
 class AsymmetricMatrix(CupLengthError):

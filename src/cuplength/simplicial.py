@@ -269,24 +269,31 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
     The pairs are read once, so a file can stream into it.  Vertex lists
     are treated as sets and sorted; repeated vertices, non-integer and
     negative vertex ids and ids of 2**31 or more (past ``array('i')``),
-    duplicate simplices, missing faces, non-finite and non-monotone grades
-    and an empty list are rejected rather than fixed up silently.  No
-    dimension is capped, so every simplex is a tuple.
+    duplicate simplices, missing faces, non-numeric, non-finite and
+    non-monotone grades and an empty list are rejected rather than fixed up
+    silently.  No dimension is capped, so every simplex is a tuple.
     """
     graded: dict[Verts, float] = {}
     for raw, grade in entries:
-        verts = tuple(sorted(raw))
-        if len(set(verts)) != len(verts):
-            raise DuplicateSimplex(f"repeated vertex in {raw}")
-        if not verts:
-            raise InvalidSimplex("simplex needs at least one vertex")
-        if verts[0] < 0:
-            raise InvalidSimplex(f"negative vertex id in {verts}")
-        if verts[-1] >= 2**31:
-            raise InvalidSimplex(f"vertex id {verts[-1]} in {verts} is 2**31 or more")
+        # an id that does not compare with ints, or a grade that is no
+        # number, fails here; the errors of reading the entries pass through
+        try:
+            verts = tuple(sorted(raw))
+            if len(set(verts)) != len(verts):
+                raise DuplicateSimplex(f"repeated vertex in {raw}")
+            if not verts:
+                raise InvalidSimplex("simplex needs at least one vertex")
+            if verts[0] < 0:
+                raise InvalidSimplex(f"negative vertex id in {verts}")
+            if verts[-1] >= 2**31:
+                raise InvalidSimplex(f"vertex id {verts[-1]} in {verts} is 2**31 or more")
+            grade = float(grade)
+        except InvalidSimplex:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidSimplex(f"non-integer vertex id or non-numeric grade in {raw}: {exc}") from None
         if verts in graded:
             raise DuplicateSimplex(f"simplex {verts} listed twice")
-        grade = float(grade)
         if not math.isfinite(grade):
             raise NonFiniteGrade(f"simplex {verts} has non-finite grade {grade}")
         graded[verts] = grade

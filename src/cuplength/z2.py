@@ -34,8 +34,8 @@ A, R and V are views:
   A A V_j = 0.  A column whose pivot is still free takes it without being
   built (an apparent pair, in Bauer's Ripser).  Only a column whose pivot is
   already owned is built, and reduced against the owners it adds.
-- R stores the columns the reduction built: the reduced ones and the
-  owners they added.  Any other column of R is A's column when it owns
+- R stores the reduced columns and the owners they added whose pivot row
+  lies below ``top``.  Any other column of R is A's column when it owns
   its pivot, and zero otherwise; reading it builds it and keeps nothing.
 - V stores the part above the diagonal of each reduced column.  A
   cleared column is a pivot row of R and equals the column of R that
@@ -44,9 +44,9 @@ A, R and V are views:
 
 So A stores a 4-byte int per simplex and one more per simplex below
 ``top`` (``array('i')``: positions and filtration indices stay below
-2**31), the run adds the few columns it reduces and one pivot map entry
-per pivot, and the complex itself holds no vertex tuple or dict entry
-for a top simplex (see ``simplicial``).
+2**31), the run adds the columns it reduces, the owners below ``top``
+they add and one pivot map entry per pivot, and the complex itself holds
+no vertex tuple or dict entry for a top simplex (see ``simplicial``).
 """
 
 from __future__ import annotations
@@ -233,10 +233,9 @@ def coboundary_matrix(c: FilteredComplex) -> CoboundaryMatrix:
 class ReducedMatrix(SparseZ2Matrix):
     """The reduced matrix R = A V, read on demand.
 
-    ``_cols`` holds the columns the reduction built: the reduced ones and
-    the owners they added.  Any other column is A's column if that column
-    owns its first-cofacet pivot, and zero otherwise: it was cleared, or
-    A's column is zero.  Reading such a column builds it and keeps nothing.
+    ``_cols`` holds the columns ``column_reduce`` keeps.  Any other column
+    is A's column if it owns its first-cofacet pivot, and zero otherwise:
+    it was cleared, or A's column is zero.  Reading it keeps nothing.
     """
 
     __slots__ = ("_A", "_pivot_to_col", "_cols")
@@ -307,19 +306,15 @@ def column_reduce(A: CoboundaryMatrix) -> tuple[ReducedMatrix, ReductionMatrix, 
     a pivot row is only ever owned by a column of the dimension below it,
     recorded before its own dimension is visited: one map serves clearing,
     reduction and V alike.  A top-dimension column has no pivot, so the
-    visit stops below the top dimension.
+    visit stops below the top dimension.  An owner read from A is kept only
+    if its pivot row lies below ``top``: exactness tests, of cochains below
+    the top, read no other.
     """
     pivot_to_col: dict[int, int] = {}
     built: dict[int, int] = {}
     upper: dict[int, int] = {}
-
-    def reduced_column(j: int) -> int:
-        col = built.get(j)
-        if col is None:
-            col = built[j] = A.col_mask(j)
-        return col
-
     for dim in range(A._complex.dim):
+        keep = dim + 1 < A._complex.top
         for j in A.columns(dim):
             if j in pivot_to_col:
                 continue
@@ -333,7 +328,12 @@ def column_reduce(A: CoboundaryMatrix) -> tuple[ReducedMatrix, ReductionMatrix, 
             col = A.col_mask(j)
             added = 0
             while owner is not None:
-                col ^= reduced_column(owner)
+                owned = built.get(owner)
+                if owned is None:
+                    owned = A.col_mask(owner)
+                    if keep:
+                        built[owner] = owned
+                col ^= owned
                 # owner < j, so all of its V column lies above row j
                 added ^= upper.get(owner, 0) | 1 << owner
                 if not col:

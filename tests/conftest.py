@@ -7,6 +7,7 @@ import math
 import random
 
 from cuplength import functions as fn
+from cuplength.cohomology import Cochain
 from cuplength.simplicial import FilteredComplex, faces, from_simplex_list
 
 GRID = (0.0, 1.0, 2.0, 3.0)
@@ -43,6 +44,22 @@ def random_filtration(
         )
         del chosen[rng.choice(maximal)]
     return from_simplex_list([(list(s), g) for s, g in sorted(chosen.items())])
+
+
+def cochain_coboundary(c: FilteredComplex, sigma: Cochain, t: float) -> Cochain:
+    """Coboundary of sigma evaluated in the stage-t subcomplex, face by face:
+    the cocycle reference, independent of the reduction."""
+    out: set[tuple[int, ...]] = set()
+    q = sigma.p + 1
+    for verts, grade in zip(c.simplices, c.grades):
+        if grade > t:
+            break
+        if len(verts) != q + 1:
+            continue
+        count = sum(1 for f in faces(verts) if f in sigma.summands)
+        if count & 1:
+            out.add(verts)
+    return Cochain(q, frozenset(out))
 
 
 def regrade(rng: random.Random, c: FilteredComplex, grid: tuple[float, ...] = GRID) -> FilteredComplex:
@@ -115,6 +132,19 @@ def grid_erosion(
         if eroded(i * step):
             return i * step
     return math.inf
+
+
+def sup_torus_distances(n: int) -> list[list[float]]:
+    """Sup-metric distances of the n x n grid on two geodesic circles of
+    circumference 2 pi."""
+    h = 2 * math.pi / n
+
+    def circle(a, b):
+        d = abs(a - b)
+        return min(d, n - d) * h
+
+    grid = [(i, j) for i in range(n) for j in range(n)]
+    return [[max(circle(p[0], q[0]), circle(p[1], q[1])) for q in grid] for p in grid]
 
 
 def grid_queries(values, pad: float = 0.25):

@@ -10,14 +10,13 @@ from cuplength.cohomology import (
     AnnotatedBarcode,
     Bar,
     Cochain,
-    cochain_coboundary,
     compute_barcode,
     connected_component_bars,
 )
 from cuplength.cup import cup_product
 from cuplength.oracle import validate_family
 from cuplength.simplicial import build_vietoris_rips, from_simplex_list, truncate
-from conftest import random_filtration, regrade
+from conftest import cochain_coboundary, random_filtration, regrade
 
 R2 = math.sqrt(2.0)
 

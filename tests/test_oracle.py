@@ -20,7 +20,7 @@ from cuplength.simplicial import (
     from_simplex_list,
     truncate,
 )
-from conftest import random_filtration, regrade, simplicial_product
+from conftest import cochain_coboundary, random_filtration, regrade, simplicial_product, sup_torus_distances
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -57,8 +57,6 @@ def test_basis_torus_and_klein_stages():
 
 
 def test_basis_elements_are_cocycles():
-    from cuplength.cohomology import cochain_coboundary
-
     rng = random.Random(2)
     for _ in range(15):
         c = random_filtration(rng)
@@ -557,19 +555,6 @@ def test_oracle_shares_no_code_with_the_pipeline():
 # ------------------------------------------------------ wider oracle corpus
 
 
-def _sup_torus_distances(n):
-    """Sup-metric distances of the n x n grid on two geodesic circles of
-    circumference 2 pi."""
-    h = 2 * math.pi / n
-
-    def circle(a, b):
-        d = abs(a - b)
-        return min(d, n - d) * h
-
-    grid = [(i, j) for i in range(n) for j in range(n)]
-    return [[max(circle(p[0], q[0]), circle(p[1], q[1])) for q in grid] for p in grid]
-
-
 def _clouds():
     rng = random.Random(8910)
     out = []
@@ -610,7 +595,7 @@ def _unions():
 def _torus_grid():
     """The 6 x 6 grid at --max-scale 3h, h = 2 pi / 6: every pair is within
     3h, so the last stage is the full 3-skeleton on 36 vertices."""
-    return [(build_vietoris_rips(_sup_torus_distances(6), 3, 3 * (2 * math.pi / 6)), 2)]
+    return [(build_vietoris_rips(sup_torus_distances(6), 3, 3 * (2 * math.pi / 6)), 2)]
 
 
 # each family with the function values its grid intervals must reach

@@ -45,12 +45,21 @@ def test_simplex_validation():
     assert c.simplices[-1] == (3, 5)
 
 
-@pytest.mark.parametrize("raw", [[0.5], [1.0], [0, 2.5]])
+@pytest.mark.parametrize("raw", [[0.5], [1.0], [0, 2.5], ["1"], ["1", 0], [None], [(0,)], [[0]]])
 def test_non_integer_vertex_ids_are_rejected(raw):
-    # a float id would be stored, and fail later as an array('i') entry
+    # a float id would be stored, and fail later as an array('i') entry; an
+    # id that does not compare with ints fails the checks themselves
     entries = [([0], 0), ([2], 0), ([0, 2], 0), (raw, 1)]
-    with pytest.raises(InvalidSimplex, match="non-integer vertex id"):
+    with pytest.raises(InvalidSimplex, match=r"^non-integer vertex id[^\n]*$"):
         from_simplex_list(entries)
+    with pytest.raises(InvalidSimplex, match="non-integer vertex id"):
+        from_simplex_list([(raw, 0)])
+
+
+@pytest.mark.parametrize("grade", ["one", None, [1], 10**400], ids=["str", "none", "list", "huge-int"])
+def test_non_numeric_grades_are_rejected(grade):
+    with pytest.raises(InvalidSimplex, match=r"non-numeric grade in \[1\]: [^\n]+$"):
+        from_simplex_list([([0], 0), ([1], grade)])
 
 
 def test_from_simplex_list_edge():

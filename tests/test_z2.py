@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 import sys
 import tracemalloc
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuplength import spaces
-from cuplength.cohomology import Cochain, cochain_coboundary
+from cuplength import cli, spaces
+from cuplength.cohomology import Cochain, compute_barcode
 from cuplength.errors import SimplexNotAlive
 from cuplength.simplicial import (
     FilteredComplex,
@@ -28,7 +29,9 @@ from cuplength.z2 import (
     is_coboundary,
     reduce_coboundary,
 )
-from conftest import random_filtration
+from conftest import cochain_coboundary, random_filtration, sup_torus_distances
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def test_single_edge_positive_matrix_is_zero():
@@ -368,6 +371,70 @@ def test_reading_R_stores_nothing():
     for mask in masks[:20]:
         assert in_reduced_column_space(mask, c.critical_values[-1], rc) is None
     assert set(rc.R._cols) == built
+
+
+def _cloud(seed):
+    rng = random.Random(seed)
+    points = [(rng.random(), rng.random()) for _ in range(14)]
+    return build_vietoris_rips(distances_from_points(points), 3, math.inf)
+
+
+def test_reduction_keeps_no_owner_of_a_top_row():
+    # an exactness test reduces cochains below the top dimension, so it never
+    # reads a column whose pivot row is a top simplex: only a reduced column
+    # of that kind is stored
+    # the 6 x 6 grid torus at cap 2h, h = 2 pi / 6, as the command line
+    # builds it for --max-dim 2
+    torus = build_vietoris_rips(sup_torus_distances(6), 3, 2 * (2 * math.pi / 6))
+    assert len(torus) == 8_004
+    for c in [torus] + [_cloud(seed) for seed in range(10)]:
+        rc = compute_barcode(c, 2).reduction
+        assert rc.complex.top == 3
+        last = len(c) - 1
+        for j in rc.R._cols:
+            assert j in rc.V._cols or len(c.simplices[last - rc.R.pivot(j)]) <= c.top
+
+
+def _staged_torus(n, levels, seed):
+    """A listed triangulated n x n torus graded from ``levels`` values, built
+    as the ``staged_torus`` benchmark input is."""
+    rng = random.Random(seed)
+
+    def vid(i, j):
+        return i % n * n + j % n
+
+    simplices = set()
+    for i, j in itertools.product(range(n), repeat=2):
+        a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+        for tri in (sorted((a, b, c)), sorted((a, d, c))):
+            for k in (1, 2, 3):
+                simplices.update(itertools.combinations(tri, k))
+    grade = {}
+    for s in sorted(simplices, key=lambda s: (len(s), s)):
+        faces_grades = [grade[f] for f in faces(s)] if len(s) > 1 else []
+        grade[s] = max([rng.randrange(levels)] + faces_grades)
+    return from_simplex_list(list(grade.items()))
+
+
+def test_reduction_of_a_listed_complex_keeps_every_column_it_reads(monkeypatch):
+    # a listed complex has no top simplex, so the reduction keeps every
+    # column of A it reads, each read once: the reduced ones and their owners
+    klein = cli.load_filtered_complex(os.path.join(FIXTURES, "klein_staged.txt"))
+    for c in (klein, _staged_torus(8, 4, 0)):
+        reads = []
+        col_mask = CoboundaryMatrix.col_mask
+
+        def counting(self, j):
+            reads.append(j)
+            return col_mask(self, j)
+
+        monkeypatch.setattr(CoboundaryMatrix, "col_mask", counting)
+        rc = compute_barcode(c, 2).reduction
+        monkeypatch.undo()
+        assert rc.complex.top == c.dim + 1
+        assert len(reads) == len(set(reads))
+        assert set(rc.R._cols) == set(reads)
+        assert set(rc.V._cols) < set(reads)
 
 
 def test_is_coboundary_hollow_triangle():
