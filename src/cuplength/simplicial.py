@@ -291,7 +291,7 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
         except InvalidSimplex:
             raise
         except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidSimplex(f"non-integer vertex id or non-numeric grade in {raw}: {exc}") from None
+            raise InvalidSimplex(f"non-integer vertex id or non-numeric grade in {raw!r}: {exc}") from None
         if verts in graded:
             raise DuplicateSimplex(f"simplex {verts} listed twice")
         if not math.isfinite(grade):
