@@ -34,7 +34,7 @@ import sys
 from . import oracle, plots
 from .cohomology import Bar, Cochain, compute_barcode, connected_component_bars
 from .cup import CupDiagram, compute_cup_diagram
-from .errors import AsymmetricMatrix, CupLengthError, NonFiniteDistance, ParseError
+from .errors import AsymmetricMatrix, CupLengthError, NegativeDistance, NonFiniteDistance, ParseError
 from .functions import (
     CupFunction,
     Interval,
@@ -69,6 +69,8 @@ def load_distance_csv(path: str) -> list[list[float]]:
         for j, d in enumerate(row):
             if not math.isfinite(d):
                 raise NonFiniteDistance(f"{path}: non-finite distance {d} at ({i},{j})")
+            if d < 0:
+                raise NegativeDistance(f"{path}: negative distance at ({i},{j})")
     for i in range(n):
         if rows[i][i] != 0:
             raise AsymmetricMatrix(f"{path}: non-zero diagonal at row {i}")

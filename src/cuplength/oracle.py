@@ -13,13 +13,18 @@ skeleton numbers each dimension's simplices by canonical rank and stores
 each simplex's cofacets once, as a mask over those numbers; a stage's
 p-simplices are then the first bits, and each row of a stage's
 coboundary map is one AND of a stored mask.
+A stage's rank of the degree-p coboundary map equals the rank of its
+boundary map from degree p + 1, and a stage is a prefix in which faces
+precede their cofaces, so the skeleton eliminates each dimension's
+boundaries once, in canonical order, and keeps the rank of every prefix.
 ``oracle_cup_function`` and the representative-family check
-``validate_family`` build each stage once and compute each of its
-coboundary maps once: one elimination of the degree-p map gives the
-coboundaries of degree p + 1 and the rank of the map, and the cocycles
-of degree p are eliminated only when that rank leaves H^p non-zero.
-``oracle_cup_function`` keeps one small value per grid cell and prunes
-the dominated cells in one sweep of the grid.
+``validate_family`` build each stage once and read its ranks from the
+skeleton; a stage builds and eliminates its degree-p coboundary map only
+when those ranks leave H^p non-zero, and that elimination gives both the
+cocycles of degree p and the coboundaries of degree p + 1.  Any other
+exact span is eliminated when first read.  ``oracle_cup_function`` keeps
+one small value per grid cell and prunes the dominated cells in one
+sweep of the grid.
 """
 
 from __future__ import annotations
@@ -91,10 +96,15 @@ class _Skeleton:
     are exactly bits ``0 .. size - 1``.  ``canon[p]`` lists the positions
     by bit; ``lex[p]`` lists the bits in lexicographic order, the column
     order of every elimination; for p < top, ``cofacets[p][b]`` is the
-    mask of the (p + 1)-bits of bit b's cofacets.  Every vector of degree
-    p, cochain or coboundary map row, is a mask over p-bits.
+    mask of the (p + 1)-bits of bit b's cofacets, and ``ranks[p][j]`` is
+    the rank of the boundaries of the (p + 1)-bits ``0 .. j - 1``, from one
+    elimination in canonical order.  Every vector of degree p, cochain or
+    coboundary map row, is a mask over p-bits.
 
-    One skeleton serves every stage inside its prefix.
+    One skeleton serves every stage inside its prefix.  A stage's degree-p
+    coboundary map is the transpose of its boundary map from degree p + 1,
+    whose columns are the first boundaries, so its rank is
+    ``ranks[p][size[p + 1]]``.
     """
 
     def __init__(self, c: FilteredComplex, n: int, top: int):
@@ -112,12 +122,21 @@ class _Skeleton:
                 verts[p].append(v)
         self.lex = [sorted(range(len(vs)), key=vs.__getitem__) for vs in verts]
         self.cofacets: list[list[int]] = []
+        self.ranks: list[array] = []
         for p in range(top):
             index = c.positions(p)
             rows: list[list[int]] = [[] for _ in self.canon[p]]
+            boundaries = _Echelon()
+            ranks = array("i", [0])
             for b, v in enumerate(verts[p + 1]):
+                boundary = 0
                 for f in faces(v):
-                    rows[bit[index[f]]].append(b)
+                    fb = bit[index[f]]
+                    rows[fb].append(b)
+                    boundary |= 1 << fb
+                boundaries.insert(boundary)
+                ranks.append(len(boundaries.rows))
+            self.ranks.append(ranks)
             masks = []
             for row in rows:
                 # set the bits in a buffer and convert once: an int grown
@@ -144,7 +163,8 @@ class _Stage:
         self.n = n
         self.skeleton = skeleton
         self.size = [bisect_left(ps, n) for ps in skeleton.canon]
-        # exact spans by degree, kept by cohomology_basis or built on use
+        # exact spans by degree: the image echelon of an elimination that
+        # cohomology_basis ran, or built on first read
         self.spans: dict[int, _Echelon] = {}
 
     def gens(self, p: int) -> list[int]:
@@ -242,13 +262,15 @@ def cohomology_basis(
 ) -> CohomBasis:
     """Bases of H^p of the stage-t subcomplex for p = 0..k, by elimination.
 
-    One elimination of each degree-p coboundary map gives its rank and
-    the exact span at p + 1.  The kernel at p, with the combinations that
-    name its cocycles, is eliminated only when H^p is non-zero, that is
-    when dim ker exceeds the rank of the exact span at p; otherwise the
-    representative list is empty.  ``_stage`` is the stage-t subcomplex of
-    a skeleton of dimension k + 1 that the caller already holds; it keeps
-    each exact span, taken before the representatives enter it.
+    The skeleton's prefix ranks give the rank of each degree-p coboundary
+    map, so H^p is non-zero exactly when dim ker, the p-simplices minus
+    that rank, exceeds the rank of the degree-(p - 1) map.  Only then is
+    the degree-p map built: one elimination gives its kernel, with the
+    combinations that name the cocycles, and its image, the exact span at
+    p + 1.  Otherwise the representative list is empty.  ``_stage`` is the
+    stage-t subcomplex of a skeleton of dimension k + 1 that the caller
+    already holds; it keeps the exact spans below degree k + 1, taken
+    before the representatives enter them.
     """
     if t not in c.critical_values:
         raise NotCriticalValue(f"{t} is not a critical value")
@@ -256,28 +278,26 @@ def cohomology_basis(
     if stage is None:
         stage = _Stage(_Skeleton(c, c.stage_count(t), k + 1), t)
     canon = stage.skeleton.canon
+    ranks = stage.skeleton.ranks
+    size = stage.size
     basis: dict[int, list[Cochain]] = {}
-    exact = _Echelon()
+    below = 0  # rank of the degree-(p - 1) map, the dimension of the exact span
     for p in range(k + 1):
-        gens = stage.gens(p)
-        if not gens:
-            basis[p] = []
-            continue
-        stage.spans[p] = exact
-        images = stage.coboundary_map(p, gens)
-        image = _Echelon()
-        image.extend(images)
+        rank = ranks[p][size[p + 1]]
         reps = []
-        # dim ker = generators minus rank; H^p = 0 unless it exceeds dim im
-        if len(gens) - len(image.rows) > len(exact.rows):
-            kernel = _kernel_basis(images, gens)
-            span = exact.copy()
+        if size[p] - rank > below:
+            gens = stage.gens(p)
+            image = _Echelon()
+            kernel = _kernel_basis(stage.coboundary_map(p, gens), gens, image)
+            span = stage.exact_span(p).copy()
+            if p < k:  # no product of degree above k is tested
+                stage.spans[p + 1] = image
             for combo in kernel:
                 if span.insert(combo):
                     summands = frozenset(c.simplices[canon[p][b]] for b in _bits(combo))
                     reps.append(Cochain(p, summands))
         basis[p] = reps
-        exact = image
+        below = rank
     return CohomBasis(t, basis)
 
 

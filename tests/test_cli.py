@@ -355,6 +355,7 @@ MALFORMED = {
     "inf-grade": ("c.txt", "0 0\n0 1\ninf 0 1\n", ["cup-diagram"], "non-finite grade inf"),
     "nan-distance": ("d.csv", "0,nan\nnan,0\n", ["cup-diagram"], "non-finite distance nan at (0,1)"),
     "inf-distance": ("d.csv", "0,1,inf\n1,0,1\ninf,1,0\n", ["cup-diagram"], "non-finite distance inf at (0,2)"),
+    "negative-distance": ("d.csv", "0,-1\n-1,0\n", ["cup-diagram"], "d.csv: negative distance at (0,1)"),
     "negative-vertex": ("c.txt", "0 -1\n", ["cup-diagram"], "negative vertex id"),
     "repeated-vertex": ("c.txt", "0 0\n0 1\n0 0 1 1\n", ["cup-diagram"], "repeated vertex"),
     "simplex-listed-twice": ("c.txt", "0 0\n0 1\n0 0 1\n1 1 0\n", ["cup-diagram"], "listed twice"),

@@ -434,6 +434,56 @@ def test_stage_coboundary_maps_match_reference():
     assert seen == {"top degree", "no simplex one degree up"}
 
 
+def test_prefix_ranks_match_each_stage_elimination():
+    """The skeleton's prefix rank of each degree-p boundary map, read at a
+    stage, equals the rank of that stage's coboundary map eliminated from
+    scratch, in the top degree and at stages with no simplex one degree
+    up."""
+    seen = set()
+    for name, c, k in _equivalence_corpus():
+        skeleton = oracle._Skeleton(c, len(c), k + 1)
+        for t in c.critical_values:
+            stage = oracle._Stage(skeleton, t)
+            for p in range(k + 1):
+                echelon = oracle._Echelon()
+                echelon.extend(stage.coboundary_map(p))
+                assert skeleton.ranks[p][stage.size[p + 1]] == len(echelon.rows), (name, t, p)
+                if p == k and echelon.rows:
+                    seen.add("top degree")
+                if stage.size[p] and not stage.size[p + 1]:
+                    seen.add("no simplex one degree up")
+    assert seen == {"top degree", "no simplex one degree up"}
+
+
+def test_top_degree_map_is_built_only_where_cohomology_lives(monkeypatch):
+    """cohomology_basis builds a stage's degree-k coboundary map only where
+    H^k is non-zero: on the torus at its one stage, and on a Vietoris-Rips
+    cloud at no stage whose k-simplices carry no class."""
+    corpus = {name: (c, k) for name, c, k in _equivalence_corpus()}
+    degrees = []
+    real = oracle._Stage.coboundary_map
+
+    def recording(stage, p, gens=None):
+        degrees.append(p)
+        return real(stage, p, gens)
+
+    monkeypatch.setattr(oracle._Stage, "coboundary_map", recording)
+    seen = set()
+    for name in ("torus_7.txt", "12-point cloud"):
+        c, k = corpus[name]
+        skeleton = oracle._Skeleton(c, len(c), k + 1)
+        for t in c.critical_values:
+            degrees.clear()
+            stage = oracle._Stage(skeleton, t)
+            basis = oracle.cohomology_basis(c, t, k, _stage=stage)
+            assert (k in degrees) == (basis.dim(k) > 0), (name, t)
+            if basis.dim(k):
+                seen.add(f"{name}: built where H^k lives")
+            elif stage.size[k]:
+                seen.add(f"{name}: skipped where H^k = 0")
+    assert {"torus_7.txt: built where H^k lives", "12-point cloud: skipped where H^k = 0"} <= seen
+
+
 def test_kernel_basis_ignores_row_numbering():
     """Renumbering the rows of every image leaves the kernel list as it
     is: each kernel mask is fixed by the order of the generators alone."""
