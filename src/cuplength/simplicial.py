@@ -24,6 +24,16 @@ dimensions below are vertex tuples with a dict from tuple to position.  A
 complex read from a list names no cap: its ``top`` is one above its
 dimension and empty.  ``simplices`` and ``index_of`` are views over both
 that answer for every simplex.
+
+A Vietoris-Rips complex also keeps its own copy of the distances it was
+built from, and the cap; a truncation of it keeps them too.  That gives
+``first_cofacets()``, the first cofacet of each simplex just below
+``top``, two sources.  From the distances: a join t + w has the grade of
+t or more, and joins of equal grade are ordered by w, so the first is the
+join of least w that keeps t's grade (an emergent pair, in Bauer's
+Ripser) when there is one, and otherwise the join of least (grade, w).
+From the top listing, for a truncated listed complex, which has no
+distances: each top simplex names its faces' first cofacets by parent.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ import math
 import operator
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from collections.abc import Mapping, Sequence
 from typing import Iterable, Iterator
 
@@ -84,11 +94,15 @@ class FilteredComplex:
       tuple at each position and the position of each tuple.  A lower
       tuple is one dict hit; a top one is its parent's dict hit and a
       bisection among the parent's children by last vertex.
+    - ``distances`` and ``max_scale`` are the distance matrix, a tuple of
+      row tuples, and the cap of a Vietoris-Rips complex or its
+      truncation; ``distances`` is None for a complex read from a list.
 
     Only this module reads these arrays; other modules read a complex
-    through ``simplices``, ``index_of``, ``positions``, ``top_children``
-    and ``lower_index`` as a mapping.  Instances are treated as immutable
-    after construction and are safe to share between threads.
+    through ``simplices``, ``index_of``, ``positions``, ``top_children``,
+    ``first_cofacets`` and ``lower_index`` as a mapping.  Instances are
+    treated as immutable after construction and are safe to share between
+    threads.
     """
 
     __slots__ = (
@@ -105,16 +119,30 @@ class FilteredComplex:
         "rank_at",
         "simplices",
         "index_of",
+        "distances",
+        "max_scale",
     )
 
-    def __init__(self, lower: list[Verts], grades: list[float], parent: array, last: array, top: int):
+    def __init__(
+        self,
+        lower: list[Verts],
+        grades: list[float],
+        parent: array,
+        last: array,
+        top: int,
+        distances: tuple[tuple[float, ...], ...] | None = None,
+        max_scale: float = math.inf,
+    ):
         """Store the simplices listed in (dimension, lexicographic) order:
         the ones below dimension ``top`` as tuples, ``lower``, and each top
         one as its parent, an index into ``lower``, and its last vertex,
         two ``array('i')`` kept in that listed order.  The caller splits the
         top dimension off; ``grades`` runs parallel to the whole listing,
-        the lower simplices and then the top ones."""
+        the lower simplices and then the top ones.  A Vietoris-Rips complex
+        also passes the distances and the cap it was built from."""
         self.top = top
+        self.distances = distances
+        self.max_scale = max_scale
         n_lower = len(lower)
         self.dim = top if parent else len(lower[-1]) - 1
         self.lower = lower
@@ -122,7 +150,8 @@ class FilteredComplex:
         # and each dimension stays lexicographic
         rank_at = array("i", sorted(range(len(grades)), key=grades.__getitem__))
         self.grades = list(map(grades.__getitem__, rank_at))
-        self.critical_values = sorted(set(self.grades))
+        # one per run of equal grades, the first, as a set would keep it
+        self.critical_values = [g for g, _ in itertools.groupby(self.grades)]
         index = {}
         top_pos = array("i", bytes(4 * len(parent)))
         for i, r in enumerate(rank_at):
@@ -177,6 +206,93 @@ class FilteredComplex:
             lo, hi = start[r], start[r + 1]
             if lo < hi:
                 yield self.lower[r], last[lo:hi], at[lo:hi]
+
+    def first_cofacets(self) -> Iterator[tuple[int, int]]:
+        """The position of each (top - 1)-simplex that has a cofacet, with
+        the position of its first one, the least position among its
+        cofacets, all of them top simplices.  A complex built from
+        distances finds it from them, without reading the top listing;
+        any other complex reads it off that listing."""
+        if not self.parent:
+            return iter(())
+        if self.distances is None:
+            return self._listed_first_cofacets()
+        return self._scanned_first_cofacets()
+
+    def _scanned_first_cofacets(self) -> Iterator[tuple[int, int]]:
+        """First cofacets from the distances.
+
+        The cofacets of a (top - 1)-simplex t of grade d are its joins
+        t + w, one for each vertex w outside t within the cap of all of
+        t's vertices, and a join's grade is the largest of d and the
+        distances from w to t's vertices.  Two joins differ in w alone, so
+        their lexicographic order is the order of w, and the first cofacet
+        is the join of least (grade, w).  No join has a grade below d, so
+        the first is the join of least w that keeps the grade d, an
+        emergent pair in Bauer's Ripser, when there is one: the lowest bit
+        of the intersection, over t's vertices u, of the vertices within d
+        of u.  Only when that is empty are the joins' grades compared.  One
+        position is looked up per simplex.
+        """
+        D, cap, grades = self.distances, self.max_scale, self.grades
+        # for each vertex u, the distances to the other vertices within the
+        # cap, ascending, and nearest[u][r], the bitmask of the r nearest
+        radii, nearest = [], []
+        for u, row in enumerate(D):
+            order = sorted([w for w, x in enumerate(row) if x <= cap and w != u], key=row.__getitem__)
+            radii.append(list(map(row.__getitem__, order)))
+            nearest.append(list(itertools.accumulate((1 << w for w in order), operator.or_, initial=0)))
+        index, get = self.lower_index, self.index_of.get
+        for face in self.lower[bisect_left(self.lower, self.top, key=len) :]:
+            k = index[face]
+            d = grades[k]
+            kept = -1
+            for u in face:
+                kept &= nearest[u][bisect_right(radii[u], d)]
+            if kept:
+                w = (kept & -kept).bit_length() - 1
+            else:
+                joins = -1
+                for u in face:
+                    joins &= nearest[u][-1]
+                if not joins:
+                    continue
+                least = math.inf
+                while joins:
+                    low = joins & -joins
+                    joins ^= low
+                    x = low.bit_length() - 1
+                    g = max(map(D[x].__getitem__, face))
+                    if g < least:
+                        least, w = g, x
+            j = bisect_right(face, w)
+            yield k, get(face[:j] + (w,) + face[j:])
+
+    def _listed_first_cofacets(self) -> Iterator[tuple[int, int]]:
+        """First cofacets from the top listing, parent P by parent: P's
+        least child position is one ``min``, and the other faces of a child
+        P + (w,) are f + (w,) for the faces f of P, found by the int w in
+        an index of f's own children.  Each keeps the least position that
+        names it, so the result does not depend on the listing's order."""
+        index, top = self.lower_index, self.top
+        first: dict[int, int] = {}
+        # joins[f][w] is the position of the (top - 1)-simplex f + (w,)
+        joins: defaultdict[Verts, dict[int, int]] = defaultdict(dict)
+        for v in self.lower[bisect_left(self.lower, top, key=len) :]:
+            joins[v[:-1]][v[-1]] = index[v]
+        none = len(self)
+        for v, ws, at in self.top_children():
+            k = index[v]
+            i = min(at)
+            if i < first.get(k, none):
+                first[k] = i
+            for f in itertools.combinations(v, top - 1):
+                position = joins[f]
+                for w, i in zip(ws, at):
+                    k = position[w]
+                    if i < first.get(k, none):
+                        first[k] = i
+        return iter(first.items())
 
     def stage_count(self, t: float) -> int:
         """Number of simplices with grade <= t (a prefix of the order)."""
@@ -340,6 +456,8 @@ def build_vietoris_rips(
     rejected, as ``from_simplex_list`` rejects an empty list.  The growth
     stops at the first dimension that comes out empty, which is then the
     top, so the work is bounded by the complex and not by ``max_dim``.
+    The complex keeps a copy of ``D``, not the caller's rows, and the cap,
+    from which it finds its first cofacets below the top.
     """
     n = len(D)
     if not n:
@@ -392,7 +510,8 @@ def build_vietoris_rips(
             break
         lo = hi
 
-    return FilteredComplex(simplices, grades, parent, last, top)
+    distances = tuple(map(tuple, D))
+    return FilteredComplex(simplices, grades, parent, last, top, distances, max_scale)
 
 
 def truncate(c: FilteredComplex, dim_cap: int) -> FilteredComplex:
@@ -401,7 +520,9 @@ def truncate(c: FilteredComplex, dim_cap: int) -> FilteredComplex:
     To preserve cohomology up to dimension k, pass ``dim_cap = k + 1``.
     A deeper complex is cut to one whose ``top`` is ``dim_cap`` (at least
     1): the kept simplices below it are a prefix of ``c.lower``, so a
-    parent keeps its rank there.
+    parent keeps its rank there.  The cut of a Vietoris-Rips complex is the
+    Vietoris-Rips complex of the same distances and cap at ``top``, and
+    keeps them.
     """
     if dim_cap < 0:
         raise ValueError("dim_cap must be non-negative")
@@ -413,7 +534,7 @@ def truncate(c: FilteredComplex, dim_cap: int) -> FilteredComplex:
     grades = [c.grades[index[v]] for v in c.lower[: cut + len(tops)]]
     parent = array("i", [c.rank_at[index[v[:-1]]] for v in tops])
     last = array("i", [v[-1] for v in tops])
-    return FilteredComplex(c.lower[:cut], grades, parent, last, top)
+    return FilteredComplex(c.lower[:cut], grades, parent, last, top, c.distances, c.max_scale)
 
 
 def diameter(D: Sequence[Sequence[float]]) -> float:

@@ -22,10 +22,14 @@ A, R and V are views:
   common neighbours of the simplex's vertices, and is zero for a simplex
   with no cofacet.  A reads the complex through its views only: the
   position dict of the simplices below ``top``, in whatever order it
-  iterates, and ``top_children()``, the top dimension's listing parent by
-  parent (a Vietoris-Rips complex or a truncation, see ``simplicial``),
-  from which the first cofacets one below it are found with no top
-  vertex tuple built.
+  iterates, which gives the first cofacets up to two below ``top``, and
+  ``first_cofacets()`` for the ones just below it, whose cofacets are
+  top simplices.  The complex has two sources for those (see
+  ``simplicial``): a Vietoris-Rips complex finds each from its distances,
+  as the join of least last vertex that keeps the simplex's grade (an
+  emergent pair, in Bauer's Ripser) when there is one, and a truncated
+  listed complex reads them off its top listing.  Neither builds a top
+  vertex tuple per top simplex.
 - ``column_reduce`` visits ``A.columns(0)``, ``A.columns(1)``, ... in
   turn, up to the one below the complex's dimension, whose columns have
   no pivot.  A column i whose position is already the pivot row of a
@@ -59,7 +63,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .errors import SimplexNotAlive
-from .simplicial import FilteredComplex, Verts
+from .simplicial import FilteredComplex
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cohomology import Cochain
@@ -117,13 +121,13 @@ class CoboundaryMatrix(SparseZ2Matrix):
     simplex is decoded through ``c.simplices``, joined with each common
     neighbour of its vertices, and the joins the complex holds are kept.
 
-    The first cofacets are found in two passes that each keep the least
-    position naming a face, so neither depends on the order it reads.  One
-    pass is over ``c.lower_index``, the simplices below ``top``, one dict
-    hit per face.  The other, when the complex has top simplices, is over
-    ``c.top_children()``, parent P by parent: P's least child position is
-    one ``min``, and the other faces of a child P + (w,) are f + (w,) for
-    the faces f of P, found by the int w in an index of f's own children.
+    The first cofacets up to two below ``top`` come from one pass over
+    ``c.lower_index``, the simplices below ``top``, one dict hit per face,
+    keeping the least position naming a face, so the pass does not depend
+    on the order it reads.  The ones just below ``top`` come from
+    ``c.first_cofacets()``: from the distances of a Vietoris-Rips complex,
+    the first join that keeps a simplex's grade, and from the top listing
+    of a truncated listed complex.
     """
 
     __slots__ = ("_complex", "_first", "_neighbours", "_columns")
@@ -136,40 +140,22 @@ class CoboundaryMatrix(SparseZ2Matrix):
         first = array("i", [m]) * m
         neighbours: defaultdict[int, set[int]] = defaultdict(set)
         columns: list[list[int]] = [[] for _ in range(top)]
-        # joins[f][w] is the position of the (top - 1)-simplex f + (w,),
-        # needed only by the pass over the top simplices
-        joins: defaultdict[Verts, dict[int, int]] = defaultdict(dict)
-        join_len = top if len(index) < m else 0
         for v, i in index.items():
             n = len(v)
             columns[n - 1].append(last - i)
-            if n == join_len:
-                joins[v[:-1]][v[-1]] = i
             if n == 1:
                 continue
-            if n == 2:
-                neighbours[v[0]].add(v[1])
-                neighbours[v[1]].add(v[0])
             for f in combinations(v, n - 1):
                 k = index[f]
                 if i < first[k]:
                     first[k] = i
-        for v, ws, at in c.top_children():
-            k = index[v]
-            i = min(at)
-            if i < first[k]:
-                first[k] = i
-            for f in combinations(v, top - 1):
-                position = joins[f]
-                for w, i in zip(ws, at):
-                    k = position[w]
-                    if i < first[k]:
-                        first[k] = i
-            if top == 1:
-                (u,) = v
-                neighbours[u].update(ws)
-                for w in ws:
-                    neighbours[w].add(u)
+        # the faces above are below top - 1, so no first cofacet is set twice
+        for k, i in c.first_cofacets():
+            first[k] = i
+        for v in c.positions(1):
+            if len(v) == 2:
+                neighbours[v[0]].add(v[1])
+                neighbours[v[1]].add(v[0])
         self.n_rows = self.n_cols = m
         self._complex = c
         self._first = first

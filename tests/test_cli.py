@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -17,6 +18,7 @@ from cuplength import cli, spaces
 from cuplength.cup import CupDiagram, compute_cup_diagram
 from cuplength.errors import AsymmetricMatrix, DuplicateSimplex, MissingFace
 from cuplength.functions import CupFunction, Interval, reconstruct
+from conftest import sup_torus_distances
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -155,6 +157,20 @@ def test_vr_command_round_trip(tmp_path):
     c = cli.load_filtered_complex(str(out))
     assert c.dim == 2
     assert len(c) == 4 + 6 + 4
+
+
+def test_cup_diagram_of_the_8x8_sup_torus_is_pinned(tmp_path, capsys):
+    # the grid distances tie often, so many joins share a grade; the torus
+    # has cup-length 2 from the grid step h until 3h, where it fills in
+    path = tmp_path / "torus.csv"
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in sup_torus_distances(8)))
+    h = 2 * math.pi / 8
+    assert cli.main(["cup-diagram", str(path), "--max-dim", "2", "--max-scale", repr(3 * h)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["points"] == [{"birth": h, "death": 3 * h, "inf": False, "value": 2}]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b6c4847ca96bb798902a1c86015a66f196cd1e871a2fcbb9f38adf2ef6105e46"
+    )
 
 
 def test_diagram_json_round_trip():

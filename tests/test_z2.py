@@ -4,6 +4,7 @@ import os
 import random
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +131,65 @@ def test_first_cofacets_on_vr_complexes_with_many_children_per_parent():
         _assert_first_cofacets(c)
         checked += 1
     assert checked > 900
+
+
+def _cloud_complexes():
+    """Vietoris-Rips complexes of random float clouds with duplicated points,
+    at distance 0 from each other: top dimensions 0-4, caps below, at and
+    above the diameter.  The caller's distance matrix is scrambled before a
+    complex is yielded, so each complex must keep its own copy."""
+    rng = random.Random(67)
+    for _ in range(30):
+        points = [(rng.random(), rng.random()) for _ in range(rng.randint(2, 8))]
+        points += rng.choices(points, k=rng.randint(1, 2))
+        rng.shuffle(points)
+        d = distances_from_points(points)
+        diam = diameter(d)
+        caps = (rng.choice([x for row in d for x in row if x]), diam / 2, diam, math.inf)
+        built = [build_vietoris_rips(d, max_dim, cap) for cap in caps for max_dim in range(5)]
+        for row in d:
+            row.reverse()
+        yield from built
+
+
+def _truncated_listed_complexes():
+    """Truncations of random listed complexes below their dimension."""
+    rng = random.Random(71)
+    for _ in range(40):
+        c = random_filtration(rng)
+        for dim_cap in range(c.dim):
+            yield truncate(c, dim_cap)
+
+
+def test_first_cofacets_on_float_clouds_and_truncated_listed_complexes():
+    # a complex built from distances finds its first cofacets below the top
+    # from them, a truncated listed one from its top listing
+    counts = Counter()
+    for c in itertools.chain(_cloud_complexes(), _truncated_listed_complexes()):
+        _assert_first_cofacets(c)
+        if len(c.lower_index) < len(c):
+            counts["scanned" if c.distances is not None else "listed"] += 1
+    assert counts["scanned"] > 300 and counts["listed"] > 40
+
+
+def test_coboundary_of_a_vr_complex_reads_no_top_listing(monkeypatch, tmp_path, capsys):
+    # neither the matrix nor a whole command-line job on a distance file
+    # walks the top simplices parent by parent
+    rng = random.Random(31)
+    d = distances_from_points([(rng.random(), rng.random()) for _ in range(12)])
+    path = tmp_path / "cloud.csv"
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in d))
+    argv = ["cup-diagram", str(path), "--max-dim", "2"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    calls = []
+    monkeypatch.setattr(FilteredComplex, "top_children", lambda self: calls.append(self) or iter(()))
+    c = build_vietoris_rips(d, 3, math.inf)
+    assert len(c.lower_index) < len(c)
+    coboundary_matrix(c)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert calls == []
 
 
 def _pivot_simplex(c, verts):
