@@ -5,19 +5,21 @@ import itertools
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
 import tempfile
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cuplength import cli, spaces
+from cuplength import cli, functions, spaces
 from cuplength.cup import CupDiagram, compute_cup_diagram
 from cuplength.errors import AsymmetricMatrix, DuplicateSimplex, MissingFace
-from cuplength.functions import CupFunction, Interval, reconstruct
+from cuplength.functions import CupFunction, Interval, evaluate, reconstruct
 from conftest import sup_torus_distances
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -145,6 +147,100 @@ def test_oracle_check_names_mismatches_by_exact_grades(tmp_path, monkeypatch, ca
         "MISMATCH [1, 1.0000001]: pipeline 0 vs oracle 1\n"
         "oracle-check: FAIL (2/6 grid intervals differ)\n"
     )
+
+
+def test_oracle_check_reports_a_mismatch_run_cut_at_the_diagonal(tmp_path, monkeypatch, capsys):
+    """A hollow triangle closed at 2, with lone vertices at 3 to 6: the
+    pipeline is 1 from [2, 2] on. A faked oracle adds the value 2 on
+    (2, 5], open at the grid point 2, so one run of t >= 3 differs in the
+    rows s = 3, 4 and 5, each cut at t = s."""
+    path = tmp_path / "tri.txt"
+    path.write_text("0 0\n0 1\n0 2\n1 0 1\n1 0 2\n2 1 2\n3 3\n4 4\n5 5\n6 6\n")
+    fake = CupFunction.from_pairs([(Interval.closed(2.0, math.inf), 1), (Interval(2.0, 5.0, False, True), 2)])
+    monkeypatch.setattr(cli.oracle, "oracle_cup_function", lambda c, k: fake)
+    assert cli.main(["oracle-check", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "MISMATCH [3, 3]: pipeline 1 vs oracle 2\n"
+        "MISMATCH [3, 4]: pipeline 1 vs oracle 2\n"
+        "MISMATCH [4, 4]: pipeline 1 vs oracle 2\n"
+        "MISMATCH [3, 5]: pipeline 1 vs oracle 2\n"
+        "MISMATCH [4, 5]: pipeline 1 vs oracle 2\n"
+        "MISMATCH [5, 5]: pipeline 1 vs oracle 2\n"
+        "oracle-check: FAIL (6/28 grid intervals differ)\n"
+    )
+
+
+def _cell_by_cell_mismatches(f, g, cvs):
+    """The reference comparison: both functions evaluated on every closed
+    interval [t, s] of the grid."""
+    lines = []
+    for j, s in enumerate(cvs):
+        for t in cvs[: j + 1]:
+            q = Interval.closed(t, s)
+            a, b = evaluate(f, q), evaluate(g, q)
+            if a != b:
+                lines.append(f"MISMATCH [{cli._fmt_num(t)}, {cli._fmt_num(s)}]: pipeline {a} vs oracle {b}\n")
+    return lines
+
+
+@st.composite
+def _grid_function(draw):
+    """Up to four generators with half-integer ends in [-1, 11], so a left end
+    falls on an integer grid point, between two, or outside the grid."""
+    gens = []
+    for _ in range(draw(st.integers(0, 4))):
+        left = draw(st.integers(-2, 22)) / 2
+        if draw(st.booleans()):
+            interval = Interval(left, math.inf, draw(st.booleans()))
+        else:
+            right = left + draw(st.integers(0, 8)) / 2
+            closed = right == left or draw(st.booleans())
+            interval = Interval(left, right, closed, right == left or draw(st.booleans()))
+        gens.append((interval, draw(st.integers(1, 3))))
+    return CupFunction.from_pairs(gens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sets(st.integers(0, 10), min_size=1, max_size=8).map(lambda v: [float(x) for x in sorted(v)]),
+    _grid_function(),
+    _grid_function(),
+)
+def test_grid_mismatches_match_the_cell_by_cell_reference(cvs, f, g):
+    assert cli._grid_mismatches(f, g, cvs) == _cell_by_cell_mismatches(f, g, cvs)
+
+
+def test_oracle_check_evaluates_once_per_run(tmp_path, monkeypatch, capsys):
+    """On a 12-point cloud (67 critical values), oracle-check evaluates each
+    function once per run of a row between two generators' left-end cuts,
+    not once per grid interval."""
+    rng = random.Random(3)
+    pts = [(rng.random(), rng.random()) for _ in range(12)]
+    path = tmp_path / "cloud.csv"
+    path.write_text("".join(",".join(repr(math.dist(p, q)) for q in pts) + "\n" for p in pts))
+    calls = []
+    original = functions.evaluate
+
+    def counted(f, q):
+        calls.append((f, q))
+        return original(f, q)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.startswith("cuplength"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    assert cli.main(["oracle-check", str(path), "--max-dim", "1"]) == 0
+    # every row is evaluated at least once, so the right ends are the grid
+    cvs = sorted({q.right for _, q in calls})
+    n = len(cvs)
+    assert n >= 50
+    assert capsys.readouterr().out == f"oracle-check: OK ({n * (n + 1) // 2} grid intervals)\n"
+    cuts = {0, n}
+    for f in {f for f, _ in calls}:
+        for gen, _ in f.generators:
+            cuts.add((bisect_left if gen.left_closed else bisect_right)(cvs, gen.left))
+    assert 1 <= len(calls) <= 2 * n * (len(cuts) - 1) < n * (n + 1) // 2
 
 
 def test_vr_command_round_trip(tmp_path):

@@ -660,7 +660,10 @@ WIDER_CORPUS = {
 @pytest.mark.parametrize("family", sorted(WIDER_CORPUS))
 def test_pipeline_matches_oracle_on_wider_corpus(family):
     """Pipeline and oracle agree on every closed interval of critical
-    values, as oracle-check compares them, beyond the criterion-2 corpus."""
+    values, beyond the criterion-2 corpus. The loop is the cell-by-cell
+    reference: it evaluates both functions on each grid interval, where
+    oracle-check evaluates them once per run of intervals it cannot tell
+    apart."""
     build, reached = WIDER_CORPUS[family]
     values = set()
     for c, k in build():
