@@ -7,24 +7,16 @@ reduction-based pipeline, so it shares no matrix code with it; only the
 complex and cochain containers are reused.  Intended for desk-scale
 instances.
 
-A stage is a prefix of the complex's canonical order.  Each computation
-builds one skeleton of the complex and reads every stage from it.  The
-skeleton numbers each dimension's simplices by canonical rank and stores
-each simplex's cofacets once, as a mask over those numbers; a stage's
-p-simplices are then the first bits, and each row of a stage's
-coboundary map is one AND of a stored mask.
-A stage's rank of the degree-p coboundary map equals the rank of its
-boundary map from degree p + 1, and a stage is a prefix in which faces
-precede their cofaces, so the skeleton eliminates each dimension's
-boundaries once, in canonical order, and keeps the rank of every prefix.
-``oracle_cup_function`` and the representative-family check
-``validate_family`` build each stage once and read its ranks from the
-skeleton; a stage builds and eliminates its degree-p coboundary map only
-when those ranks leave H^p non-zero, and that elimination gives both the
-cocycles of degree p and the coboundaries of degree p + 1.  Any other
-exact span is eliminated when first read.  ``oracle_cup_function`` keeps
-one small value per grid cell and prunes the dominated cells in one
-sweep of the grid.
+A stage is a prefix of the canonical order; one skeleton serves every
+stage.  It numbers each dimension's simplices by canonical rank, their
+bits, so a stage's p-simplices are the first bits and a cochain restricts
+to a stage as the prefix of its summands sorted by bit.  It eliminates
+each dimension's boundaries once, in canonical order, and keeps the rank
+of every prefix, a stage's coboundary rank one degree down.  Only where
+those ranks leave H^p non-zero does a stage eliminate its degree-p
+coboundary map, for the cocycles of degree p and the coboundaries of
+degree p + 1; each row is an AND of a cofacet mask that the skeleton
+builds for a degree the first time a stage reads it.
 """
 
 from __future__ import annotations
@@ -33,12 +25,12 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from .cohomology import Cochain
-from .errors import NotCriticalValue
+from .errors import NotCriticalValue, UnknownSimplex
 from .functions import CupFunction, Interval
-from .simplicial import FilteredComplex, Verts, faces
+from .simplicial import FilteredComplex, Verts
 
 INF = math.inf
 
@@ -59,9 +51,10 @@ class _Echelon:
             v ^= pivot
         return 0
 
-    def extend(self, vectors) -> None:
-        """Insert each vector in turn."""
+    def extend(self, vectors) -> array:
+        """Insert each vector in turn; the rank before and after each."""
         rows = self.rows
+        ranks = array("i", [len(rows)])
         for v in vectors:
             while v:
                 top = v.bit_length() - 1
@@ -70,6 +63,8 @@ class _Echelon:
                     rows[top] = v
                     break
                 v ^= pivot
+            ranks.append(len(rows))
+        return ranks
 
     def insert(self, v: int) -> bool:
         v = self.reduce(v)
@@ -89,22 +84,15 @@ class _Echelon:
 
 class _Skeleton:
     """The simplices of dimension at most ``top`` among the first ``n`` of
-    the canonical order, numbered per dimension by canonical rank.
-
-    A p-simplex's *bit* is its rank among the prefix's p-simplices in the
-    canonical order, so the p-simplices of any stage inside the prefix
-    are exactly bits ``0 .. size - 1``.  ``canon[p]`` lists the positions
-    by bit; ``lex[p]`` lists the bits in lexicographic order, the column
-    order of every elimination; for p < top, ``cofacets[p][b]`` is the
-    mask of the (p + 1)-bits of bit b's cofacets, and ``ranks[p][j]`` is
-    the rank of the boundaries of the (p + 1)-bits ``0 .. j - 1``, from one
-    elimination in canonical order.  Every vector of degree p, cochain or
-    coboundary map row, is a mask over p-bits.
-
-    One skeleton serves every stage inside its prefix.  A stage's degree-p
-    coboundary map is the transpose of its boundary map from degree p + 1,
-    whose columns are the first boundaries, so its rank is
-    ``ranks[p][size[p + 1]]``.
+    the canonical order.  A p-simplex's *bit* is its rank among the prefix's
+    p-simplices, so a stage's p-simplices are bits ``0 .. size - 1``;
+    ``canon[p]`` lists their positions by bit.  Below ``top``, ``index[p]``
+    maps each p-simplex to its bit, ``lex[p]`` lists the bits in
+    lexicographic order, the column order of every elimination, and
+    ``ranks[p][j]``, the rank of the boundaries of the (p + 1)-bits
+    ``0 .. j - 1``, is the rank of the degree-p coboundary map of a stage
+    with j (p + 1)-simplices.  A vector of degree p, cochain or map row, is
+    a mask over p-bits; ``cofacets(p)`` builds the degree-p rows once.
     """
 
     def __init__(self, c: FilteredComplex, n: int, top: int):
@@ -112,59 +100,58 @@ class _Skeleton:
         self.canon: list[list[int]] = [[] for _ in range(top + 1)]
         # each dimension's vertex tuples, by bit
         verts: list[list[Verts]] = [[] for _ in range(top + 1)]
-        # bit by position, for the simplices of dimension at most top
-        self.bit = bit = array("i", bytes(4 * n))
         for i, v in zip(range(n), c.simplices):
             p = len(v) - 1
             if p <= top:
-                bit[i] = len(self.canon[p])
                 self.canon[p].append(i)
                 verts[p].append(v)
-        self.lex = [sorted(range(len(vs)), key=vs.__getitem__) for vs in verts]
-        self.cofacets: list[list[int]] = []
+        self.index = [dict(zip(vs, range(len(vs)))) for vs in verts[:top]]
+        self.lex = [sorted(range(len(vs)), key=vs.__getitem__) for vs in verts[:top]]
         self.ranks: list[array] = []
-        for p in range(top):
-            index = c.positions(p)
-            rows: list[list[int]] = [[] for _ in self.canon[p]]
-            boundaries = _Echelon()
-            ranks = array("i", [0])
-            for b, v in enumerate(verts[p + 1]):
-                boundary = 0
-                for f in faces(v):
-                    fb = bit[index[f]]
-                    rows[fb].append(b)
-                    boundary |= 1 << fb
-                boundaries.insert(boundary)
-                ranks.append(len(boundaries.rows))
-            self.ranks.append(ranks)
-            masks = []
-            for row in rows:
-                # set the bits in a buffer and convert once: an int grown
-                # by |= is copied whole on every bit
-                buf = bytearray((row[-1] >> 3) + 1 if row else 0)
-                for b in row:
-                    buf[b >> 3] |= 1 << (b & 7)
-                masks.append(int.from_bytes(buf, "little"))
-            self.cofacets.append(masks)
+        for p, index in enumerate(self.index):
+            # a boundary is the sum of its faces' one-bit masks
+            ones = {v: 1 << b for v, b in index.items()}.__getitem__
+            boundaries = (sum(map(ones, combinations(v, p + 1))) for v in verts[p + 1])
+            self.ranks.append(_Echelon().extend(boundaries))
+        self._cofacets: dict[int, list[int]] = {}
+
+    def cofacets(self, p: int) -> list[int]:
+        """For each p-bit the mask of its cofacets' (p + 1)-bits, built once."""
+        masks = self._cofacets.get(p)
+        if masks is None:
+            index = self.index[p]
+            # the (p + 1)-simplices by bit: the keys of their index below the top
+            if p + 1 < len(self.index):
+                up = self.index[p + 1]
+            else:
+                up = map(self.c.simplices.__getitem__, self.canon[p + 1])
+            rows: list[list[int]] = [[] for _ in index]
+            for b, v in enumerate(up):
+                for f in combinations(v, p + 1):
+                    rows[index[f]].append(b)
+            masks = self._cofacets[p] = list(map(_mask, rows))
+        return masks
+
+
+def _mask(bits: list[int]) -> int:
+    """The mask of increasing bits, set in a buffer: an int grown by |= is copied on every bit."""
+    buf = bytearray((bits[-1] >> 3) + 1 if bits else 0)
+    for b in bits:
+        buf[b >> 3] |= 1 << (b & 7)
+    return int.from_bytes(buf, "little")
 
 
 class _Stage:
-    """The subcomplex at one parameter: a prefix of the canonical order.
-
-    Its p-simplices are the skeleton's bits ``0 .. size[p] - 1``.  Faces
-    precede their cofaces in the canonical order, so every face of a
-    stage simplex is in the stage.
-    """
+    """The subcomplex at one parameter: a prefix of the canonical order, so
+    it holds every face of its simplices, whose p-simplices are the
+    skeleton's bits ``0 .. size[p] - 1``."""
 
     def __init__(self, skeleton: _Skeleton, t: float):
-        c = skeleton.c
+        self.c = c = skeleton.c
         n = c.stage_count(t)
-        self.c = c
-        self.n = n
         self.skeleton = skeleton
         self.size = [bisect_left(ps, n) for ps in skeleton.canon]
-        # exact spans by degree: the image echelon of an elimination that
-        # cohomology_basis ran, or built on first read
+        # exact spans by degree, from cohomology_basis's eliminations or built on first read
         self.spans: dict[int, _Echelon] = {}
 
     def gens(self, p: int) -> list[int]:
@@ -173,17 +160,12 @@ class _Stage:
         return [b for b in self.skeleton.lex[p] if b < size]
 
     def mask(self, sigma: Cochain) -> int:
-        index_of = self.c.index_of
-        bit = self.skeleton.bit
-        m = 0
-        for v in sigma.summands:
-            m |= 1 << bit[index_of[v]]
-        return m
+        return sum(1 << b for b in map(self.skeleton.index[sigma.p].__getitem__, sigma.summands))
 
     def coboundary_map(self, p: int, gens: list[int] | None = None) -> list[int]:
         """For each p-simplex (column order) the mask of its cofacets in the
         stage; ``gens``, when given, is ``self.gens(p)``."""
-        cofacets = self.skeleton.cofacets[p]
+        cofacets = self.skeleton.cofacets(p)
         in_stage = (1 << self.size[p + 1]) - 1
         return [cofacets[b] & in_stage for b in (self.gens(p) if gens is None else gens)]
 
@@ -191,23 +173,47 @@ class _Stage:
         """Echelon of the image of the degree-(p-1) coboundary map."""
         span = self.spans.get(p)
         if span is None:
-            span = _Echelon()
+            span = self.spans[p] = _Echelon()
             if p >= 1:
                 span.extend(self.coboundary_map(p - 1))
-            self.spans[p] = span
         return span
 
     def product(self, sigma1: Cochain, sigma2: Cochain) -> Cochain:
-        index_of = self.c.index_of
-        n = self.n
+        p = sigma1.p + sigma2.p
+        index, size = self.skeleton.index[p], self.size[p]
         out: set[Verts] = set()
         for a in sigma1.summands:
             for b in sigma2.summands:
                 if a[-1] == b[0]:
                     cand = a + b[1:]
-                    if index_of.get(cand, n) < n:
+                    if index.get(cand, size) < size:
                         out ^= {cand}
-        return Cochain(sigma1.p + sigma2.p, frozenset(out))
+        return Cochain(p, frozenset(out))
+
+
+class _BitSorted:
+    """A cochain with its summands sorted by bit.  Bits are canonical ranks,
+    so its mask at a stage is its full mask cut to the stage's size, and its
+    restriction there its first summands, one per bit of that mask."""
+
+    def __init__(self, skeleton: _Skeleton, sigma: Cochain):
+        index = skeleton.index[sigma.p]
+        if not index.keys() >= sigma.summands:
+            raise UnknownSimplex(f"simplex {min(sigma.summands - index.keys())} not in complex")
+        self.p = sigma.p
+        self.summands = sorted(sigma.summands, key=index.__getitem__)
+        self.full = _mask(list(map(index.__getitem__, self.summands)))
+        self.restricted = sigma  # the last restriction built
+
+    def mask(self, stage: _Stage) -> int:
+        return self.full & ((1 << stage.size[self.p]) - 1)
+
+    def restrict(self, mask: int) -> Cochain:
+        """The restriction to a stage where the mask is ``mask``."""
+        n = mask.bit_count()
+        if n != len(self.restricted.summands):
+            self.restricted = Cochain(self.p, frozenset(self.summands[:n]))
+        return self.restricted
 
 
 @dataclass
@@ -274,12 +280,8 @@ def cohomology_basis(
     """
     if t not in c.critical_values:
         raise NotCriticalValue(f"{t} is not a critical value")
-    stage = _stage
-    if stage is None:
-        stage = _Stage(_Skeleton(c, c.stage_count(t), k + 1), t)
-    canon = stage.skeleton.canon
-    ranks = stage.skeleton.ranks
-    size = stage.size
+    stage = _stage or _Stage(_Skeleton(c, c.stage_count(t), k + 1), t)
+    canon, ranks, size = stage.skeleton.canon, stage.skeleton.ranks, stage.size
     basis: dict[int, list[Cochain]] = {}
     below = 0  # rank of the degree-(p - 1) map, the dimension of the exact span
     for p in range(k + 1):
@@ -308,26 +310,20 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _length_at_stage(stage: _Stage, restricted: list[Cochain], k: int) -> int:
-    """Largest number of factors with a non-exact product at this stage.
+def _length_at_stage(stage: _Stage, reps: list[_BitSorted], k: int) -> int:
+    """Largest number of factors with a non-exact product at this stage:
+    tuples drawn with repetition from the restrictions of ``reps``, of total
+    degree at most k, each product taken at cochain level and tested
+    against the exact span of its degree."""
 
-    Tuples are drawn with repetition from the restricted basis, pruned to
-    total dimension at most k; each candidate product is computed at
-    cochain level and tested against the exact span of its dimension.
-    """
+    def nonzero_class(p: int, mask: int) -> bool:
+        return mask != 0 and not stage.exact_span(p).contains(mask)
 
-    def nonzero_class(sigma: Cochain) -> bool:
-        if sigma.is_zero():
-            return False
-        return not stage.exact_span(sigma.p).contains(stage.mask(sigma))
-
-    usable = [s for s in restricted if nonzero_class(s)]
+    usable = [r.restrict(m) for r in reps if nonzero_class(r.p, m := r.mask(stage))]
     if not usable:
         return 0
-    best = 1
     # more positive-degree factors than the complex's dimension multiply to 0
     for ell in range(min(k, stage.c.dim), 1, -1):
-        found = False
         for tup in combinations_with_replacement(usable, ell):
             if sum(s.p for s in tup) > k:
                 continue
@@ -337,13 +333,9 @@ def _length_at_stage(stage: _Stage, restricted: list[Cochain], k: int) -> int:
                 if prod.is_zero():
                     break
             else:
-                if nonzero_class(prod):
-                    found = True
-                    break
-        if found:
-            best = ell
-            break
-    return best
+                if nonzero_class(prod.p, stage.mask(prod)):
+                    return ell
+    return 1
 
 
 def image_cup_length(c: FilteredComplex, t: float, s: float, k: int) -> int:
@@ -359,10 +351,12 @@ def image_cup_length(c: FilteredComplex, t: float, s: float, k: int) -> int:
         raise NotCriticalValue(f"({t}, {s}) must be critical values")
     skeleton = _Skeleton(c, c.stage_count(s), k + 1)
     src = cohomology_basis(c, s, k, _stage=_Stage(skeleton, s))
-    restricted = [
-        sigma.restrict(c, t) for p in range(1, k + 1) for sigma in src.basis.get(p, [])
-    ]
-    return _length_at_stage(_Stage(skeleton, t), restricted, k)
+    return _length_at_stage(_Stage(skeleton, t), _positive(skeleton, src, k), k)
+
+
+def _positive(skeleton: _Skeleton, basis: CohomBasis, k: int) -> list[_BitSorted]:
+    """The representatives of degree 1 to k, sorted by bit."""
+    return [_BitSorted(skeleton, s) for p in range(1, k + 1) for s in basis.basis.get(p, [])]
 
 
 def oracle_cup_function(c: FilteredComplex, k: int) -> CupFunction:
@@ -382,13 +376,11 @@ def oracle_cup_function(c: FilteredComplex, k: int) -> CupFunction:
     values: list[bytearray] = []
     for sj, s in enumerate(cvs):
         stages.append(_Stage(skeleton, s))
-        src = cohomology_basis(c, s, k, _stage=stages[sj])
-        reps = [sigma for p in range(1, k + 1) for sigma in src.basis.get(p, [])]
+        reps = _positive(skeleton, cohomology_basis(c, s, k, _stage=stages[sj]), k)
         column = bytearray(sj + 1)
         if reps:
             for ti in range(sj + 1):
-                restricted = [sigma.restrict(c, cvs[ti]) for sigma in reps]
-                column[ti] = _length_at_stage(stages[ti], restricted, k)
+                column[ti] = _length_at_stage(stages[ti], reps, k)
         values.append(column)
     last = len(cvs) - 1
     return CupFunction.from_pairs(
@@ -422,11 +414,15 @@ def _undominated(values: list[bytearray]) -> list[tuple[int, int]]:
 
 @dataclass
 class FamilyReport:
-    """Outcome of validating the representative-family property."""
+    """Outcome of validating the representative-family property; of the first
+    failure, ``bar`` indexes a representative in ``b.bars`` that is not a
+    cocycle and ``combination`` masks an exact one over the bars alive."""
 
     ok: bool
     first_failure: tuple[float, int] | None = None
     failures: list[tuple[float, int, str]] = field(default_factory=list)
+    bar: int | None = None
+    combination: int | None = None
 
 
 def validate_family(b) -> FamilyReport:
@@ -442,35 +438,39 @@ def validate_family(b) -> FamilyReport:
     """
     report = FamilyReport(ok=True)
 
-    def fail(t: float, p: int, reason: str) -> None:
+    def fail(t: float, p: int, reason: str, bar: int | None = None, combo: int | None = None):
         if report.ok:
-            report.first_failure = (t, p)
-        report.ok = False
+            report.ok, report.first_failure = False, (t, p)
+            report.bar, report.combination = bar, combo
         report.failures.append((t, p, reason))
 
     c = b.reduction.complex
     k = b.dim_bound
     skeleton = _Skeleton(c, len(c), k + 1)
+    reps = {}  # by index into b.bars, the representatives of degree 1 to k
+    for i, bar in enumerate(b.bars):
+        if 0 < bar.dim <= k:
+            reps[i] = _BitSorted(skeleton, bar.representative)
     for t in c.critical_values:
         stage = _Stage(skeleton, t)
         basis = cohomology_basis(c, t, k, _stage=stage)
         for p in range(1, k + 1):
-            alive = [bar for bar in b.bars if bar.dim == p and bar.contains(t)]
+            alive = [i for i, bar in enumerate(b.bars) if bar.dim == p and bar.contains(t)]
             expected = basis.dim(p)
             if len(alive) != expected:
                 fail(t, p, f"{len(alive)} bars alive but dim H^{p} = {expected}")
                 continue
             if not alive:
                 continue
-            masks = [stage.mask(bar.representative.restrict(c, t)) for bar in alive]
+            masks = [reps[i].mask(stage) for i in alive]
             exact = stage.exact_span(p)
             cocycles = exact.copy()
             cocycles.extend(stage.mask(sigma) for sigma in basis.basis[p])
-            bad = next((i for i, m in enumerate(masks) if not cocycles.contains(m)), None)
+            bad = next((i for i, m in zip(alive, masks) if not cocycles.contains(m)), None)
             if bad is not None:
-                fail(t, p, f"representative of bar {alive[bad]} is not a cocycle at {t}")
+                fail(t, p, f"representative of bar {b.bars[bad]} is not a cocycle at {t}", bad)
                 continue
-            kernel = _kernel_basis(masks, range(len(masks)), exact.copy())
-            if kernel:
-                fail(t, p, f"combination {kernel[0]:b} of restrictions is exact at {t}")
+            combo = next(iter(_kernel_basis(masks, range(len(masks)), exact.copy())), None)
+            if combo is not None:
+                fail(t, p, f"combination {combo:b} of restrictions is exact at {t}", None, combo)
     return report

@@ -26,7 +26,7 @@ dimension and empty.  ``simplices`` and ``index_of`` are views over both
 that answer for every simplex.
 
 A Vietoris-Rips complex also keeps its own copy of the distances it was
-built from, and the cap; a truncation of it keeps them too.  That gives
+built from; a truncation of it keeps them too.  That gives
 ``first_cofacets()``, the first cofacet of each simplex just below
 ``top``, two sources.  From the distances: a join t + w has the grade of
 t or more, and joins of equal grade are ordered by w, so the first is the
@@ -94,9 +94,9 @@ class FilteredComplex:
       tuple at each position and the position of each tuple.  A lower
       tuple is one dict hit; a top one is its parent's dict hit and a
       bisection among the parent's children by last vertex.
-    - ``distances`` and ``max_scale`` are the distance matrix, a tuple of
-      row tuples, and the cap of a Vietoris-Rips complex or its
-      truncation; ``distances`` is None for a complex read from a list.
+    - ``distances`` is the distance matrix of a Vietoris-Rips complex or
+      its truncation, a tuple of row tuples, and None for a complex read
+      from a list.
 
     Only this module reads these arrays; other modules read a complex
     through ``simplices``, ``index_of``, ``positions``, ``top_children``,
@@ -120,7 +120,6 @@ class FilteredComplex:
         "simplices",
         "index_of",
         "distances",
-        "max_scale",
     )
 
     def __init__(
@@ -131,7 +130,6 @@ class FilteredComplex:
         last: array,
         top: int,
         distances: tuple[tuple[float, ...], ...] | None = None,
-        max_scale: float = math.inf,
     ):
         """Store the simplices listed in (dimension, lexicographic) order:
         the ones below dimension ``top`` as tuples, ``lower``, and each top
@@ -139,10 +137,9 @@ class FilteredComplex:
         two ``array('i')`` kept in that listed order.  The caller splits the
         top dimension off; ``grades`` runs parallel to the whole listing,
         the lower simplices and then the top ones.  A Vietoris-Rips complex
-        also passes the distances and the cap it was built from."""
+        also passes the distances it was built from."""
         self.top = top
         self.distances = distances
-        self.max_scale = max_scale
         n_lower = len(lower)
         self.dim = top if parent else len(lower[-1]) - 1
         self.lower = lower
@@ -232,14 +229,25 @@ class FilteredComplex:
         emergent pair in Bauer's Ripser, when there is one: the lowest bit
         of the intersection, over t's vertices u, of the vertices within d
         of u.  Only when that is empty are the joins' grades compared.  One
-        position is looked up per simplex.
+        position is looked up per simplex.  The vertices within the cap of
+        u are the other ends of u's edges, read from the complex's own
+        edges: tuples below a top of 2 or more, the top listing at 1.
         """
-        D, cap, grades = self.distances, self.max_scale, self.grades
-        # for each vertex u, the distances to the other vertices within the
-        # cap, ascending, and nearest[u][r], the bitmask of the r nearest
+        D, grades, lower = self.distances, self.grades, self.lower
+        if self.top == 1:
+            edges = ((lower[r][0], w) for r, w in zip(self.parent, self.last))
+        else:
+            edges = lower[bisect_left(lower, 2, key=len) : bisect_left(lower, 3, key=len)]
+        # each vertex's neighbours, increasing: edges come in lexicographic order
+        near: list[list[int]] = [[] for _ in D]
+        for a, b in edges:
+            near[a].append(b)
+            near[b].append(a)
+        # for each vertex u, the distances to its neighbours, ascending, and
+        # nearest[u][r], the bitmask of the r nearest
         radii, nearest = [], []
-        for u, row in enumerate(D):
-            order = sorted([w for w, x in enumerate(row) if x <= cap and w != u], key=row.__getitem__)
+        for row, order in zip(D, near):
+            order.sort(key=row.__getitem__)
             radii.append(list(map(row.__getitem__, order)))
             nearest.append(list(itertools.accumulate((1 << w for w in order), operator.or_, initial=0)))
         index, get = self.lower_index, self.index_of.get
@@ -456,8 +464,8 @@ def build_vietoris_rips(
     rejected, as ``from_simplex_list`` rejects an empty list.  The growth
     stops at the first dimension that comes out empty, which is then the
     top, so the work is bounded by the complex and not by ``max_dim``.
-    The complex keeps a copy of ``D``, not the caller's rows, and the cap,
-    from which it finds its first cofacets below the top.
+    The complex keeps a copy of ``D``, not the caller's rows, from which it
+    finds its first cofacets below the top.
     """
     n = len(D)
     if not n:
@@ -511,7 +519,7 @@ def build_vietoris_rips(
         lo = hi
 
     distances = tuple(map(tuple, D))
-    return FilteredComplex(simplices, grades, parent, last, top, distances, max_scale)
+    return FilteredComplex(simplices, grades, parent, last, top, distances)
 
 
 def truncate(c: FilteredComplex, dim_cap: int) -> FilteredComplex:
@@ -522,7 +530,7 @@ def truncate(c: FilteredComplex, dim_cap: int) -> FilteredComplex:
     1): the kept simplices below it are a prefix of ``c.lower``, so a
     parent keeps its rank there.  The cut of a Vietoris-Rips complex is the
     Vietoris-Rips complex of the same distances and cap at ``top``, and
-    keeps them.
+    keeps the distances.
     """
     if dim_cap < 0:
         raise ValueError("dim_cap must be non-negative")
@@ -534,7 +542,7 @@ def truncate(c: FilteredComplex, dim_cap: int) -> FilteredComplex:
     grades = [c.grades[index[v]] for v in c.lower[: cut + len(tops)]]
     parent = array("i", [c.rank_at[index[v[:-1]]] for v in tops])
     last = array("i", [v[-1] for v in tops])
-    return FilteredComplex(c.lower[:cut], grades, parent, last, top, c.distances, c.max_scale)
+    return FilteredComplex(c.lower[:cut], grades, parent, last, top, c.distances)
 
 
 def diameter(D: Sequence[Sequence[float]]) -> float:

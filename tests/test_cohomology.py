@@ -14,6 +14,7 @@ from cuplength.cohomology import (
     connected_component_bars,
 )
 from cuplength.cup import cup_product
+from cuplength.errors import UnknownSimplex
 from cuplength.oracle import validate_family
 from cuplength.simplicial import build_vietoris_rips, from_simplex_list, truncate
 from conftest import cochain_coboundary, random_filtration, regrade
@@ -164,7 +165,8 @@ def test_validate_family_passes_on_fixtures():
     for c in fixtures:
         ct = truncate(c, 3)
         b = compute_barcode(ct, 2)
-        assert validate_family(b).ok
+        report = validate_family(b)
+        assert report.ok and (report.first_failure, report.bar, report.combination) == (None, None, None)
 
 
 def test_validate_family_detects_zeroed_representative():
@@ -177,6 +179,8 @@ def test_validate_family_detects_zeroed_representative():
     report = validate_family(AnnotatedBarcode(broken, 1, b.reduction))
     assert not report.ok
     assert report.first_failure == (0.0, 1)
+    # the zero restriction is the one exact combination of the one bar alive
+    assert (report.bar, report.combination) == (None, 0b1)
 
 
 def test_validate_family_detects_duplicate_representative():
@@ -187,6 +191,8 @@ def test_validate_family_detects_duplicate_representative():
     report = validate_family(AnnotatedBarcode(broken, 1, b.reduction))
     assert not report.ok
     assert report.first_failure == (1.0, 1)
+    # both bars alive at 1.0 carry the same cocycle: their sum is exact
+    assert (report.bar, report.combination) == (None, 0b11)
 
 
 def test_validate_family_detects_non_cocycle_representative():
@@ -199,6 +205,22 @@ def test_validate_family_detects_non_cocycle_representative():
     assert not report.ok
     assert report.first_failure == (0.0, 1)
     assert "is not a cocycle at 0.0" in report.failures[0][2]
+    assert (report.bar, report.combination) == (0, None)
+    # the second of two bars: its representative plus an edge of the first
+    # disk is a cocycle until that disk is filled at 2.0
+    b = compute_barcode(spaces.two_disks(), 1)
+    bars = list(b.bars)
+    bars[1] = Bar(1, bars[1].birth, bars[1].death, bars[1].representative ^ Cochain.of((0, 1)))
+    report = validate_family(AnnotatedBarcode(bars, 1, b.reduction))
+    assert (report.first_failure, report.bar, report.combination) == ((2.0, 1), 1, None)
+
+
+def test_validate_family_rejects_a_representative_outside_the_complex():
+    b = compute_barcode(spaces.projective_plane(), 1)
+    (bar,) = b.bars
+    broken = [Bar(1, bar.birth, bar.death, Cochain.of((98, 99)))]
+    with pytest.raises(UnknownSimplex):
+        validate_family(AnnotatedBarcode(broken, 1, b.reduction))
 
 
 def test_validate_family_finds_the_one_exact_combination_of_many_bars():
@@ -221,6 +243,7 @@ def test_validate_family_finds_the_one_exact_combination_of_many_bars():
     assert not report.ok
     assert report.first_failure == (0.0, 1)
     assert f"combination {'1' * 14} of" in report.failures[0][2]
+    assert (report.bar, report.combination) == (None, 2**14 - 1)
 
 
 def test_validate_family_on_random_regraded_surfaces():

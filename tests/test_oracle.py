@@ -1,7 +1,9 @@
 import ast
+import gc
 import math
 import os
 import random
+import weakref
 from itertools import combinations_with_replacement
 
 import pytest
@@ -482,6 +484,87 @@ def test_top_degree_map_is_built_only_where_cohomology_lives(monkeypatch):
             elif stage.size[k]:
                 seen.add(f"{name}: skipped where H^k = 0")
     assert {"torus_7.txt: built where H^k lives", "12-point cloud: skipped where H^k = 0"} <= seen
+
+
+def test_cofacet_masks_are_built_only_for_degrees_a_stage_reads(monkeypatch):
+    """The skeleton builds a degree's cofacet masks on the first stage that
+    reads its coboundary map and hands every later stage the same masks:
+    the degree-k masks on the torus, where H^k lives, and not on a
+    Vietoris-Rips cloud."""
+    corpus = {name: (c, k) for name, c, k in _equivalence_corpus()}
+    skeletons, returned, read = [], {}, set()
+
+    class Recorded(oracle._Skeleton):
+        def __init__(self, *args):
+            super().__init__(*args)
+            skeletons.append(self)
+
+        def cofacets(self, p):
+            masks = super().cofacets(p)
+            returned.setdefault(p, []).append(masks)
+            return masks
+
+    def recording_map(stage, p, gens=None):
+        read.add(p)
+        return real_map(stage, p, gens)
+
+    real_map = oracle._Stage.coboundary_map
+    monkeypatch.setattr(oracle, "_Skeleton", Recorded)
+    monkeypatch.setattr(oracle._Stage, "coboundary_map", recording_map)
+    seen = set()
+    for name in ("torus_7.txt", "12-point cloud"):
+        c, k = corpus[name]
+        skeletons.clear()
+        returned.clear()
+        read.clear()
+        oracle.oracle_cup_function(c, k)
+        (skeleton,) = skeletons
+        assert set(skeleton._cofacets) == set(returned) == read, name
+        assert all(m is ms[0] for ms in returned.values() for m in ms), name
+        seen.add((name, k in read))
+    assert seen == {("torus_7.txt", True), ("12-point cloud", False)}
+
+
+def test_bit_prefix_restriction_matches_restrict_then_mask():
+    """Every representative of every stage, restricted to every earlier
+    stage as a prefix of its summands sorted by bit, gives the cochain and
+    the mask of Cochain.restrict followed by _Stage.mask."""
+    seen = set()
+    for name, c, k in _equivalence_corpus():
+        skeleton = oracle._Skeleton(c, len(c), k + 1)
+        stages = [oracle._Stage(skeleton, t) for t in c.critical_values]
+        for sj, s in enumerate(c.critical_values):
+            basis = oracle.cohomology_basis(c, s, k)
+            for sigma in (sigma for p in range(1, k + 1) for sigma in basis.basis.get(p, [])):
+                rep = oracle._BitSorted(skeleton, sigma)
+                for stage, t in zip(stages[: sj + 1], c.critical_values):
+                    restricted = sigma.restrict(c, t)
+                    assert rep.mask(stage) == stage.mask(restricted), (name, s, t)
+                    assert rep.restrict(rep.mask(stage)) == restricted, (name, s, t)
+                    seen.add("cut" if 0 < len(restricted.summands) < len(sigma.summands) else "whole or empty")
+    assert seen == {"cut", "whole or empty"}
+
+
+def test_the_skeleton_is_freed_without_the_garbage_collector(monkeypatch):
+    """Nothing holds the skeleton of oracle_cup_function in a reference
+    cycle: with the collector off, it is freed when the call returns."""
+    refs = []
+
+    class Recorded(oracle._Skeleton):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    corpus = {name: (c, k) for name, c, k in _equivalence_corpus()}
+    monkeypatch.setattr(oracle, "_Skeleton", Recorded)
+    gc.disable()
+    try:
+        for name in ("torus_7.txt", "12-point cloud"):
+            c, k = corpus[name]
+            oracle_cup_function(c, k)
+            assert len(refs) == 1 and refs.pop()() is None, name
+    finally:
+        gc.enable()
 
 
 def test_kernel_basis_ignores_row_numbering():

@@ -172,6 +172,25 @@ def test_first_cofacets_on_float_clouds_and_truncated_listed_complexes():
     assert counts["scanned"] > 300 and counts["listed"] > 40
 
 
+def test_first_cofacets_on_a_capped_sparse_cloud():
+    """A cloud capped far below its diameter, where most pairs of points
+    are no edge and some points have none: every top from 1 to 4 and
+    every truncation, so the edges are tuples and the top listing."""
+    rng = random.Random(200)
+    points = [(rng.random(), rng.random()) for _ in range(80)] + [(3.0, 3.0)]
+    d = distances_from_points(points)
+    cap = 0.15
+    degrees = Counter(i for i, j in itertools.permutations(range(81), 2) if d[i][j] <= cap)
+    assert sum(degrees.values()) < 0.1 * 81 * 80 and len(degrees) < 81
+    tops = Counter()
+    for max_dim in range(1, 5):
+        c = build_vietoris_rips(d, max_dim, cap)
+        for ct in [c] + [truncate(c, dim_cap) for dim_cap in range(1, c.dim)]:
+            _assert_first_cofacets(ct)
+            tops[ct.top] += 1
+    assert set(tops) == {1, 2, 3, 4}
+
+
 def test_coboundary_of_a_vr_complex_reads_no_top_listing(monkeypatch, tmp_path, capsys):
     # neither the matrix nor a whole command-line job on a distance file
     # walks the top simplices parent by parent
