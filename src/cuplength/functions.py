@@ -13,17 +13,21 @@ value, and ``hi = (right, right_closed)``, a closed right end sorting just
 after its value.  It is non-empty iff ``lo < hi``, and containment,
 overlap and intersection compare these keys as tuples.
 
-Erosion distance is computed exactly: as epsilon grows the combinatorial
-configuration only changes when a shrunk generator endpoint crosses another
-endpoint or a generator collapses to a point.  All such breakpoints are
-differences or half differences of finite generator endpoints, so the
-infimum is the first sorted candidate whose gap to the next one passes the
-eroded predicate.  The predicate is monotone in epsilon, so a probe at any
-candidate tells on which side of it the answer lies.  The candidates are
-rows of sorted endpoint differences and their halves, never listed whole:
-probes at the median of a stride sample narrow a value bracket until a few
-hundred candidates are left, and bisection over the gaps of those finds the
-answer with logarithmically many probes.
+Erosion distance is found by a search in floats: as epsilon grows the
+combinatorial configuration only changes when a shrunk generator
+endpoint crosses another endpoint or a generator collapses to a point.
+All such breakpoints are differences or half differences of finite
+generator endpoints, so the infimum is the first sorted candidate whose
+gap to the next one passes the eroded predicate. The predicate is
+monotone in epsilon, so a probe at any candidate tells on which side of
+it the answer lies. The candidates are rows of sorted endpoint
+differences and their halves, never listed whole: probes at the median
+of a stride sample narrow a value bracket until a few hundred candidates
+are left, and bisection over the gaps of those finds the answer with
+logarithmically many probes. The candidates are float differences and
+the predicate adds epsilon to endpoints in floats, so the answer can lie
+a few floats from the exact infimum, above or below it; ROADMAP item 10
+has the exact closed form that replaces this search.
 """
 
 from __future__ import annotations

@@ -25,15 +25,16 @@ complex read from a list names no cap: its ``top`` is one above its
 dimension and empty.  ``simplices`` and ``index_of`` are views over both
 that answer for every simplex.
 
-A Vietoris-Rips complex also keeps its own copy of the distances it was
-built from; a truncation of it keeps them too.  That gives
-``first_cofacets()``, the first cofacet of each simplex just below
-``top``, two sources.  From the distances: a join t + w has the grade of
-t or more, and joins of equal grade are ordered by w, so the first is the
-join of least w that keeps t's grade (an emergent pair, in Bauer's
-Ripser) when there is one, and otherwise the join of least (grade, w).
-From the top listing, for a truncated listed complex, which has no
-distances: each top simplex names its faces' first cofacets by parent.
+A complex finds its own cofacets: ``cofacets(verts)`` joins a simplex
+with the common neighbours of its vertices, read from one neighbour map
+built from the complex's edges, and ``first_cofacets()`` gives every
+simplex's first cofacet.  A Vietoris-Rips complex, and a truncation of
+it, keeps its own copy of the distances it was built from and takes every
+first cofacet from them: a join t + w has the grade of t or more, and
+joins of equal grade are ordered by w, so the first is the join of least
+w that keeps t's grade (an emergent pair, in Bauer's Ripser) when there
+is one, and otherwise the join of least (grade, w).  A listed complex
+reads them off its simplices' faces and, when truncated, its top listing.
 """
 
 from __future__ import annotations
@@ -100,8 +101,9 @@ class FilteredComplex:
 
     Only this module reads these arrays; other modules read a complex
     through ``simplices``, ``index_of``, ``positions``, ``top_children``,
-    ``first_cofacets`` and ``lower_index`` as a mapping.  Instances are
-    treated as immutable after construction and are safe to share between
+    ``first_cofacets``, ``cofacets`` and ``lower_index`` as a mapping.
+    Instances are treated as immutable after construction, but for the
+    neighbour map built on first use, and are safe to share between
     threads.
     """
 
@@ -120,6 +122,7 @@ class FilteredComplex:
         "simplices",
         "index_of",
         "distances",
+        "_near",
     )
 
     def __init__(
@@ -140,6 +143,7 @@ class FilteredComplex:
         also passes the distances it was built from."""
         self.top = top
         self.distances = distances
+        self._near = None
         n_lower = len(lower)
         self.dim = top if parent else len(lower[-1]) - 1
         self.lower = lower
@@ -204,103 +208,144 @@ class FilteredComplex:
             if lo < hi:
                 yield self.lower[r], last[lo:hi], at[lo:hi]
 
-    def first_cofacets(self) -> Iterator[tuple[int, int]]:
-        """The position of each (top - 1)-simplex that has a cofacet, with
-        the position of its first one, the least position among its
-        cofacets, all of them top simplices.  A complex built from
-        distances finds it from them, without reading the top listing;
-        any other complex reads it off that listing."""
-        if not self.parent:
-            return iter(())
+    def first_cofacets(self) -> array:
+        """The position of each simplex's first cofacet, the least position
+        among its cofacets, or ``len(self)`` where it has none.  A complex
+        built from distances finds every one from them, without reading its
+        faces or its top listing; any other complex reads them off its
+        faces and its top listing."""
+        m = len(self)
+        first = array("i", [m]) * m
         if self.distances is None:
-            return self._listed_first_cofacets()
-        return self._scanned_first_cofacets()
+            self._listed_first_cofacets(first)
+        else:
+            self._scanned_first_cofacets(first)
+        return first
 
-    def _scanned_first_cofacets(self) -> Iterator[tuple[int, int]]:
+    def cofacets(self, verts: Verts) -> list[int]:
+        """The positions of the cofacets of a simplex of the complex, in no
+        order: its joins with the common neighbours of its vertices that
+        the complex holds (all of them, in a flag complex)."""
+        near = self._neighbours()
+        common = near[verts[0]]
+        for v in verts[1:]:
+            common = common & near[v]
+        get = self.positions(len(verts)).get
+        found = []
+        for w in common:
+            j = bisect_right(verts, w)
+            i = get(verts[:j] + (w,) + verts[j:])
+            if i is not None:
+                found.append(i)
+        return found
+
+    def _neighbours(self) -> dict[int, set[int]]:
+        """Each vertex's neighbours, the other ends of its edges: tuples
+        below a top of 2 or more, the top listing at 1.  A dict, since a
+        listed complex's ids may be sparse, built on the first call and
+        stored whole, so two threads at worst build it twice."""
+        near = self._near
+        if near is None:
+            lower = self.lower
+            n = bisect_left(lower, 2, key=len)
+            near = {v: set() for (v,) in lower[:n]}
+            if self.top == 1:
+                edges = ((lower[r][0], w) for r, w in zip(self.parent, self.last))
+            else:
+                edges = lower[n : bisect_left(lower, 3, key=len)]
+            for a, b in edges:
+                near[a].add(b)
+                near[b].add(a)
+            self._near = near
+        return near
+
+    def _scanned_first_cofacets(self, first: array) -> None:
         """First cofacets from the distances.
 
-        The cofacets of a (top - 1)-simplex t of grade d are its joins
-        t + w, one for each vertex w outside t within the cap of all of
-        t's vertices, and a join's grade is the largest of d and the
-        distances from w to t's vertices.  Two joins differ in w alone, so
-        their lexicographic order is the order of w, and the first cofacet
-        is the join of least (grade, w).  No join has a grade below d, so
-        the first is the join of least w that keeps the grade d, an
-        emergent pair in Bauer's Ripser, when there is one: the lowest bit
-        of the intersection, over t's vertices u, of the vertices within d
-        of u.  Only when that is empty are the joins' grades compared.  One
-        position is looked up per simplex.  The vertices within the cap of
-        u are the other ends of u's edges, read from the complex's own
-        edges: tuples below a top of 2 or more, the top listing at 1.
+        The cofacets of a simplex t of grade d are its joins t + w, one for
+        each vertex w outside t within the cap of all of t's vertices, and
+        a join's grade is the largest of d and the distances from w to t's
+        vertices.  Two joins differ in w alone, so their lexicographic
+        order is the order of w, and the first cofacet is the join of least
+        (grade, w).  No join has a grade below d, so the first is the join
+        of least w that keeps the grade d, an emergent pair in Bauer's
+        Ripser, when there is one: the lowest bit of the intersection, over
+        t's vertices u, of the neighbours within d of u.  Only when that is
+        empty are the joins' grades compared.  One position is looked up
+        per simplex.  The vertex ids of a Vietoris-Rips complex are 0 to
+        n - 1, the rows of its distances, so a bitmask over them is small.
         """
         D, grades, lower = self.distances, self.grades, self.lower
-        if self.top == 1:
-            edges = ((lower[r][0], w) for r, w in zip(self.parent, self.last))
-        else:
-            edges = lower[bisect_left(lower, 2, key=len) : bisect_left(lower, 3, key=len)]
-        # each vertex's neighbours, increasing: edges come in lexicographic order
-        near: list[list[int]] = [[] for _ in D]
-        for a, b in edges:
-            near[a].append(b)
-            near[b].append(a)
+        near = self._neighbours()
         # for each vertex u, the distances to its neighbours, ascending, and
         # nearest[u][r], the bitmask of the r nearest
         radii, nearest = [], []
-        for row, order in zip(D, near):
-            order.sort(key=row.__getitem__)
+        for u, row in enumerate(D):
+            order = sorted(near[u], key=row.__getitem__)
             radii.append(list(map(row.__getitem__, order)))
             nearest.append(list(itertools.accumulate((1 << w for w in order), operator.or_, initial=0)))
-        index, get = self.lower_index, self.index_of.get
-        for face in self.lower[bisect_left(self.lower, self.top, key=len) :]:
-            k = index[face]
-            d = grades[k]
-            kept = -1
-            for u in face:
-                kept &= nearest[u][bisect_right(radii[u], d)]
-            if kept:
-                w = (kept & -kept).bit_length() - 1
-            else:
-                joins = -1
+        index, lo = self.lower_index, 0
+        for p in range(self.top):
+            hi = bisect_left(lower, p + 2, key=len)
+            get = self.positions(p + 1).get
+            for face in lower[lo:hi]:
+                k = index[face]
+                d = grades[k]
+                kept = -1
                 for u in face:
-                    joins &= nearest[u][-1]
-                if not joins:
-                    continue
-                least = math.inf
-                while joins:
-                    low = joins & -joins
-                    joins ^= low
-                    x = low.bit_length() - 1
-                    g = max(map(D[x].__getitem__, face))
-                    if g < least:
-                        least, w = g, x
-            j = bisect_right(face, w)
-            yield k, get(face[:j] + (w,) + face[j:])
+                    kept &= nearest[u][bisect_right(radii[u], d)]
+                if kept:
+                    w = (kept & -kept).bit_length() - 1
+                else:
+                    joins = -1
+                    for u in face:
+                        joins &= nearest[u][-1]
+                    if not joins:
+                        continue
+                    least = math.inf
+                    while joins:
+                        low = joins & -joins
+                        joins ^= low
+                        x = low.bit_length() - 1
+                        g = max(map(D[x].__getitem__, face))
+                        if g < least:
+                            least, w = g, x
+                j = bisect_right(face, w)
+                first[k] = get(face[:j] + (w,) + face[j:])
+            lo = hi
 
-    def _listed_first_cofacets(self) -> Iterator[tuple[int, int]]:
-        """First cofacets from the top listing, parent P by parent: P's
-        least child position is one ``min``, and the other faces of a child
-        P + (w,) are f + (w,) for the faces f of P, found by the int w in
-        an index of f's own children.  Each keeps the least position that
-        names it, so the result does not depend on the listing's order."""
+    def _listed_first_cofacets(self, first: array) -> None:
+        """First cofacets from the faces of the simplices below ``top``,
+        one dict hit per face, and then from the top listing, parent P by
+        parent: P's least child position is one ``min``, and the other
+        faces of a child P + (w,) are f + (w,) for the faces f of P, found
+        by the int w in an index of f's own children.  Each keeps the least
+        position that names it, so the result does not depend on the order
+        of ``lower_index`` or of the listing."""
         index, top = self.lower_index, self.top
-        first: dict[int, int] = {}
+        for v, i in index.items():
+            if len(v) > 1:
+                for f in itertools.combinations(v, len(v) - 1):
+                    k = index[f]
+                    if i < first[k]:
+                        first[k] = i
+        if not self.parent:
+            return
         # joins[f][w] is the position of the (top - 1)-simplex f + (w,)
         joins: defaultdict[Verts, dict[int, int]] = defaultdict(dict)
         for v in self.lower[bisect_left(self.lower, top, key=len) :]:
             joins[v[:-1]][v[-1]] = index[v]
-        none = len(self)
         for v, ws, at in self.top_children():
             k = index[v]
             i = min(at)
-            if i < first.get(k, none):
+            if i < first[k]:
                 first[k] = i
             for f in itertools.combinations(v, top - 1):
                 position = joins[f]
                 for w, i in zip(ws, at):
                     k = position[w]
-                    if i < first.get(k, none):
+                    if i < first[k]:
                         first[k] = i
-        return iter(first.items())
 
     def stage_count(self, t: float) -> int:
         """Number of simplices with grade <= t (a prefix of the order)."""
@@ -465,7 +510,7 @@ def build_vietoris_rips(
     stops at the first dimension that comes out empty, which is then the
     top, so the work is bounded by the complex and not by ``max_dim``.
     The complex keeps a copy of ``D``, not the caller's rows, from which it
-    finds its first cofacets below the top.
+    finds its first cofacets.
     """
     n = len(D)
     if not n:

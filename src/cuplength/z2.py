@@ -18,18 +18,12 @@ A, R and V are views:
 - A stores the filtration index of each simplex's first cofacet, one int
   per simplex; that cofacet's position is the pivot of the simplex's
   column.  It also lists each dimension's column positions, left to
-  right, as ``A.columns(p)``.  A column is built on demand from the
-  common neighbours of the simplex's vertices, and is zero for a simplex
-  with no cofacet.  A reads the complex through its views only: the
-  position dict of the simplices below ``top``, in whatever order it
-  iterates, which gives the first cofacets up to two below ``top``, and
-  ``first_cofacets()`` for the ones just below it, whose cofacets are
-  top simplices.  The complex has two sources for those (see
-  ``simplicial``): a Vietoris-Rips complex finds each from its distances,
-  as the join of least last vertex that keeps the simplex's grade (an
-  emergent pair, in Bauer's Ripser) when there is one, and a truncated
-  listed complex reads them off its top listing.  Neither builds a top
-  vertex tuple per top simplex.
+  right, as ``A.columns(p)``.  A column packs the positions of the
+  simplex's cofacets, built on demand, and is zero for a simplex with no
+  cofacet.  A reads the complex through its views only: its first
+  cofacets and cofacets, and the position dict of the simplices below
+  ``top``, in whatever order it iterates.  How a complex finds them, from
+  its distances or from its listing, is ``simplicial``'s alone.
 - ``column_reduce`` visits ``A.columns(0)``, ``A.columns(1)``, ... in
   turn, up to the one below the complex's dimension, whose columns have
   no pivot.  A column i whose position is already the pivot row of a
@@ -56,10 +50,7 @@ no vertex tuple or dict entry for a top simplex (see ``simplicial``).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect
-from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .errors import SimplexNotAlive
@@ -99,14 +90,15 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _mask_of_rows(rows: list[int]) -> int:
-    """Bitmask of a non-empty list of distinct rows.
+def _mask_of_rows(last: int, positions: list[int]) -> int:
+    """Bitmask of the rows ``last - i`` of a non-empty list of positions i.
 
     Sets the bits in a buffer and converts once, instead of growing an int
     by ``|=``, which copies the whole int on every row.
     """
-    buf = bytearray((max(rows) >> 3) + 1)
-    for r in rows:
+    buf = bytearray(((last - min(positions)) >> 3) + 1)
+    for i in positions:
+        r = last - i
         buf[r >> 3] |= 1 << (r & 7)
     return int.from_bytes(buf, "little")
 
@@ -114,52 +106,25 @@ def _mask_of_rows(rows: list[int]) -> int:
 class CoboundaryMatrix(SparseZ2Matrix):
     """The square coboundary matrix of a complex, built column by column.
 
-    Stores the filtration index of each simplex's first cofacet (m when it
-    has none), which gives each column's pivot, the neighbour set of each
-    vertex and the column positions of each dimension below ``c.top``.
-    ``col_mask(j)`` is zero for a simplex with no cofacet; any other
-    simplex is decoded through ``c.simplices``, joined with each common
-    neighbour of its vertices, and the joins the complex holds are kept.
-
-    The first cofacets up to two below ``top`` come from one pass over
-    ``c.lower_index``, the simplices below ``top``, one dict hit per face,
-    keeping the least position naming a face, so the pass does not depend
-    on the order it reads.  The ones just below ``top`` come from
-    ``c.first_cofacets()``: from the distances of a Vietoris-Rips complex,
-    the first join that keeps a simplex's grade, and from the top listing
-    of a truncated listed complex.
+    Stores ``c.first_cofacets()``, the filtration index of each simplex's
+    first cofacet (m when it has none), which gives each column's pivot,
+    and the column positions of each dimension below ``c.top``, read off
+    ``c.lower_index``.  ``col_mask(j)`` is zero for a simplex with no
+    cofacet; any other simplex is decoded through ``c.simplices`` and its
+    column packs the positions ``c.cofacets`` gives.  How a complex finds
+    its cofacets is ``simplicial``'s business, not this module's.
     """
 
-    __slots__ = ("_complex", "_first", "_neighbours", "_columns")
+    __slots__ = ("_complex", "_first", "_columns")
 
     def __init__(self, c: FilteredComplex):
-        m = len(c)
-        last = m - 1
-        top = c.top
-        index = c.lower_index
-        first = array("i", [m]) * m
-        neighbours: defaultdict[int, set[int]] = defaultdict(set)
-        columns: list[list[int]] = [[] for _ in range(top)]
-        for v, i in index.items():
-            n = len(v)
-            columns[n - 1].append(last - i)
-            if n == 1:
-                continue
-            for f in combinations(v, n - 1):
-                k = index[f]
-                if i < first[k]:
-                    first[k] = i
-        # the faces above are below top - 1, so no first cofacet is set twice
-        for k, i in c.first_cofacets():
-            first[k] = i
-        for v in c.positions(1):
-            if len(v) == 2:
-                neighbours[v[0]].add(v[1])
-                neighbours[v[1]].add(v[0])
-        self.n_rows = self.n_cols = m
+        last = len(c) - 1
+        columns: list[list[int]] = [[] for _ in range(c.top)]
+        for v, i in c.lower_index.items():
+            columns[len(v) - 1].append(last - i)
+        self.n_rows = self.n_cols = len(c)
         self._complex = c
-        self._first = first
-        self._neighbours = neighbours
+        self._first = c.first_cofacets()
         self._columns = [array("i", sorted(cols)) for cols in columns]
 
     def columns(self, p: int) -> array:
@@ -179,18 +144,7 @@ class CoboundaryMatrix(SparseZ2Matrix):
         if self._first[last - j] > last:
             return 0  # no cofacet, a top simplex among them
         c = self._complex
-        verts = c.simplices[last - j]
-        index = c.positions(len(verts))
-        common = self._neighbours[verts[0]]
-        for v in verts[1:]:
-            common = common & self._neighbours[v]
-        rows = []
-        for w in common:
-            k = bisect(verts, w)
-            i = index.get(verts[:k] + (w,) + verts[k:])
-            if i is not None:
-                rows.append(last - i)
-        return _mask_of_rows(rows)
+        return _mask_of_rows(last, c.cofacets(c.simplices[last - j]))
 
     def pivot(self, j: int) -> int | None:
         last = self.n_cols - 1

@@ -57,10 +57,13 @@ def test_vertex_relabeling_leaves_the_function_unchanged():
         n = 1 + max(v[-1] for v in c.simplices)
         perm = list(range(n))
         rng.shuffle(perm)
-        relabeled = from_simplex_list([([perm[x] for x in v], g) for v, g in zip(c.simplices, c.grades)])
+        # and onto sparse ids, up to the largest a complex accepts
+        sparse = rng.sample(range(2**31 - 1), n)
         grid = c.critical_values
         want = _values(_function(c), grid)
-        assert _values(_function(relabeled), grid) == want
+        for ids in (perm, sparse):
+            relabeled = from_simplex_list([([ids[x] for x in v], g) for v, g in zip(c.simplices, c.grades)])
+            assert _values(_function(relabeled), grid) == want
         top = max(top, *want)
     assert top == 2
 

@@ -162,14 +162,19 @@ def _truncated_listed_complexes():
 
 
 def test_first_cofacets_on_float_clouds_and_truncated_listed_complexes():
-    # a complex built from distances finds its first cofacets below the top
-    # from them, a truncated listed one from its top listing
+    # a complex built from distances finds every first cofacet from them,
+    # with or without top simplices; a truncated listed one reads its top
+    # listing
     counts = Counter()
     for c in itertools.chain(_cloud_complexes(), _truncated_listed_complexes()):
         _assert_first_cofacets(c)
-        if len(c.lower_index) < len(c):
-            counts["scanned" if c.distances is not None else "listed"] += 1
-    assert counts["scanned"] > 300 and counts["listed"] > 40
+        if c.distances is not None:
+            counts["scanned"] += 1
+            counts["scanned, no top simplex"] += len(c.lower_index) == len(c)
+        elif len(c.lower_index) < len(c):
+            counts["listed"] += 1
+    # 30 clouds at 4 caps and 5 top dimensions each
+    assert counts["scanned"] == 600 and counts["scanned, no top simplex"] > 100 and counts["listed"] > 40
 
 
 def test_first_cofacets_on_a_capped_sparse_cloud():
