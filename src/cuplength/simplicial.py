@@ -34,7 +34,8 @@ first cofacet from them: a join t + w has the grade of t or more, and
 joins of equal grade are ordered by w, so the first is the join of least
 w that keeps t's grade (an emergent pair, in Bauer's Ripser) when there
 is one, and otherwise the join of least (grade, w).  A listed complex
-reads them off its simplices' faces and, when truncated, its top listing.
+reads them off its simplices' faces, a walk that also checks their closure
+and grade order, and, when truncated, off its top listing.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ class FilteredComplex:
     through ``simplices``, ``index_of``, ``positions``, ``top_children``,
     ``first_cofacets``, ``cofacets`` and ``lower_index`` as a mapping.
     Instances are treated as immutable after construction, but for the
-    neighbour map built on first use, and are safe to share between
-    threads.
+    neighbour map and the first-cofacet array, each built on first use and
+    stored whole, and are safe to share between threads.
     """
 
     __slots__ = (
@@ -123,6 +124,7 @@ class FilteredComplex:
         "index_of",
         "distances",
         "_near",
+        "_first",
     )
 
     def __init__(
@@ -144,6 +146,7 @@ class FilteredComplex:
         self.top = top
         self.distances = distances
         self._near = None
+        self._first = None
         n_lower = len(lower)
         self.dim = top if parent else len(lower[-1]) - 1
         self.lower = lower
@@ -210,17 +213,17 @@ class FilteredComplex:
 
     def first_cofacets(self) -> array:
         """The position of each simplex's first cofacet, the least position
-        among its cofacets, or ``len(self)`` where it has none.  A complex
-        built from distances finds every one from them, without reading its
-        faces or its top listing; any other complex reads them off its
-        faces and its top listing."""
-        m = len(self)
-        first = array("i", [m]) * m
-        if self.distances is None:
-            self._listed_first_cofacets(first)
-        else:
-            self._scanned_first_cofacets(first)
-        return first
+        among its cofacets, or ``len(self)`` where it has none: from the
+        distances when the complex has them, else off its faces and its top
+        listing.  Built on the first call and kept; callers must not change it."""
+        if self._first is None:
+            first = array("i", [len(self)]) * len(self)
+            if self.distances is None:
+                self._listed_first_cofacets(first)
+            else:
+                self._scanned_first_cofacets(first)
+            self._first = first
+        return self._first
 
     def cofacets(self, verts: Verts) -> list[int]:
         """The positions of the cofacets of a simplex of the complex, in no
@@ -321,13 +324,19 @@ class FilteredComplex:
         faces of a child P + (w,) are f + (w,) for the faces f of P, found
         by the int w in an index of f's own children.  Each keeps the least
         position that names it, so the result does not depend on the order
-        of ``lower_index`` or of the listing."""
-        index, top = self.lower_index, self.top
+        of ``lower_index`` or of the listing.  The walk also checks the
+        faces: a missing one is ``MissingFace``, and one after its coface
+        (of larger grade, in the canonical order) ``NonMonotoneGrades``."""
+        index, top, grades = self.lower_index, self.top, self.grades
         for v, i in index.items():
             if len(v) > 1:
                 for f in itertools.combinations(v, len(v) - 1):
-                    k = index[f]
+                    k = index.get(f)
+                    if k is None:
+                        raise MissingFace(f"face {f} of {v} is missing")
                     if i < first[k]:
+                        if k > i:  # first[k] > k once set, so no cofacet before k skips this
+                            raise NonMonotoneGrades(f"face {f} at {grades[k]} enters after {v} at {grades[i]}")
                         first[k] = i
         if not self.parent:
             return
@@ -438,9 +447,9 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
     The pairs are read once, so a file can stream into it.  Vertex lists
     are treated as sets and sorted; repeated vertices, non-integer and
     negative vertex ids and ids of 2**31 or more (past ``array('i')``),
-    duplicate simplices, missing faces, non-numeric, non-finite and
-    non-monotone grades and an empty list are rejected rather than fixed up
-    silently.  No dimension is capped, so every simplex is a tuple.
+    duplicate simplices, non-numeric and non-finite grades, an empty list
+    and, in the first-cofacet walk, missing and late faces are rejected,
+    not fixed up.  No dimension is capped, so every simplex is a tuple.
     """
     graded: dict[Verts, float] = {}
     for raw, grade in entries:
@@ -473,21 +482,12 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
     except TypeError as exc:
         raise InvalidSimplex(f"non-integer vertex id: {exc}") from None
 
-    for verts, grade in graded.items():
-        if len(verts) == 1:
-            continue
-        for face in faces(verts):
-            if face not in graded:
-                raise MissingFace(f"face {face} of {verts} is missing")
-            if graded[face] > grade:
-                raise NonMonotoneGrades(
-                    f"face {face} at {graded[face]} enters after {verts} at {grade}"
-                )
-
     simplices = sorted(sorted(graded), key=len)
     grades = list(map(graded.__getitem__, simplices))
     graded.clear()  # freed before the complex indexes every simplex
-    return FilteredComplex(simplices, grades, array("i"), array("i"), len(simplices[-1]))
+    c = FilteredComplex(simplices, grades, array("i"), array("i"), len(simplices[-1]))
+    c.first_cofacets()  # checks face closure and grade order
+    return c
 
 
 def build_vietoris_rips(

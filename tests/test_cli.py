@@ -473,6 +473,14 @@ MALFORMED = {
     "simplex-listed-twice": ("c.txt", "0 0\n0 1\n0 0 1\n1 1 0\n", ["cup-diagram"], "listed twice"),
     "missing-face": ("c.txt", "0 0\n0 1\n0 0 1 2\n", ["cup-diagram"], "is missing"),
     "face-after-coface": ("c.txt", "0 0\n2 1\n1 0 1\n", ["cup-diagram"], "enters after"),
+    # the triangle, listed first, lacks its face (1, 2), but the first
+    # defect in the filtration order is the edge (0, 1) before its vertex
+    "missing-face-and-face-after-coface": (
+        "c.txt",
+        "0 0\n0 2\n3 0 1 2\n0 0 2\n2 1\n1 0 1\n",
+        ["cup-diagram"],
+        "face (1,) at 2.0 enters after (0, 1) at 1.0",
+    ),
     "function-without-right": (
         "f.json",
         '{"generators":[{"left":0,"inf":false,"value":1}]}',

@@ -1,10 +1,14 @@
+import ast
 import itertools
 import math
 import os
 import random
+import re
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import conftest
 from cuplength import cli, spaces
@@ -88,6 +92,40 @@ def test_from_simplex_list_missing_face_and_duplicates():
         from_simplex_list([([0], 0), ([0], 1)])
     with pytest.raises(DuplicateSimplex):
         from_simplex_list([([0, 0], 0)])
+
+
+def _is_face(f, v):
+    return len(f) + 1 == len(v) and set(f) < set(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 3))
+def test_a_broken_listing_names_a_real_defect(rng, dim):
+    # the listed complex's one walk over its faces is also its validation:
+    # whatever it names must be a defect of the listing it was given
+    c = random_filtration(rng, max_dim=dim)
+    listed = dict(zip(c.simplices, c.grades))
+    cofaced = [s for s in listed if len(s) > 1]
+    assume(cofaced)
+    v = rng.choice(cofaced)
+    f = rng.choice(faces(v))
+
+    dropped = {s: g for s, g in listed.items() if s != f}
+    with pytest.raises(MissingFace) as missing:
+        from_simplex_list([(list(s), g) for s, g in dropped.items()])
+    named = re.fullmatch(r"face (\(.*?\)) of (\(.*?\)) is missing", str(missing.value))
+    face, coface = map(ast.literal_eval, named.groups())
+    assert face not in dropped and coface in dropped and _is_face(face, coface)
+
+    raised = dict(listed)
+    raised[f] = listed[v] + 1.0
+    with pytest.raises(NonMonotoneGrades) as late:
+        from_simplex_list([(list(s), g) for s, g in raised.items()])
+    named = re.fullmatch(r"face (\(.*?\)) at (\S+) enters after (\(.*?\)) at (\S+)", str(late.value))
+    face, coface = ast.literal_eval(named[1]), ast.literal_eval(named[3])
+    assert _is_face(face, coface)
+    assert (raised[face], raised[coface]) == (float(named[2]), float(named[4]))
+    assert raised[face] > raised[coface]
 
 
 def test_vr_three_points():

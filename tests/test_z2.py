@@ -247,6 +247,7 @@ def _reorder_lower_index(c):
     vertices = [e for e in entries if len(e[0]) == 1]
     rest = [e for e in entries if len(e[0]) > 1]
     c.lower_index = dict(vertices + rest[::-1])
+    c._first = None  # dropped, so the walk runs again on the new order
 
 
 def test_first_cofacets_do_not_depend_on_the_order_of_the_lower_index():
@@ -259,6 +260,23 @@ def test_first_cofacets_do_not_depend_on_the_order_of_the_lower_index():
         _reorder_lower_index(c)
         _assert_first_cofacets(c)
     assert len(listed + built) == 32
+
+
+def test_a_listed_complex_walks_its_faces_once(monkeypatch):
+    # the walk that validates a listed complex at load gives the first
+    # cofacets of every later reduction; a complex with distances never
+    # takes it
+    calls = []
+    walk = FilteredComplex._listed_first_cofacets
+    monkeypatch.setattr(
+        FilteredComplex, "_listed_first_cofacets", lambda self, first: calls.append(self) or walk(self, first)
+    )
+    c = cli.load_filtered_complex(os.path.join(FIXTURES, "torus_7.txt"))
+    assert len(calls) == 1
+    assert reduce_coboundary(c).pivot_to_col == reduce_coboundary(c).pivot_to_col
+    assert calls == [c]
+    reduce_coboundary(_small_vr_complex(61))
+    assert calls == [c]
 
 
 _STORAGE = {"lower", "parent", "last", "top_pos", "child_start", "rank_at"}
