@@ -134,7 +134,8 @@ def _harvest(rc: z2.ReducedCoboundary, min_dim: int, max_dim: int) -> list[Bar]:
     simplices = rc.complex.simplices
     grades = rc.complex.grades
     bars = []
-    for dim in range(min_dim, max_dim + 1):
+    # no bar lives above the complex's dimension
+    for dim in range(min_dim, min(max_dim, rc.complex.dim) + 1):
         for col in rc.A.columns(dim):
             i = m - 1 - col
             pivot = rc.R.pivot(col)

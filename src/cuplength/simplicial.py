@@ -13,17 +13,16 @@ listing by grade alone: ``sorted`` is stable, so simplices of equal grade
 keep their (dimension, lexicographic) order and the result is the
 canonical order without a composite key.
 
-The dimension a caller caps a complex at, ``top``, is stored without a
-vertex tuple or index entry per simplex: K, most of the complex, for
-``build_vietoris_rips(D, K)`` and ``cap`` for ``truncate(c, cap)``.  Its
-simplices are listed by parent (the simplex on their first vertices) and
-then by last vertex, which is lexicographic order: three parallel
-``array('i')`` hold each one's parent, last vertex and position, and the
-children of a parent are a contiguous run of that listing.  The
+Only ``build_vietoris_rips(D, K)`` lists a top dimension: its K-simplices,
+dimension ``top`` and most of the complex, are stored without a vertex
+tuple or index entry per simplex.  They are listed by parent (the simplex on their first
+vertices) and then by last vertex, which is lexicographic order: three
+parallel ``array('i')`` hold each one's parent, last vertex and position,
+and the children of a parent are a contiguous run of that listing.  The
 dimensions below are vertex tuples with a dict from tuple to position.  A
-complex read from a list names no cap: its ``top`` is one above its
-dimension and empty.  ``simplices`` and ``index_of`` are views over both
-that answer for every simplex.
+complex read from a list, or cut by ``truncate``, keeps every simplex as a
+tuple: its ``top`` is one above its dimension and empty.  ``simplices``
+and ``index_of`` are views over both that answer for every simplex.
 
 A complex finds its own cofacets: ``cofacets(verts)`` joins a simplex
 with the common neighbours of its vertices, read from one neighbour map
@@ -33,9 +32,9 @@ it, keeps its own copy of the distances it was built from and takes every
 first cofacet from them: a join t + w has the grade of t or more, and
 joins of equal grade are ordered by w, so the first is the join of least
 w that keeps t's grade (an emergent pair, in Bauer's Ripser) when there
-is one, and otherwise the join of least (grade, w).  A listed complex
-reads them off its simplices' faces, a walk that also checks their closure
-and grade order, and, when truncated, off its top listing.
+is one, and otherwise the join of least (grade, w).  A listed complex,
+and a truncation of one, reads them off its simplices' faces, a walk that
+also checks their closure and grade order.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import math
 import operator
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 from collections.abc import Mapping, Sequence
 from typing import Iterable, Iterator
 
@@ -75,9 +74,9 @@ class FilteredComplex:
     ``grades[i]`` is the filtration value at order position ``i``;
     positions follow the canonical (grade, dimension, lexicographic)
     order.  ``top`` is the dimension stored as arrays: the cap of a
-    Vietoris-Rips complex or a truncation, or ``dim + 1``, empty, for a
-    complex read from a list.  It is at least 1, since a vertex has no
-    parent.
+    Vietoris-Rips complex, or ``dim + 1``, empty, for a complex read from
+    a list or cut by ``truncate``.  It is at least 1, since a vertex has
+    no parent.
 
     - ``lower`` lists the simplices below ``top`` as vertex
       tuples, by dimension and then lexicographically, and
@@ -133,22 +132,23 @@ class FilteredComplex:
         grades: list[float],
         parent: array,
         last: array,
-        top: int,
         distances: tuple[tuple[float, ...], ...] | None = None,
     ):
         """Store the simplices listed in (dimension, lexicographic) order:
         the ones below dimension ``top`` as tuples, ``lower``, and each top
         one as its parent, an index into ``lower``, and its last vertex,
         two ``array('i')`` kept in that listed order.  The caller splits the
-        top dimension off; ``grades`` runs parallel to the whole listing,
-        the lower simplices and then the top ones.  A Vietoris-Rips complex
-        also passes the distances it was built from."""
-        self.top = top
+        top dimension off, so ``top`` is one above a parent's dimension, or
+        one above the last of ``lower`` when nothing is split off;
+        ``grades`` runs parallel to the whole listing, the lower simplices
+        and then the top ones.  A Vietoris-Rips complex and its cuts also
+        pass the distances it was built from."""
+        self.top = top = len(lower[parent[0]]) if parent else len(lower[-1])
+        self.dim = top if parent else top - 1
         self.distances = distances
         self._near = None
         self._first = None
         n_lower = len(lower)
-        self.dim = top if parent else len(lower[-1]) - 1
         self.lower = lower
         # stable, so at equal grade a lower simplex precedes every top one
         # and each dimension stays lexicographic
@@ -214,8 +214,8 @@ class FilteredComplex:
     def first_cofacets(self) -> array:
         """The position of each simplex's first cofacet, the least position
         among its cofacets, or ``len(self)`` where it has none: from the
-        distances when the complex has them, else off its faces and its top
-        listing.  Built on the first call and kept; callers must not change it."""
+        distances when the complex has them, else off its faces.  Built on
+        the first call and kept; callers must not change it."""
         if self._first is None:
             first = array("i", [len(self)]) * len(self)
             if self.distances is None:
@@ -288,7 +288,8 @@ class FilteredComplex:
             radii.append(list(map(row.__getitem__, order)))
             nearest.append(list(itertools.accumulate((1 << w for w in order), operator.or_, initial=0)))
         index, lo = self.lower_index, 0
-        for p in range(self.top):
+        # no dim-simplex has a cofacet, though a cut's distances join some
+        for p in range(self.dim):
             hi = bisect_left(lower, p + 2, key=len)
             get = self.positions(p + 1).get
             for face in lower[lo:hi]:
@@ -318,16 +319,14 @@ class FilteredComplex:
             lo = hi
 
     def _listed_first_cofacets(self, first: array) -> None:
-        """First cofacets from the faces of the simplices below ``top``,
-        one dict hit per face, and then from the top listing, parent P by
-        parent: P's least child position is one ``min``, and the other
-        faces of a child P + (w,) are f + (w,) for the faces f of P, found
-        by the int w in an index of f's own children.  Each keeps the least
+        """First cofacets from the faces of the simplices, one dict hit per
+        face: a complex with no distances, read from a list or cut from
+        one, keeps every simplex as a tuple.  Each face keeps the least
         position that names it, so the result does not depend on the order
-        of ``lower_index`` or of the listing.  The walk also checks the
-        faces: a missing one is ``MissingFace``, and one after its coface
-        (of larger grade, in the canonical order) ``NonMonotoneGrades``."""
-        index, top, grades = self.lower_index, self.top, self.grades
+        of ``lower_index``.  The walk also checks the faces: a missing one
+        is ``MissingFace``, and one after its coface (of larger grade, in
+        the canonical order) ``NonMonotoneGrades``."""
+        index, grades = self.lower_index, self.grades
         for v, i in index.items():
             if len(v) > 1:
                 for f in itertools.combinations(v, len(v) - 1):
@@ -337,23 +336,6 @@ class FilteredComplex:
                     if i < first[k]:
                         if k > i:  # first[k] > k once set, so no cofacet before k skips this
                             raise NonMonotoneGrades(f"face {f} at {grades[k]} enters after {v} at {grades[i]}")
-                        first[k] = i
-        if not self.parent:
-            return
-        # joins[f][w] is the position of the (top - 1)-simplex f + (w,)
-        joins: defaultdict[Verts, dict[int, int]] = defaultdict(dict)
-        for v in self.lower[bisect_left(self.lower, top, key=len) :]:
-            joins[v[:-1]][v[-1]] = index[v]
-        for v, ws, at in self.top_children():
-            k = index[v]
-            i = min(at)
-            if i < first[k]:
-                first[k] = i
-            for f in itertools.combinations(v, top - 1):
-                position = joins[f]
-                for w, i in zip(ws, at):
-                    k = position[w]
-                    if i < first[k]:
                         first[k] = i
 
     def stage_count(self, t: float) -> int:
@@ -485,7 +467,7 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
     simplices = sorted(sorted(graded), key=len)
     grades = list(map(graded.__getitem__, simplices))
     graded.clear()  # freed before the complex indexes every simplex
-    c = FilteredComplex(simplices, grades, array("i"), array("i"), len(simplices[-1]))
+    c = FilteredComplex(simplices, grades, array("i"), array("i"))
     c.first_cofacets()  # checks face closure and grade order
     return c
 
@@ -538,10 +520,10 @@ def build_vietoris_rips(
     grades: list[float] = [0.0] * n
     parent = array("i")
     last = array("i")
-    top, lo = 1, 0
-    for top in range(1, max_dim + 1):
+    lo = 0
+    for dim in range(1, max_dim + 1):
         hi = len(simplices)
-        capped = top == max_dim
+        capped = dim == max_dim
         # extend by larger-id vertices only, so each clique appears once
         for p, verts, diam in zip(range(lo, hi), simplices[lo:hi], grades[lo:hi]):
             for v in range(verts[-1] + 1, n):
@@ -564,30 +546,27 @@ def build_vietoris_rips(
         lo = hi
 
     distances = tuple(map(tuple, D))
-    return FilteredComplex(simplices, grades, parent, last, top, distances)
+    return FilteredComplex(simplices, grades, parent, last, distances)
 
 
 def truncate(c: FilteredComplex, dim_cap: int) -> FilteredComplex:
     """Keep exactly the simplices of dimension <= dim_cap, grades unchanged.
 
     To preserve cohomology up to dimension k, pass ``dim_cap = k + 1``.
-    A deeper complex is cut to one whose ``top`` is ``dim_cap`` (at least
-    1): the kept simplices below it are a prefix of ``c.lower``, so a
-    parent keeps its rank there.  The cut of a Vietoris-Rips complex is the
-    Vietoris-Rips complex of the same distances and cap at ``top``, and
-    keeps the distances.
+    A deeper complex lists its simplices up to ``dim_cap`` below its
+    ``top``, so the cut keeps a prefix of ``c.lower`` as tuples, as a
+    complex read from a list does, with no top listing.  The cut of a
+    Vietoris-Rips complex equals the Vietoris-Rips complex of the same
+    distances and cap at ``dim_cap``, and keeps the distances, from which
+    it finds its first cofacets.
     """
     if dim_cap < 0:
         raise ValueError("dim_cap must be non-negative")
     if c.dim <= dim_cap:
         return c
-    index, top = c.lower_index, max(dim_cap, 1)
-    cut = bisect_left(c.lower, top + 1, key=len)
-    tops = c.lower[cut : bisect_left(c.lower, dim_cap + 2, key=len)]
-    grades = [c.grades[index[v]] for v in c.lower[: cut + len(tops)]]
-    parent = array("i", [c.rank_at[index[v[:-1]]] for v in tops])
-    last = array("i", [v[-1] for v in tops])
-    return FilteredComplex(c.lower[:cut], grades, parent, last, top, c.distances)
+    kept = c.lower[: bisect_left(c.lower, dim_cap + 2, key=len)]
+    grades = list(map(c.grades.__getitem__, map(c.lower_index.__getitem__, kept)))
+    return FilteredComplex(kept, grades, array("i"), array("i"), c.distances)
 
 
 def diameter(D: Sequence[Sequence[float]]) -> float:

@@ -13,10 +13,11 @@ from cuplength.cohomology import (
     compute_barcode,
     connected_component_bars,
 )
-from cuplength.cup import cup_product
+from cuplength.cup import compute_cup_diagram, cup_product
 from cuplength.errors import UnknownSimplex
 from cuplength.oracle import validate_family
 from cuplength.simplicial import build_vietoris_rips, from_simplex_list, truncate
+from cuplength.z2 import CoboundaryMatrix
 from conftest import cochain_coboundary, random_filtration, regrade
 
 R2 = math.sqrt(2.0)
@@ -269,6 +270,19 @@ def test_compute_barcode_truncates_to_k_plus_one():
     ct = got.reduction.complex
     assert cup_product(Cochain.of((0, 1)), Cochain.of((1, 2)), ct) == Cochain.of((0, 1, 2))
     assert cup_product(Cochain.of((0, 1, 2)), Cochain.of((2, 3)), ct) == Cochain.zero(3)
+
+
+def test_a_bound_above_the_complex_reads_no_column_there(monkeypatch):
+    # no bar lives above the complex's dimension, so neither the barcode
+    # nor the diagram reads the columns of a dimension the complex lacks
+    calls = []
+    columns = CoboundaryMatrix.columns
+    monkeypatch.setattr(CoboundaryMatrix, "columns", lambda self, p: calls.append(p) or columns(self, p))
+    c = spaces.hollow_triangle()
+    diagram, _, b = compute_cup_diagram(c, 10**4)
+    assert b.dim_bound == 10**4 and [(bar.dim, bar.death) for bar in b.bars] == [(1, math.inf)]
+    assert len(diagram.points) == 1
+    assert max(calls) <= c.dim and len(calls) < 10
 
 
 def test_annotated_barcode_rejects_bars_above_its_bound():

@@ -3,7 +3,10 @@
 Each pin is the sha256 of output text: every CLI artifact of every file in
 ``fixtures/``, the diagram JSON of the criterion-2 random corpus, and the
 erosion distances and pointwise sums of seeded random generator-set
-functions with mixed endpoint closures.  A refactoring must keep them all.
+functions with mixed endpoint closures.  Two pins cover a complex cut
+below its dimension: every CLI artifact of a listed complex of dimension 3
+read at ``--max-dim 1``, and the diagram of a Vietoris-Rips complex of
+dimension 4 at k = 2.  A refactoring must keep them all.
 When an output change is intended, print the new digests with
 
     PYTHONPATH=src python tests/test_output_pins.py
@@ -18,12 +21,16 @@ import hashlib
 import io
 import json
 import os
+import math
 import random
+import tempfile
 
 import pytest
 
 from cuplength import cli
+from cuplength.cup import compute_cup_diagram
 from cuplength.functions import CupFunction, Interval, erosion_distance, pointwise_sum
+from cuplength.simplicial import build_vietoris_rips, distances_from_points
 from conftest import random_cup_function
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
@@ -43,14 +50,41 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def fixture_digests(name: str) -> dict[str, str]:
+def artifact_digests(path: str, *flags: str) -> dict[str, str]:
     out = {}
     for command, fmt in ARTIFACTS:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            assert cli.main([command, os.path.join(FIXTURES, name), "--format", fmt]) == 0
+            assert cli.main([command, path, "--format", fmt, *flags]) == 0
         out[f"{command}.{fmt}"] = _sha256(buf.getvalue())
     return out
+
+
+def fixture_digests(name: str) -> dict[str, str]:
+    return artifact_digests(os.path.join(FIXTURES, name))
+
+
+def listed_cut_digests() -> dict[str, str]:
+    """Every artifact of the unit square's ``vr --max-dim 2`` output, a
+    listed tetrahedron, read at ``--max-dim 1``, which cuts it at 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "square.txt")
+        square = os.path.join(FIXTURES, "unit_square.csv")
+        assert cli.main(["vr", square, "--max-dim", "2", "--output", path]) == 0
+        return artifact_digests(path, "--max-dim", "1")
+
+
+def vr_cut_digest() -> str:
+    """The diagram JSON at k = 2 of a Vietoris-Rips complex of dimension 4
+    on a noisy 10-point circle, which is cut at 3 with its distances."""
+    rng = random.Random(0)
+    points = [
+        (math.cos(math.pi * i / 5) + rng.gauss(0, 0.1), math.sin(math.pi * i / 5) + rng.gauss(0, 0.1))
+        for i in range(10)
+    ]
+    c = build_vietoris_rips(distances_from_points(points), 4, 1.9)
+    assert c.dim == 4
+    return _sha256(cli.diagram_to_json(compute_cup_diagram(c, 2)[0]))
 
 
 def corpus_digest() -> str:
@@ -84,12 +118,24 @@ def current_digests() -> dict:
         "fixtures": {name: fixture_digests(name) for name in FIXTURE_FILES},
         "corpus": corpus_digest(),
         "functions": functions_digest(),
+        "listed_cut": listed_cut_digests(),
+        "vr_cut": vr_cut_digest(),
     }
 
 
 PINS = {
     "corpus": "5b24a739bfc1547dd2dd4c91a3d943a4f0687105d2de8cf1676fcaac31293077",
     "functions": "ad1a2e3726d8cc023c0c6d238d3864c6f250234dc73ef35a68b223fe6a5a67a9",
+    "listed_cut": {
+        "barcode.json": "dfb525b1a0978a8f9ffc93ee6ccd9a9b7519981b87402d2f24d7307fc79176e0",
+        "barcode.svg": "1de565b2ff2fb3b2b977bc967cd66d879f13c255dfe701726fd15dc8e50176eb",
+        "cup-diagram.csv": "cae5c7fe9098a0ccf77c39c5d52bed8e85c84ae1e0c2640ecbf726324cb03c8e",
+        "cup-diagram.json": "76b5e3df47d61a152e1e02076a73ad16bc8de5a31ab898e802830bbf4f4e3d51",
+        "cup-diagram.svg": "479a347de7387c8522b193f226d23c94b8a9e0b5b7cb3d94a6510d11c9c0b8ff",
+        "cup-function.json": "8b33a063b05c36f14a606abe6aa2ec7c9a329f6a23027ed79fd3062510786d08",
+        "cup-function.svg": "17a21851d9b1b0e0b90905aae99558f56141163c45e4bcd365ec2f2b07f72174",
+    },
+    "vr_cut": "9d3370e8b801261f0088d134d36303b4b71d5bb3956f1b34ab2616c970984bc4",
     "fixtures": {
         "filled_triangle.txt": {
             "barcode.json": "32d7b25bb4d056d099df8ccb4c3ff92678bacf8403925d3763684002a01e4b7b",
@@ -169,6 +215,14 @@ def test_corpus_diagrams_are_pinned():
 
 def test_erosion_and_pointwise_sum_are_pinned():
     assert functions_digest() == PINS["functions"]
+
+
+def test_a_cut_listed_complex_is_pinned():
+    assert listed_cut_digests() == PINS["listed_cut"]
+
+
+def test_a_cut_vietoris_rips_complex_is_pinned():
+    assert vr_cut_digest() == PINS["vr_cut"]
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import os
 import random
 import re
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -426,20 +427,27 @@ def test_a_complex_read_from_a_list_keeps_every_simplex_as_a_tuple():
             assert d.top == d.dim + 1
 
 
-def test_truncate_stores_the_capped_dimension_as_arrays():
-    checked = 0
-    for c in _list_corpus():
-        for cap in range(1, c.dim):
+def test_a_cut_is_laid_out_as_the_list_of_what_it_keeps():
+    # a cut keeps tuples, whether it cuts a listed complex or one with
+    # distances, which it keeps: only a Vietoris-Rips build lists a top
+    rng = random.Random(5)
+    built = []
+    for _ in range(10):
+        n = rng.randint(4, 9)
+        d = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            d[i][j] = d[j][i] = rng.randint(1, 3)
+        built += [build_vietoris_rips(d, max_dim, diameter(d)) for max_dim in range(2, 5)]
+    checked = Counter()
+    for c in itertools.chain(_list_corpus(), built):
+        for cap in range(c.dim):
             t = truncate(c, cap)
-            tops = [v for v in c.simplices if len(v) == cap + 1]
-            assert t.top == cap and len(t.last) == len(tops) > 0
-            assert all(len(v) <= cap for v in t.lower)
-            assert sorted(t.lower[r] + (w,) for r, w in zip(t.parent, t.last)) == sorted(tops)
-            checked += 1
-        # a cap of 0 leaves vertices alone, which have no parent
-        t = truncate(c, 0)
-        assert t.top == 1 and len(t.last) == 0 and t.dim == 0
-    assert checked > 10
+            listed = from_simplex_list(zip(t.simplices, t.grades))
+            assert t == listed and (t.top, t.dim, t.lower) == (listed.top, listed.dim, listed.lower)
+            assert len(t.last) == 0 and t.first_cofacets() == listed.first_cofacets()
+            assert t.distances is c.distances
+            checked["listed" if c.distances is None else "with distances"] += 1
+    assert checked["listed"] > 40 and checked["with distances"] > 40
 
 
 def test_vr_stores_its_capped_dimension_as_arrays():

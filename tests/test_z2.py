@@ -163,18 +163,17 @@ def _truncated_listed_complexes():
 
 def test_first_cofacets_on_float_clouds_and_truncated_listed_complexes():
     # a complex built from distances finds every first cofacet from them,
-    # with or without top simplices; a truncated listed one reads its top
-    # listing
+    # with or without top simplices; a truncated listed one walks its faces
     counts = Counter()
     for c in itertools.chain(_cloud_complexes(), _truncated_listed_complexes()):
         _assert_first_cofacets(c)
         if c.distances is not None:
             counts["scanned"] += 1
             counts["scanned, no top simplex"] += len(c.lower_index) == len(c)
-        elif len(c.lower_index) < len(c):
-            counts["listed"] += 1
+        else:
+            counts["cut"] += 1
     # 30 clouds at 4 caps and 5 top dimensions each
-    assert counts["scanned"] == 600 and counts["scanned, no top simplex"] > 100 and counts["listed"] > 40
+    assert counts["scanned"] == 600 and counts["scanned, no top simplex"] > 100 and counts["cut"] > 40
 
 
 def test_first_cofacets_on_a_capped_sparse_cloud():
