@@ -1,12 +1,10 @@
 """Persistent cohomology barcodes with representative cocycles over Z2.
 
 The barcode is harvested from a single reduction of the coboundary matrix
-(vertex block included) in anti-filtration cosimplex order, dimension by
-dimension with clearing (see ``z2``).  A non-zero reduced column pairs its
-(birth) simplex with the simplex of its pivot row (death).  A column
-whose own row is a pivot was cleared and starts no bar; a zero column
-whose row is never a pivot yields an essential class.  The matching V
-column, read as a set of cosimplices, is the representative cocycle: its
+(vertex block included), dimension by dimension with clearing, which
+``z2.ReducedCoboundary.classes`` reads out in filtration indices: the
+simplex each class is born at, the one it dies at (none for an essential
+class) and the summands of its representative cocycle.  That cocycle's
 coboundary is supported on simplices entering at or after the death
 grade, so its restriction to any stage before death is a cocycle there.
 """
@@ -129,30 +127,13 @@ class AnnotatedBarcode:
         return len(self.bars)
 
 
-def _harvest(rc: z2.ReducedCoboundary, min_dim: int, max_dim: int) -> list[Bar]:
-    m = rc.R.n_rows
+def _harvest(rc: z2.ReducedCoboundary, dims: range) -> list[Bar]:
     simplices = rc.complex.simplices
     grades = rc.complex.grades
-    bars = []
-    # no bar lives above the complex's dimension
-    for dim in range(min_dim, min(max_dim, rc.complex.dim) + 1):
-        for col in rc.A.columns(dim):
-            i = m - 1 - col
-            pivot = rc.R.pivot(col)
-            if pivot is not None:
-                death = grades[m - 1 - pivot]
-                if grades[i] == death:
-                    continue
-                rep = _column_cochain(rc.V, col, simplices, m, dim)
-                bars.append(Bar(dim, grades[i], death, rep))
-            elif col not in rc.pivot_to_col:
-                rep = _column_cochain(rc.V, col, simplices, m, dim)
-                bars.append(Bar(dim, grades[i], INF, rep))
-    return bars
-
-
-def _column_cochain(V: z2.ReductionMatrix, col: int, simplices: list[Verts], m: int, p: int) -> Cochain:
-    return Cochain(p, frozenset(simplices[m - 1 - r] for r in V.column(col)))
+    return [
+        Bar(p, grades[i], INF if d is None else grades[d], Cochain(p, frozenset(simplices[x] for x in summands)))
+        for p, i, d, summands in rc.classes(dims)
+    ]
 
 
 def compute_barcode(c: FilteredComplex, k: int) -> AnnotatedBarcode:
@@ -164,9 +145,10 @@ def compute_barcode(c: FilteredComplex, k: int) -> AnnotatedBarcode:
     if k < 1:
         raise ValueError("k must be at least 1")
     rc = z2.reduce_coboundary(truncate(c, k + 1))
-    return AnnotatedBarcode(_harvest(rc, 1, k), dim_bound=k, reduction=rc)
+    dims = range(1, min(k, rc.complex.dim) + 1)  # no bar lives above the complex's dimension
+    return AnnotatedBarcode(_harvest(rc, dims), dim_bound=k, reduction=rc)
 
 
 def connected_component_bars(b: AnnotatedBarcode) -> list[Bar]:
     """Dimension-0 bars (component merge events), for reporting."""
-    return sorted(_harvest(b.reduction, 0, 0), key=_bar_sort_key)
+    return sorted(_harvest(b.reduction, range(1)), key=_bar_sort_key)

@@ -8,12 +8,12 @@ itself, which together with associativity and symmetry of the product
 reaches every multi-fold product.  Each non-trivial product is located on
 the grid of bar births: its right end is inherited from the intersection
 of the factor intervals and its left end is the smallest birth at which
-the restricted product cochain is still not a coboundary.  One reduction
-of the product, at the last birth strictly below the intersection's right
-end, decides whether it survives; if it does, the row where the reduction
-stops names the simplex at which its class is born, and the left end is
-the first birth at or after that simplex's grade, as a linear descent
-would find.  A fold multiplies a pair only when a summand of
+the restricted product cochain is still not a coboundary.  One exactness
+test of the product, ``rc.born`` at the last birth strictly below the
+intersection's right end, decides whether it survives; if it does, it
+names the simplex at which its class is born, and the left end is the
+first birth at or after that simplex's grade, as a linear descent would
+find.  A fold multiplies a pair only when a summand of
 the left factor ends at a vertex where a summand of the right factor
 starts: the Alexander-Whitney product joins exactly such summands, so
 every other pair multiplies to zero and is never visited.  A product's
@@ -118,9 +118,9 @@ def support(
     so that is the last stage of the grid inside ``inter``.  Returns None
     when no birth lies in ``inter`` or the product is exact at the topmost
     candidate.  Otherwise the right end is that of ``inter`` and the left
-    end is the smallest birth in ``inter`` at which the simplex named by
-    the reduction's stop row has entered: exactly the births whose stage
-    still carries a non-zero restriction.  The one reduction is counted
+    end is the smallest birth in ``inter`` at which the simplex that
+    ``rc.born`` names has entered: exactly the births whose stage still
+    carries a non-zero restriction.  The one exactness test is counted
     into ``stats.coboundary_test_count``.
     """
     lo = bisect_left(birth_grid, inter.left)
@@ -129,11 +129,10 @@ def support(
         return None
     if stats is not None:
         stats.coboundary_test_count += 1
-    p = z2.in_reduced_column_space(rc.cochain_mask(sigma_prod), birth_grid[hi], rc)
-    if p is None:
+    born = rc.born(sigma_prod, birth_grid[hi])
+    if born is None:
         return None
-    born = rc.complex.grades[rc.R.n_rows - 1 - p]
-    left = birth_grid[bisect_left(birth_grid, born, lo)]
+    left = birth_grid[bisect_left(birth_grid, rc.complex.grades[born], lo)]
     return Interval(left, inter.right, left_closed=True, right_closed=inter.right_closed)
 
 

@@ -428,10 +428,10 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
 
     The pairs are read once, so a file can stream into it.  Vertex lists
     are treated as sets and sorted; repeated vertices, non-integer and
-    negative vertex ids and ids of 2**31 or more (past ``array('i')``),
-    duplicate simplices, non-numeric and non-finite grades, an empty list
-    and, in the first-cofacet walk, missing and late faces are rejected,
-    not fixed up.  No dimension is capped, so every simplex is a tuple.
+    negative vertex ids, duplicate simplices, non-numeric and non-finite
+    grades, an empty list and, in the first-cofacet walk, missing and late
+    faces are rejected, not fixed up.  No dimension is capped, so every
+    simplex is a tuple.
     """
     graded: dict[Verts, float] = {}
     for raw, grade in entries:
@@ -445,8 +445,6 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
                 raise InvalidSimplex("simplex needs at least one vertex")
             if verts[0] < 0:
                 raise InvalidSimplex(f"negative vertex id in {verts}")
-            if verts[-1] >= 2**31:
-                raise InvalidSimplex(f"vertex id {verts[-1]} in {verts} is 2**31 or more")
             grade = float(grade)
         except InvalidSimplex:
             raise

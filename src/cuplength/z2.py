@@ -11,7 +11,8 @@ position of the i-th simplex (in filtration order, m simplices total) is
 m - 1 - i.  With this ordering the coboundary matrix A and its column
 reduction R are strictly upper triangular and the reduction matrix V is
 upper unitriangular, which is what makes restriction to a filtration
-stage a simple trailing principal submatrix.
+stage a simple trailing principal submatrix.  Positions stay in this
+module: ``ReducedCoboundary`` answers in filtration indices.
 
 A, R and V are views:
 
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import SimplexNotAlive
 from .simplicial import FilteredComplex
@@ -186,18 +187,11 @@ class ReducedMatrix(SparseZ2Matrix):
         self._pivot_to_col = pivot_to_col
         self._cols = built
 
-    def pivot(self, j: int) -> int | None:
-        col = self._cols.get(j)
-        if col is not None:
-            return col.bit_length() - 1 if col else None
-        p = self._A.pivot(j)
-        return p if p is not None and self._pivot_to_col.get(p) == j else None
-
     def col_mask(self, j: int) -> int:
         col = self._cols.get(j)
-        if col is None:
-            col = self._A.col_mask(j) if self.pivot(j) is not None else 0
-        return col
+        if col is None and self._pivot_to_col.get(self._A.pivot(j)) == j:
+            col = self._A.col_mask(j)
+        return col or 0
 
     def nnz(self) -> int:
         return sum(self.col_mask(j).bit_count() for j in range(self.n_cols))
@@ -295,7 +289,7 @@ class ReducedCoboundary:
     ``pivot_to_col`` maps each pivot row of R to the unique column owning
     it.  A, R and V are the views of the module docstring.  One reduction
     serves the barcode pairing, the representative cocycles (columns of V)
-    and every exactness test.
+    and every exactness test, read out by ``classes`` and ``born``.
     """
 
     complex: FilteredComplex = field(repr=False)
@@ -312,6 +306,31 @@ class ReducedCoboundary:
         for v in sigma.summands:
             y |= 1 << (last - index[v])
         return y
+
+    def classes(self, dims: Iterable[int]) -> Iterator[tuple[int, int, int | None, list[int]]]:
+        """``(p, i, d, summands)`` for each class of each dimension p in
+        ``dims``, in filtration indices: simplex i's column starts the class,
+        d is its pivot row's simplex (None for an essential class) and
+        ``summands`` are the rows of V's column, its representative.
+        Cleared columns and pairs of equal grade start no class."""
+        last = self.R.n_rows - 1
+        grades = self.complex.grades
+        pivot_of = {j: r for r, j in self.pivot_to_col.items()}
+        for p in dims:
+            for col in self.A.columns(p):
+                if col in self.pivot_to_col:
+                    continue  # cleared, so R's column is zero
+                i = last - col
+                row = pivot_of.get(col)
+                d = None if row is None else last - row
+                if d is None or grades[i] < grades[d]:
+                    yield p, i, d, [last - r for r in _bits(self.V.col_mask(col))]
+
+    def born(self, sigma: "Cochain", t: float) -> int | None:
+        """None when sigma restricted to stage t is exact there; otherwise
+        the filtration index of the simplex at which its class is born."""
+        row = in_reduced_column_space(self.cochain_mask(sigma), t, self)
+        return None if row is None else self.R.n_rows - 1 - row
 
 
 def reduce_coboundary(c: FilteredComplex) -> ReducedCoboundary:
@@ -330,7 +349,7 @@ def is_coboundary(sigma: "Cochain", t: float, rc: ReducedCoboundary) -> bool:
     for v in sigma.summands:
         if grade_of(v) > t:
             raise SimplexNotAlive(f"summand {v} enters after t={t}")
-    return in_reduced_column_space(rc.cochain_mask(sigma), t, rc) is None
+    return rc.born(sigma, t) is None
 
 
 def in_reduced_column_space(mask: int, t: float, rc: ReducedCoboundary) -> int | None:

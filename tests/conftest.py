@@ -62,6 +62,54 @@ def cochain_coboundary(c: FilteredComplex, sigma: Cochain, t: float) -> Cochain:
     return Cochain(q, frozenset(out))
 
 
+def homology_bars(c: FilteredComplex, max_dim: int) -> list[tuple[int, float, float]]:
+    """Sorted (dim, birth, death) bars of dimensions 0..max_dim, from the
+    boundary matrix: persistent homology and cohomology have the same
+    barcode (de Silva, Morozov and Vejdemo-Johansson, "Dualities in
+    persistent (co)homology", Inverse Problems 2011).
+
+    The pipeline's independent reference: it reads c only through
+    ``simplices`` and ``grades`` and uses nothing of z2, cohomology or
+    cup.  Columns are bitmasks over filtration indices, reduced from the
+    top dimension the bars need down to edges, in filtration order; the
+    column of a simplex that is already a pivot row is cleared, since it
+    reduces to zero.  A simplex whose column reduces to zero is born; it
+    dies at the column whose pivot row it is, if any.
+    """
+    simplices, grades = c.simplices, c.grades
+    index = {v: i for i, v in enumerate(simplices)}
+    by_dim: dict[int, list[int]] = {}
+    for i, v in enumerate(simplices):
+        by_dim.setdefault(len(v) - 1, []).append(i)
+    owner: dict[int, int] = {}  # pivot row -> the column that owns it
+    reduced: dict[int, int] = {}  # the non-zero reduced columns
+    for p in range(min(max(by_dim), max_dim + 1), 0, -1):
+        for j in by_dim[p]:
+            if j in owner:
+                continue
+            col = 0
+            for f in itertools.combinations(simplices[j], p):
+                col |= 1 << index[f]
+            while col:
+                low = col.bit_length() - 1
+                if low not in owner:
+                    owner[low] = j
+                    reduced[j] = col
+                    break
+                col ^= reduced[owner[low]]
+    bars = []
+    for p in range(min(max(by_dim), max_dim) + 1):
+        for i in by_dim[p]:
+            if i in reduced:
+                continue
+            j = owner.get(i)
+            if j is None:
+                bars.append((p, grades[i], math.inf))
+            elif grades[i] < grades[j]:
+                bars.append((p, grades[i], grades[j]))
+    return sorted(bars)
+
+
 def regrade(rng: random.Random, c: FilteredComplex, grid: tuple[float, ...] = GRID) -> FilteredComplex:
     """Reassign random monotone grades from the grid to a fixed complex."""
     chosen = {v: rng.choice(grid) for v in c.simplices}

@@ -1,11 +1,13 @@
+import importlib.util
 import math
+import os
 import random
 from bisect import bisect_left
 from itertools import combinations
 
 import pytest
 
-from cuplength import oracle, spaces
+from cuplength import cli, oracle, spaces
 from cuplength.cohomology import (
     AnnotatedBarcode,
     Bar,
@@ -18,8 +20,10 @@ from cuplength.errors import UnknownSimplex
 from cuplength.oracle import validate_family
 from cuplength.simplicial import build_vietoris_rips, from_simplex_list, truncate
 from cuplength.z2 import CoboundaryMatrix
-from conftest import cochain_coboundary, random_filtration, regrade
+from conftest import cochain_coboundary, homology_bars, random_filtration, regrade, sup_torus_distances
 
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+WORKLOADS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
 R2 = math.sqrt(2.0)
 
 
@@ -290,3 +294,59 @@ def test_annotated_barcode_rejects_bars_above_its_bound():
     assert any(bar.dim == 2 for bar in b.bars)
     with pytest.raises(ValueError, match="above 1"):
         AnnotatedBarcode(b.bars, 1, b.reduction)
+
+
+def _pipeline_bars(c, k):
+    """The (dim, birth, death) of the bars of dimensions 0..k, sorted."""
+    b = compute_barcode(c, k)
+    return sorted((bar.dim, bar.birth, bar.death) for bar in connected_component_bars(b) + b.bars)
+
+
+def _load(path):
+    """A fixture or benchmark input as the command line loads it at
+    ``--max-dim 2``: a distance CSV is built up to dimension 3."""
+    if path.endswith(".csv"):
+        return build_vietoris_rips(cli.load_distance_csv(path), 3, math.inf)
+    return cli.load_filtered_complex(path)
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))
+def test_barcode_matches_the_homology_side_on_the_fixtures(name):
+    c = _load(os.path.join(FIXTURES, name))
+    assert _pipeline_bars(c, 2) == homology_bars(c, 2)
+
+
+def test_barcode_matches_the_homology_side_on_random_complexes():
+    rng = random.Random(97)
+    for _ in range(30):
+        c = random_filtration(rng)
+        for k in range(1, c.dim + 1):
+            assert _pipeline_bars(c, k) == homology_bars(c, k)
+
+
+@pytest.mark.parametrize(
+    "workload, bars", [("vr_cloud", 49), ("staged_torus", 883), ("oracle_check", 23)]
+)
+def test_barcode_matches_the_homology_side_on_benchmark_inputs(workload, bars, tmp_path):
+    # the seed-0 input of each workload's first instance, the reference
+    # input of the benchmark, built by perfbench/workloads.py itself
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    w = module.WORKLOADS[workload](0)
+    w.write_inputs(str(tmp_path))
+    (name,) = w.files
+    c = _load(os.path.join(str(tmp_path), name))
+    expected = homology_bars(c, 2)
+    assert len(expected) == bars
+    assert _pipeline_bars(c, 2) == expected
+
+
+def test_barcode_matches_the_homology_side_on_the_8x8_torus():
+    # the sup-metric 8 x 8 grid torus at cap 3h, h = 2 pi / 8, built as the
+    # command line builds it for --max-dim 2: 138,880 simplices
+    c = build_vietoris_rips(sup_torus_distances(8), 3, 3 * (2 * math.pi / 8))
+    assert len(c) == 138_880
+    expected = homology_bars(c, 2)
+    assert len(expected) == 67
+    assert _pipeline_bars(c, 2) == expected

@@ -57,8 +57,8 @@ def test_vertex_relabeling_leaves_the_function_unchanged():
         n = 1 + max(v[-1] for v in c.simplices)
         perm = list(range(n))
         rng.shuffle(perm)
-        # and onto sparse ids, up to the largest a complex accepts
-        sparse = rng.sample(range(2**31 - 1), n)
+        # and onto sparse ids, most of them far past 2**31
+        sparse = rng.sample(range(2**62), n)
         grid = c.critical_values
         want = _values(_function(c), grid)
         for ids in (perm, sparse):

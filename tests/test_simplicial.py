@@ -52,8 +52,9 @@ def test_simplex_validation():
 
 @pytest.mark.parametrize("raw", [[0.5], [1.0], [0, 2.5], ["1"], ["1", 0], [None], [(0,)], [[0]]])
 def test_non_integer_vertex_ids_are_rejected(raw):
-    # a float id would be stored, and fail later as an array('i') entry; an
-    # id that does not compare with ints fails the checks themselves
+    # a float id would be stored, and name the vertex of an int it hashes
+    # equal to, as 1.0 does 1; an id that does not compare with ints fails
+    # the checks themselves
     entries = [([0], 0), ([2], 0), ([0, 2], 0), (raw, 1)]
     with pytest.raises(InvalidSimplex, match=r"^non-integer vertex id[^\n]*$"):
         from_simplex_list(entries)

@@ -434,6 +434,72 @@ def test_reduction_stores_far_less_than_the_coboundary_matrix():
     assert peak < stored / 2
 
 
+def _dense_classes(c):
+    """The classes of every dimension as ``ReducedCoboundary.classes``
+    gives them, read off the dense reference reduction: a non-zero column
+    pairs its simplex with its pivot row's, a zero column whose row is no
+    pivot is essential, and an empty pair is none."""
+    A = coboundary_matrix(c)
+    last = A.n_cols - 1
+    R, V, pivot_to_col, _ = _dense_column_reduce([A.col_mask(j) for j in range(A.n_cols)])
+    out = []
+    for j in range(A.n_cols):
+        i = last - j
+        if R[j]:
+            d = last - (R[j].bit_length() - 1)
+            if c.grades[i] == c.grades[d]:
+                continue
+        elif j in pivot_to_col:
+            continue
+        else:
+            d = None
+        out.append((len(c.simplices[i]) - 1, i, d, sorted(last - r for r in _rows(V[j]))))
+    return sorted(out)
+
+
+def test_classes_match_the_dense_reference():
+    rng = random.Random(73)
+    corpus = [random_filtration(rng) for _ in range(25)]
+    vr = _small_vr_complex(79)
+    corpus += [vr, truncate(vr, 2)]
+    assert vr.top == 3 and len(vr.lower_index) < len(vr)
+    counts = Counter()
+    for c in corpus:
+        rc = reduce_coboundary(c)
+        got = sorted((p, i, d, sorted(summands)) for p, i, d, summands in rc.classes(range(c.dim + 1)))
+        assert got == _dense_classes(c)
+        counts["finite"] += sum(d is not None for _, _, d, _ in got)
+        counts["essential"] += sum(d is None for _, _, d, _ in got)
+        counts["summed"] += sum(len(summands) > 1 for *_, summands in got)
+        # one dimension alone gives that dimension's classes
+        assert sorted(rc.classes([1])) == sorted(x for x in rc.classes(range(c.dim + 1)) if x[0] == 1)
+    assert counts["finite"] > 30 and counts["essential"] > 100 and counts["summed"] > 25
+
+
+def test_born_is_where_the_reduction_stops():
+    # born names the simplex at whose stage the restricted cochain turns
+    # non-exact: exact at every earlier critical value, non-exact from there
+    rng = random.Random(83)
+    counts = Counter()
+    for c in [random_filtration(rng) for _ in range(20)] + [_small_vr_complex(89)]:
+        rc = reduce_coboundary(c)
+        last = len(c) - 1
+        for _ in range(10):
+            p = rng.randint(0, min(c.dim, 2))
+            pool = [v for v in c.simplices if len(v) == p + 1]
+            sigma = Cochain(p, frozenset(rng.sample(pool, rng.randint(1, len(pool)))))
+            t = rng.choice(c.critical_values)
+            row = in_reduced_column_space(rc.cochain_mask(sigma), t, rc)
+            born = rc.born(sigma, t)
+            assert born == (None if row is None else last - row)
+            counts[born is None] += 1
+            for s in c.critical_values:
+                if s <= t:
+                    exact = is_coboundary(sigma.restrict(c, s), s, rc)
+                    assert exact == (born is None or s < c.grades[born])
+    assert counts[True] > 20 and counts[False] > 20
+
+
 def _small_vr_complex(seed):
     rng = random.Random(seed)
     points = [(rng.random(), rng.random()) for _ in range(10)]
