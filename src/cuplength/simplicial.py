@@ -15,14 +15,15 @@ canonical order without a composite key.
 
 Only ``build_vietoris_rips(D, K)`` lists a top dimension: its K-simplices,
 dimension ``top`` and most of the complex, are stored without a vertex
-tuple or index entry per simplex.  They are listed by parent (the simplex on their first
-vertices) and then by last vertex, which is lexicographic order: three
-parallel ``array('i')`` hold each one's parent, last vertex and position,
-and the children of a parent are a contiguous run of that listing.  The
-dimensions below are vertex tuples with a dict from tuple to position.  A
-complex read from a list, or cut by ``truncate``, keeps every simplex as a
-tuple: its ``top`` is one above its dimension and empty.  ``simplices``
-and ``index_of`` are views over both that answer for every simplex.
+tuple or index entry per simplex.  They are listed by parent (the simplex
+on their first vertices) and then by last vertex, which is lexicographic
+order, and each is one int, ``r * n + v`` for its parent ``lower[r]``, its
+last vertex v and the n points: the codes ascend, so one ``array('q')``
+holds the listing and a bisection finds a code in it.  The dimensions
+below are vertex tuples with a dict from tuple to position.  A complex
+read from a list, or cut by ``truncate``, keeps every simplex as a tuple:
+its ``top`` is one above its dimension and empty.  ``simplices`` and
+``index_of`` are views over both that answer for every simplex.
 
 A complex finds its own cofacets: ``cofacets(verts)`` joins a simplex
 with the common neighbours of its vertices, read from one neighbour map
@@ -44,9 +45,9 @@ import math
 import operator
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Mapping, Sequence
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     AsymmetricMatrix,
@@ -82,11 +83,10 @@ class FilteredComplex:
       tuples, by dimension and then lexicographically, and
       ``lower_index`` maps each to its position.
     - The top simplices are listed by parent and then by last vertex,
-      the order their constructors produce.  The j-th listed one is
-      ``lower[parent[j]]`` followed by the vertex ``last[j]``, and it
-      sits at position ``top_pos[j]``.  The children of ``lower[r]`` are
-      the listed entries ``child_start[r]`` to ``child_start[r + 1]``;
-      ``top_children()`` reads them parent by parent.
+      the order ``build_vietoris_rips`` produces.  The j-th listed one is
+      ``lower[r]`` followed by the vertex v, where ``r, v =
+      divmod(codes[j], n)`` and n is the number of points, ``len(distances)``;
+      it sits at position ``top_pos[j]``.  The codes ascend.
     - ``rank_at[i]`` is the index into the whole listing, the lower
       simplices and then the top ones, of what sits at position i:
       ``lower[r]`` for ``r < len(lower)``, and otherwise the
@@ -94,13 +94,13 @@ class FilteredComplex:
     - ``simplices`` and ``index_of`` are read-only views of the vertex
       tuple at each position and the position of each tuple.  A lower
       tuple is one dict hit; a top one is its parent's dict hit and a
-      bisection among the parent's children by last vertex.
+      bisection for its code in ``codes``.
     - ``distances`` is the distance matrix of a Vietoris-Rips complex or
       its truncation, a tuple of row tuples, and None for a complex read
       from a list.
 
     Only this module reads these arrays; other modules read a complex
-    through ``simplices``, ``index_of``, ``positions``, ``top_children``,
+    through ``simplices``, ``index_of``, ``positions``,
     ``first_cofacets``, ``cofacets`` and ``lower_index`` as a mapping.
     Instances are treated as immutable after construction, but for the
     neighbour map and the first-cofacet array, each built on first use and
@@ -114,10 +114,8 @@ class FilteredComplex:
         "top",
         "lower",
         "lower_index",
-        "parent",
-        "last",
+        "codes",
         "top_pos",
-        "child_start",
         "rank_at",
         "simplices",
         "index_of",
@@ -130,21 +128,21 @@ class FilteredComplex:
         self,
         lower: list[Verts],
         grades: list[float],
-        parent: array,
-        last: array,
+        codes: array,
         distances: tuple[tuple[float, ...], ...] | None = None,
     ):
         """Store the simplices listed in (dimension, lexicographic) order:
         the ones below dimension ``top`` as tuples, ``lower``, and each top
-        one as its parent, an index into ``lower``, and its last vertex,
-        two ``array('i')`` kept in that listed order.  The caller splits the
-        top dimension off, so ``top`` is one above a parent's dimension, or
-        one above the last of ``lower`` when nothing is split off;
-        ``grades`` runs parallel to the whole listing, the lower simplices
-        and then the top ones.  A Vietoris-Rips complex and its cuts also
-        pass the distances it was built from."""
-        self.top = top = len(lower[parent[0]]) if parent else len(lower[-1])
-        self.dim = top if parent else top - 1
+        one as its code ``r * n + v``, for its parent ``lower[r]``, its last
+        vertex v and the n rows of ``distances``, in an ascending
+        ``array('q')``.  Only a Vietoris-Rips build splits a top dimension
+        off, so ``top`` is one above a parent's dimension, or one above the
+        last of ``lower`` when ``codes`` is empty; ``grades`` runs parallel
+        to the whole listing, the lower simplices and then the top ones.  A
+        Vietoris-Rips complex and its cuts also pass the distances it was
+        built from."""
+        self.top = top = len(lower[codes[0] // len(distances)]) if codes else len(lower[-1])
+        self.dim = top if codes else top - 1
         self.distances = distances
         self._near = None
         self._first = None
@@ -157,7 +155,7 @@ class FilteredComplex:
         # one per run of equal grades, the first, as a set would keep it
         self.critical_values = [g for g, _ in itertools.groupby(self.grades)]
         index = {}
-        top_pos = array("i", bytes(4 * len(parent)))
+        top_pos = array("i", bytes(4 * len(codes)))
         for i, r in enumerate(rank_at):
             if r < n_lower:
                 index[lower[r]] = i
@@ -166,10 +164,7 @@ class FilteredComplex:
         self.rank_at = rank_at
         self.top_pos = top_pos
         self.lower_index = index
-        self.parent = parent
-        self.last = last
-        counts = map(Counter(parent).get, range(n_lower), itertools.repeat(0))
-        self.child_start = array("i", itertools.accumulate(counts, initial=0))
+        self.codes = codes
         self.simplices = _SimplexView(self)
         self.index_of = _IndexView(self)
 
@@ -198,18 +193,6 @@ class FilteredComplex:
         """The position of each p-simplex: ``index_of`` at ``top``, and
         ``lower_index``, a plain dict, at every other dimension."""
         return self.index_of if p == self.top else self.lower_index
-
-    def top_children(self) -> Iterator[tuple[Verts, array, array]]:
-        """The top simplices as listed, parent by parent: each parent's
-        vertex tuple with the last vertices of its children, increasing,
-        and their positions.  A complex with no top simplex yields nothing."""
-        parent, start, last, at = self.parent, self.child_start, self.last, self.top_pos
-        if not parent:
-            return
-        for r in range(parent[0], parent[-1] + 1):
-            lo, hi = start[r], start[r + 1]
-            if lo < hi:
-                yield self.lower[r], last[lo:hi], at[lo:hi]
 
     def first_cofacets(self) -> array:
         """The position of each simplex's first cofacet, the least position
@@ -252,8 +235,8 @@ class FilteredComplex:
             lower = self.lower
             n = bisect_left(lower, 2, key=len)
             near = {v: set() for (v,) in lower[:n]}
-            if self.top == 1:
-                edges = ((lower[r][0], w) for r, w in zip(self.parent, self.last))
+            if self.top == 1:  # the parents are the vertices, lower[r] == (r,)
+                edges = map(divmod, self.codes, itertools.repeat(len(self.distances)))
             else:
                 edges = lower[n : bisect_left(lower, 3, key=len)]
             for a, b in edges:
@@ -350,12 +333,12 @@ class _SimplexView(Sequence):
     is freed as soon as its last reference goes.
     """
 
-    __slots__ = ("_lower", "_parent", "_last", "_rank_at")
+    __slots__ = ("_lower", "_codes", "_n", "_rank_at")
 
     def __init__(self, c: FilteredComplex):
         self._lower = c.lower
-        self._parent = c.parent
-        self._last = c.last
+        self._codes = c.codes
+        self._n = len(c.distances or ())
         self._rank_at = c.rank_at
 
     def __len__(self) -> int:
@@ -366,14 +349,14 @@ class _SimplexView(Sequence):
         lower = self._lower
         if r < len(lower):
             return lower[r]
-        r -= len(lower)
-        return lower[self._parent[r]] + (self._last[r],)
+        r, v = divmod(self._codes[r - len(lower)], self._n)
+        return lower[r] + (v,)
 
     def __iter__(self):
-        lower, parent, last = self._lower, self._parent, self._last
-        n = len(lower)
+        lower, codes, n = self._lower, self._codes, self._n
+        k = len(lower)
         for r in self._rank_at:
-            yield lower[r] if r < n else lower[parent[r - n]] + (last[r - n],)
+            yield lower[r] if r < k else lower[codes[r - k] // n] + (codes[r - k] % n,)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, tuple, _SimplexView)):
@@ -384,14 +367,14 @@ class _SimplexView(Sequence):
 class _IndexView(Mapping):
     """The position of each vertex tuple of a complex."""
 
-    __slots__ = ("_simplices", "_index", "_rank_at", "_start", "_last", "_pos", "_top_len")
+    __slots__ = ("_simplices", "_index", "_rank_at", "_codes", "_n", "_pos", "_top_len")
 
     def __init__(self, c: FilteredComplex):
         self._simplices = c.simplices
         self._index = c.lower_index
         self._rank_at = c.rank_at
-        self._start = c.child_start
-        self._last = c.last
+        self._codes = c.codes
+        self._n = len(c.distances or ())
         self._pos = c.top_pos
         self._top_len = c.top + 1
 
@@ -399,13 +382,14 @@ class _IndexView(Mapping):
         if len(key) != self._top_len:
             return self._index.get(key, default)
         i = self._index.get(key[:-1])
-        if i is None:
+        w = key[-1]
+        # a last vertex outside the points would alias another parent's code
+        if i is None or not 0 <= w < self._n:
             return default
-        i = self._rank_at[i]
-        start, last = self._start, self._last
-        hi = start[i + 1]
-        x = bisect_left(last, key[-1], start[i], hi)
-        return self._pos[x] if x < hi and last[x] == key[-1] else default
+        code = self._rank_at[i] * self._n + w
+        codes = self._codes
+        x = bisect_left(codes, code)
+        return self._pos[x] if x < len(codes) and codes[x] == code else default
 
     def __getitem__(self, key) -> int:
         i = self.get(key)
@@ -465,7 +449,7 @@ def from_simplex_list(entries: Iterable[tuple[Sequence[int], float]]) -> Filtere
     simplices = sorted(sorted(graded), key=len)
     grades = list(map(graded.__getitem__, simplices))
     graded.clear()  # freed before the complex indexes every simplex
-    c = FilteredComplex(simplices, grades, array("i"), array("i"))
+    c = FilteredComplex(simplices, grades, array("q"))
     c.first_cofacets()  # checks face closure and grade order
     return c
 
@@ -484,7 +468,8 @@ def build_vietoris_rips(
     last vertex, so if the dimension below is in lexicographic order, so is
     the new one, and the whole list is in (dimension, lexicographic) order
     before the stable sort by grade.  Dimension ``max_dim``, the top, is
-    appended straight to the parent and last-vertex arrays, and every
+    appended straight to one array of codes ``p * n + v``, for the parent's
+    index p and the new vertex v, which ascend with the listing, and every
     grade to the one list parallel to that listing.  An empty matrix is
     rejected, as ``from_simplex_list`` rejects an empty list.  The growth
     stops at the first dimension that comes out empty, which is then the
@@ -516,8 +501,7 @@ def build_vietoris_rips(
 
     simplices: list[Verts] = [(i,) for i in range(n)]
     grades: list[float] = [0.0] * n
-    parent = array("i")
-    last = array("i")
+    codes = array("q")
     lo = 0
     for dim in range(1, max_dim + 1):
         hi = len(simplices)
@@ -534,8 +518,7 @@ def build_vietoris_rips(
                         d = duv
                 else:
                     if capped:
-                        parent.append(p)
-                        last.append(v)
+                        codes.append(p * n + v)
                     else:
                         simplices.append(verts + (v,))
                     grades.append(d)
@@ -544,7 +527,7 @@ def build_vietoris_rips(
         lo = hi
 
     distances = tuple(map(tuple, D))
-    return FilteredComplex(simplices, grades, parent, last, distances)
+    return FilteredComplex(simplices, grades, codes, distances)
 
 
 def truncate(c: FilteredComplex, dim_cap: int) -> FilteredComplex:
@@ -564,7 +547,7 @@ def truncate(c: FilteredComplex, dim_cap: int) -> FilteredComplex:
         return c
     kept = c.lower[: bisect_left(c.lower, dim_cap + 2, key=len)]
     grades = list(map(c.grades.__getitem__, map(c.lower_index.__getitem__, kept)))
-    return FilteredComplex(kept, grades, array("i"), array("i"), c.distances)
+    return FilteredComplex(kept, grades, array("q"), c.distances)
 
 
 def diameter(D: Sequence[Sequence[float]]) -> float:

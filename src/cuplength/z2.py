@@ -131,14 +131,15 @@ class CoboundaryMatrix(SparseZ2Matrix):
     def columns(self, p: int) -> array:
         """The positions of the p-simplices, left to right; empty when the
         complex has no p-simplex.  The top dimension's, which no reduction
-        visits, are read off the complex's listing on each call."""
+        visits, are every position outside the lower dimensions' columns,
+        worked out on each call."""
         if p < len(self._columns):
             return self._columns[p]
         cols = array("i")
         if p == len(self._columns):
-            for _, _, at in self._complex.top_children():
-                cols.extend(at)
-        return array("i", sorted(self.n_cols - 1 - i for i in cols))
+            lower = set().union(*self._columns)
+            cols.extend(j for j in range(self.n_cols) if j not in lower)
+        return cols
 
     def col_mask(self, j: int) -> int:
         last = self.n_cols - 1
@@ -312,17 +313,21 @@ class ReducedCoboundary:
         ``dims``, in filtration indices: simplex i's column starts the class,
         d is its pivot row's simplex (None for an essential class) and
         ``summands`` are the rows of V's column, its representative.
-        Cleared columns and pairs of equal grade start no class."""
+        Cleared columns and pairs of equal grade start no class.  A
+        column's pivot row is the top bit of its stored column in R, and
+        otherwise A's first-cofacet pivot when the pivot map names the
+        column its owner."""
         last = self.R.n_rows - 1
         grades = self.complex.grades
-        pivot_of = {j: r for r, j in self.pivot_to_col.items()}
+        kept, pivot_to_col = self.R._cols, self.pivot_to_col
         for p in dims:
             for col in self.A.columns(p):
-                if col in self.pivot_to_col:
+                if col in pivot_to_col:
                     continue  # cleared, so R's column is zero
                 i = last - col
-                row = pivot_of.get(col)
-                d = None if row is None else last - row
+                mask = kept.get(col)
+                row = self.A.pivot(col) if mask is None else mask.bit_length() - 1
+                d = last - row if pivot_to_col.get(row) == col else None
                 if d is None or grades[i] < grades[d]:
                     yield p, i, d, [last - r for r in _bits(self.V.col_mask(col))]
 

@@ -348,7 +348,7 @@ def _assert_pinned(c, ref):
     for t in cuts + [cuts[0] - 1] + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]:
         assert c.stage_count(t) == sum(g <= t for g in grades)
     # only the simplices below the top dimension are tuples
-    assert len(c.lower) + len(c.last) == len(c)
+    assert len(c.lower) + len(c.codes) == len(c)
     assert all(len(v) <= c.top for v in c.lower)
     for i, (v, g) in enumerate(ref):
         assert c.index_of[v] == c.index_of.get(v) == i
@@ -365,6 +365,16 @@ def _assert_pinned(c, ref):
                 c.index_of[join]
             with pytest.raises(UnknownSimplex):
                 c.grade_of(join)
+    # a last vertex outside the points names no simplex, whatever its code
+    if c.distances is not None:
+        n = len(c.distances)
+        for v in simplices:
+            if len(v) == c.top:
+                for w in (-1, n, n + 1, 2 * n - 1, 2 * n + 1):
+                    key = v + (w,)
+                    assert c.index_of.get(key) is None and key not in c
+                    with pytest.raises(UnknownSimplex):
+                        c.grade_of(key)
 
 
 def test_compact_storage_matches_the_tuple_reference(monkeypatch):
@@ -424,7 +434,7 @@ def _list_corpus():
 def test_a_complex_read_from_a_list_keeps_every_simplex_as_a_tuple():
     for c in _list_corpus():
         for d in (c, from_simplex_list(zip(c.simplices, c.grades))):
-            assert len(d.last) == 0 and len(d.lower) == len(d)
+            assert len(d.codes) == 0 and len(d.lower) == len(d)
             assert d.top == d.dim + 1
 
 
@@ -445,7 +455,7 @@ def test_a_cut_is_laid_out_as_the_list_of_what_it_keeps():
             t = truncate(c, cap)
             listed = from_simplex_list(zip(t.simplices, t.grades))
             assert t == listed and (t.top, t.dim, t.lower) == (listed.top, listed.dim, listed.lower)
-            assert len(t.last) == 0 and t.first_cofacets() == listed.first_cofacets()
+            assert len(t.codes) == 0 and t.first_cofacets() == listed.first_cofacets()
             assert t.distances is c.distances
             checked["listed" if c.distances is None else "with distances"] += 1
     assert checked["listed"] > 40 and checked["with distances"] > 40
@@ -463,7 +473,7 @@ def test_vr_stores_its_capped_dimension_as_arrays():
                 c = build_vietoris_rips(d, max_dim, cap)
                 simplices, _ = _vr_reference(d, max_dim, cap)
                 tops = [v for v in simplices if len(v) == max_dim + 1]
-                assert len(c.last) == len(tops)
+                assert len(c.codes) == len(tops)
                 assert all(len(v) <= max_dim for v in c.lower)
                 assert c.top == (max_dim if tops else c.dim + 1)
 
@@ -476,4 +486,4 @@ def test_vr_stops_at_the_first_empty_dimension():
     assert deep == tet and deep.dim == tet.dim == tet.top == 3 and deep.top == 4
     # below the diagonal there is no triangle, so growth stops at dimension 2
     square = build_vietoris_rips(d, 50, 1.0)
-    assert square.dim == 1 and square.top == 2 and len(square.last) == 0
+    assert square.dim == 1 and square.top == 2 and len(square.codes) == 0

@@ -15,6 +15,7 @@ from cuplength.cohomology import Cochain, compute_barcode
 from cuplength.errors import SimplexNotAlive
 from cuplength.simplicial import (
     FilteredComplex,
+    _SimplexView,
     build_vietoris_rips,
     diameter,
     distances_from_points,
@@ -197,7 +198,7 @@ def test_first_cofacets_on_a_capped_sparse_cloud():
 
 def test_coboundary_of_a_vr_complex_reads_no_top_listing(monkeypatch, tmp_path, capsys):
     # neither the matrix nor a whole command-line job on a distance file
-    # walks the top simplices parent by parent
+    # walks the simplices, the top listing among them, one by one
     rng = random.Random(31)
     d = distances_from_points([(rng.random(), rng.random()) for _ in range(12)])
     path = tmp_path / "cloud.csv"
@@ -206,7 +207,8 @@ def test_coboundary_of_a_vr_complex_reads_no_top_listing(monkeypatch, tmp_path, 
     assert cli.main(argv) == 0
     expected = capsys.readouterr().out
     calls = []
-    monkeypatch.setattr(FilteredComplex, "top_children", lambda self: calls.append(self) or iter(()))
+    walk = _SimplexView.__iter__
+    monkeypatch.setattr(_SimplexView, "__iter__", lambda self: calls.append(self) or walk(self))
     c = build_vietoris_rips(d, 3, math.inf)
     assert len(c.lower_index) < len(c)
     coboundary_matrix(c)
@@ -278,7 +280,7 @@ def test_a_listed_complex_walks_its_faces_once(monkeypatch):
     assert calls == [c]
 
 
-_STORAGE = {"lower", "parent", "last", "top_pos", "child_start", "rank_at"}
+_STORAGE = {"lower", "codes", "top_pos", "rank_at"}
 
 
 class _StorageGuarded(FilteredComplex):
