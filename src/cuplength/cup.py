@@ -13,10 +13,12 @@ test of the product, ``rc.born`` at the last birth strictly below the
 intersection's right end, decides whether it survives; if it does, it
 names the simplex at which its class is born, and the left end is the
 first birth at or after that simplex's grade, as a linear descent would
-find.  A fold multiplies a pair only when a summand of
-the left factor ends at a vertex where a summand of the right factor
-starts: the Alexander-Whitney product joins exactly such summands, so
-every other pair multiplies to zero and is never visited.  A product's
+find.  A fold multiplies a pair only when a summand of the left factor
+ends at a vertex where a summand of the right factor starts: the
+Alexander-Whitney product joins exactly such summands, so every other
+pair multiplies to zero and is never visited.  The left factor is always
+a bar, so the bars are indexed by last vertex once, for the whole run,
+and each fold looks its products' first vertices up there.  A product's
 summands are found through ``c.positions(p)``; since the barcode's
 complex is truncated at k + 1, that is a plain dict for every degree a
 product can land in, unless the caller capped the complex lower.
@@ -92,8 +94,8 @@ class RunStats:
     number of distinct (support, product) pairs found at fold ``ell``.
     ``product_count`` counts the pairs actually multiplied: those that share
     an end/start vertex and pass the dimension and overlap checks.
-    ``coboundary_test_count`` counts the products ``support`` reduces: one
-    per product with a birth in the intersection of its factors.
+    ``coboundary_test_count`` counts the exactness tests, one per non-zero
+    product; ``cup_diagram`` counts each as it calls ``support``.
     """
 
     m_k: int
@@ -108,7 +110,6 @@ def support(
     inter: Interval,
     rc: z2.ReducedCoboundary,
     birth_grid: list[float],
-    stats: RunStats | None = None,
 ) -> Interval | None:
     """Parameter interval on which a product of representatives is non-zero.
 
@@ -120,15 +121,13 @@ def support(
     candidate.  Otherwise the right end is that of ``inter`` and the left
     end is the smallest birth in ``inter`` at which the simplex that
     ``rc.born`` names has entered: exactly the births whose stage still
-    carries a non-zero restriction.  The one exactness test is counted
-    into ``stats.coboundary_test_count``.
+    carries a non-zero restriction.  It makes at most one exactness test,
+    which the caller counts.
     """
     lo = bisect_left(birth_grid, inter.left)
     hi = bisect_left(birth_grid, inter.right) - 1
     if hi < lo:
         return None
-    if stats is not None:
-        stats.coboundary_test_count += 1
     born = rc.born(sigma_prod, birth_grid[hi])
     if born is None:
         return None
@@ -145,14 +144,16 @@ def cup_diagram(b: AnnotatedBarcode, trim_eps: float = 0.0) -> tuple[CupDiagram,
     value 1; repeated products against the bar set contribute the interval
     of each non-empty support at the fold count, merged by maximum: a later
     fold's count is the larger, so it is assigned.
-    Each fold indexes the summands of each product found so far by first
-    vertex, once, and multiplies a bar representative only against those
-    sharing a vertex with the last vertices of its own summands, in the
-    order they were found; the other pairs multiply to zero.  Products
-    whose total dimension would exceed ``b.dim_bound`` are skipped,
-    matching the truncation's trustworthy range.  Exactness tests reuse the
-    reduction ``b`` was read from.  The result does not depend on the order
-    of ``b.bars``.
+    The bars are indexed by last vertex once, before the first fold; each
+    fold indexes each product found so far by first vertex and multiplies
+    it only with the bars listed under those vertices, in any order, since
+    the other pairs multiply to zero.  Each non-zero product's exactness
+    test is counted here: the intersection of its factors starts at a
+    birth, a bar's or a support's left end, so ``support`` reaches it.
+    Products whose total dimension would exceed ``b.dim_bound`` are
+    skipped, matching the truncation's trustworthy range.  Exactness tests
+    reuse the reduction ``b`` was read from.  The result does not depend on
+    the order of ``b.bars``.
     """
     if not trim_eps >= 0:  # also rejects nan
         raise ValueError(f"trim_eps must be non-negative, got {trim_eps}")
@@ -171,32 +172,28 @@ def cup_diagram(b: AnnotatedBarcode, trim_eps: float = 0.0) -> tuple[CupDiagram,
 
     birth_grid = sorted({interval.left for interval, _ in base})
     p_max = min(k, c.dim)
-    last_vertices = [{verts[-1] for verts in s1.summands} for _, s1 in base]
+    # the positions in base of the bars with a summand ending at each vertex
+    ending_at: dict[int, list[int]] = {}
+    for i, (_, s1) in enumerate(base):
+        for v in {verts[-1] for verts in s1.summands}:
+            ending_at.setdefault(v, []).append(i)
     current = base
     ell = 1
     while current and ell <= k - 1:
-        # each cochain of current indexed by first vertex, once per fold, and
-        # the positions in current of those with a summand starting at each
-        # vertex
-        indexed = [_by_first_vertex(s2) for _, s2 in current]
-        starting_at: dict[int, list[int]] = {}
-        for j, by_first in enumerate(indexed):
-            for v in by_first:
-                starting_at.setdefault(v, []).append(j)
-        # an insertion-ordered set of (support, product) pairs
+        # the distinct (support, product) pairs of this fold
         fresh: dict[tuple[Interval, Cochain], None] = {}
-        for (i1, s1), ends in zip(base, last_vertices):
-            partners = {j for v in ends for j in starting_at.get(v, ())}
-            # in list order, so fresh is filled in the order all pairs would fill it
-            for j in sorted(partners):
-                i2, s2 = current[j]
+        for i2, s2 in current:
+            by_first = _by_first_vertex(s2)
+            for j in {j for v in by_first for j in ending_at.get(v, ())}:
+                i1, s1 = base[j]
                 if s1.p + s2.p > p_max or not i1.overlaps(i2):
                     continue
                 stats.product_count += 1
-                sigma = cup_product(s1, s2, c, indexed[j])
+                sigma = cup_product(s1, s2, c, by_first)
                 if sigma.is_zero():
                     continue
-                supp = support(sigma, i1.intersect(i2), rc, birth_grid, stats)
+                stats.coboundary_test_count += 1
+                supp = support(sigma, i1.intersect(i2), rc, birth_grid)
                 if supp is not None:
                     fresh[supp, sigma] = None
         ell += 1

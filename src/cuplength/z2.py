@@ -70,15 +70,6 @@ class SparseZ2Matrix:
 
     __slots__ = ("n_rows", "n_cols")
 
-    def column(self, j: int) -> tuple[int, ...]:
-        """Row indices of the ones in column j, strictly sorted."""
-        return tuple(_bits(self.col_mask(j)))
-
-    def pivot(self, j: int) -> int | None:
-        """Largest row index with a one in column j, or None."""
-        m = self.col_mask(j)
-        return m.bit_length() - 1 if m else None
-
     def __repr__(self) -> str:
         # the shape only: counting non-zeros would build every column
         return f"{type(self).__name__}({self.n_rows}x{self.n_cols})"
@@ -112,8 +103,9 @@ class CoboundaryMatrix(SparseZ2Matrix):
     and the column positions of each dimension below ``c.top``, read off
     ``c.lower_index``.  ``col_mask(j)`` is zero for a simplex with no
     cofacet; any other simplex is decoded through ``c.simplices`` and its
-    column packs the positions ``c.cofacets`` gives.  How a complex finds
-    its cofacets is ``simplicial``'s business, not this module's.
+    column packs the positions ``c.cofacets`` gives.  A read outside the
+    matrix raises ``IndexError``.  How a complex finds its cofacets is
+    ``simplicial``'s business, not this module's.
     """
 
     __slots__ = ("_complex", "_first", "_columns")
@@ -142,14 +134,16 @@ class CoboundaryMatrix(SparseZ2Matrix):
         return cols
 
     def col_mask(self, j: int) -> int:
-        last = self.n_cols - 1
-        if self._first[last - j] > last:
+        if self.pivot(j) is None:
             return 0  # no cofacet, a top simplex among them
         c = self._complex
+        last = self.n_cols - 1
         return _mask_of_rows(last, c.cofacets(c.simplices[last - j]))
 
     def pivot(self, j: int) -> int | None:
         last = self.n_cols - 1
+        if j > last:
+            raise IndexError(f"column {j} out of range")
         p = last - self._first[last - j]
         return p if p >= 0 else None
 

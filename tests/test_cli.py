@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -23,6 +24,7 @@ from cuplength.functions import CupFunction, Interval, evaluate, reconstruct
 from conftest import sup_torus_distances
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+WORKLOADS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
 
 
 def fixture(name):
@@ -241,6 +243,26 @@ def test_oracle_check_evaluates_once_per_run(tmp_path, monkeypatch, capsys):
         for gen, _ in f.generators:
             cuts.add((bisect_left if gen.left_closed else bisect_right)(cvs, gen.left))
     assert 1 <= len(calls) <= 2 * n * (len(cuts) - 1) < n * (n + 1) // 2
+
+
+def test_oracle_check_is_ok_on_every_benchmark_instance(tmp_path, capsys):
+    # every oracle_check input of the seeds with goldens, 0-10 and 1000, built
+    # by perfbench/workloads.py and checked by its own invariant
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    kind = module.WORKLOADS["oracle_check"]
+    checked = 0
+    for seed in [*range(11), 1000]:
+        for i in range(kind.instances):
+            w = kind(seed, i)
+            workdir = str(tmp_path / f"{seed}-{i}")
+            w.write_inputs(workdir)
+            for argv in w.argvs(workdir):
+                assert cli.main(argv) == 0
+            assert w.invariant_failure(capsys.readouterr().out.encode("utf-8")) is None, (seed, i)
+            checked += 1
+    assert checked == 24
 
 
 def test_vr_command_round_trip(tmp_path):

@@ -200,6 +200,29 @@ def test_validate_family_detects_duplicate_representative():
     assert (report.bar, report.combination) == (None, 0b11)
 
 
+def test_validate_family_counts_the_bars_alive():
+    # the bars of two_disks at k = 1 are [0, 2) and [1, 3)
+    c = spaces.two_disks()
+    b = compute_barcode(c, 1)
+    assert [(bar.birth, bar.death) for bar in b.bars] == [(0.0, 2.0), (1.0, 3.0)]
+    # without the bar born at 1.0, a class of each stage from 1.0 to 2.0
+    # has no bar
+    dropped = [bar for bar in b.bars if bar.birth != 1.0]
+    report = validate_family(AnnotatedBarcode(dropped, 1, b.reduction))
+    assert not report.ok
+    assert report.first_failure == (1.0, 1)
+    assert report.failures == [
+        (1.0, 1, "1 bars alive but dim H^1 = 2"),
+        (2.0, 1, "0 bars alive but dim H^1 = 1"),
+    ]
+    assert (report.bar, report.combination) == (None, None)
+    # the first bar dying at 1.0 leaves one bar for the two classes there
+    early = [Bar(bar.dim, bar.birth, 1.0, bar.representative) if bar.birth == 0.0 else bar for bar in b.bars]
+    report = validate_family(AnnotatedBarcode(early, 1, b.reduction))
+    assert report.failures == [(1.0, 1, "1 bars alive but dim H^1 = 2")]
+    assert (report.first_failure, report.bar, report.combination) == ((1.0, 1), None, None)
+
+
 def test_validate_family_detects_non_cocycle_representative():
     # one edge of the projective plane lies on two triangles
     b = compute_barcode(spaces.projective_plane(), 1)

@@ -358,7 +358,8 @@ def _all_pairs_cup_diagram(b, trim_eps=0.0):
                 sigma = cup_product(s1, s2, c)
                 if sigma.is_zero():
                     continue
-                supp = support(sigma, i1.intersect(i2), rc, birth_grid, stats)
+                stats.coboundary_test_count += 1
+                supp = support(sigma, i1.intersect(i2), rc, birth_grid)
                 if supp is not None:
                     fresh[supp, sigma] = None
         ell += 1

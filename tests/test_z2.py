@@ -36,21 +36,26 @@ from conftest import cochain_coboundary, random_filtration, sup_torus_distances
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
+def _rows(mask):
+    """The row indices of the ones in a column's bitmask, strictly sorted."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def test_single_edge_positive_matrix_is_zero():
     c = from_simplex_list([([0], 0), ([1], 0), ([0, 1], 0)])
     a = coboundary_matrix(c)
     # the edge sits at position 0 and its column, the positive-dimensional
     # block, is zero; each vertex column holds the edge
     assert a.n_rows == a.n_cols == 3
-    assert a.column(0) == ()
-    assert a.column(1) == a.column(2) == (0,)
+    assert _rows(a.col_mask(0)) == ()
+    assert _rows(a.col_mask(1)) == _rows(a.col_mask(2)) == (0,)
 
 
 def test_hollow_triangle_matrix_is_zero():
     a = coboundary_matrix(spaces.hollow_triangle())
     # edges at positions 0..2 have zero columns; vertex v sits at 5 - v
     assert a.n_rows == 6
-    assert [a.column(j) for j in range(6)] == [(), (), (), (0, 1), (0, 2), (1, 2)]
+    assert [_rows(a.col_mask(j)) for j in range(6)] == [(), (), (), (0, 1), (0, 2), (1, 2)]
 
 
 def test_filled_triangle_matrix():
@@ -59,10 +64,25 @@ def test_filled_triangle_matrix():
     # filtration order: three vertices, three edges, the triangle; cosimplex
     # position of the triangle is 0, of edge i is 6 - i, of vertex v is 6 - v
     assert a.n_rows == 7
-    assert a.column(0) == ()
+    assert _rows(a.col_mask(0)) == ()
     for j in (1, 2, 3):
-        assert a.column(j) == (0,)
-    assert [a.column(j) for j in (4, 5, 6)] == [(1, 2), (1, 3), (2, 3)]
+        assert _rows(a.col_mask(j)) == (0,)
+    assert [_rows(a.col_mask(j)) for j in (4, 5, 6)] == [(1, 2), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("matrix", ["A", "R", "V"])
+def test_a_column_out_of_range_is_an_error(matrix):
+    # a read past the last column must not wrap around to another column
+    rc = reduce_coboundary(spaces.filled_triangle())
+    view = getattr(rc, matrix)
+    n = view.n_cols
+    assert n == 7
+    for j in (n, n + 1, 2 * n - 1, -1):
+        with pytest.raises(IndexError):
+            view.col_mask(j)
+        if matrix == "A":
+            with pytest.raises(IndexError):
+                view.pivot(j)
 
 
 def _reference_coboundary(c):
@@ -365,10 +385,6 @@ def _dense_column_reduce(cols):
     return R, V, pivot_to_col, added
 
 
-def _rows(mask):
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def _cleared(c, pivot_to_col):
     """Columns whose position is the pivot row of a column of a lower dimension."""
     last = len(c) - 1
@@ -385,7 +401,6 @@ def _assert_matches_dense(c):
     assert pivot_to_col == dense_pivots
     cleared = _cleared(c, pivot_to_col)
     kept = [j for j in range(n) if j not in cleared]
-    assert [V.column(j) for j in kept] == [_rows(dense_V[j]) for j in kept]
     assert [V.col_mask(j) for j in kept] == [dense_V[j] for j in kept]
     # a cleared column i takes the column of R whose pivot row it is
     for i in cleared:
@@ -561,7 +576,7 @@ def test_reduction_keeps_no_owner_of_a_top_row():
         assert rc.complex.top == 3
         last = len(c) - 1
         for j in rc.R._cols:
-            assert j in rc.V._cols or len(c.simplices[last - rc.R.pivot(j)]) <= c.top
+            assert j in rc.V._cols or len(c.simplices[last - _rows(rc.R.col_mask(j))[-1]]) <= c.top
 
 
 def _staged_torus(n, levels, seed):
